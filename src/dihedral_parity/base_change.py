@@ -65,12 +65,12 @@ class AdditivePotMult:
 @dataclass(frozen=True)
 class AdditivePotGood:
     """Additive reduction, potentially good; delta = valuation of the
-    minimal discriminant."""
+    minimal discriminant (at most 11 when ell >= 5, unbounded at 2 and 3)."""
     delta: int
 
     def __post_init__(self):
-        if not 1 <= self.delta <= 11:
-            raise ValueError(f"delta must lie in 1..11, got {self.delta}")
+        if self.delta < 1:
+            raise ValueError(f"delta must be >= 1, got {self.delta}")
 
 
 ReductionDescriptor = Good | SplitMult | NonsplitMult | AdditivePotMult | AdditivePotGood

@@ -454,6 +454,7 @@ def verify_reduction_identity(p: int, n: int) -> bool:
     ctx = DihedralContext(p, n)
     G = ctx.full()
     H = ctx.subgroup(dihedral_p_power(n - 1))
+    irr = irreducibles(ctx)  # I(chi_k) is irr[1 + k], as in two_dim
     m = ctx.m
     half = (m - 1) // 2
     step = p ** (n - 1)
@@ -465,11 +466,11 @@ def verify_reduction_identity(p: int, n: int) -> bool:
     for k in range(1, half + 1):
         if k % p == 0:
             continue
-        sigma = restrict(two_dim(ctx, k), H)
+        sigma = restrict(irr[1 + k], H)
         lhs = induce(sigma, G)
         rhs = None
         for t in range(p):
-            term = two_dim(ctx, fold(k + t * step))
+            term = irr[1 + fold(k + t * step)]
             rhs = term if rhs is None else rhs + term
         if lhs != rhs:
             return False

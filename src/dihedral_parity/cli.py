@@ -30,8 +30,7 @@ from .parity import (FROZEN_POT_GOOD_TABLE, InadmissibleSettingError,
                      MissingCompletionError, enumerate_settings, global_parity,
                      pot_good_table, verify_local)
 from .regulator import (SquareClass, direct_sum, faithful_rep,
-                        regulator_constant, sign_rep, t_theta_member,
-                        trivial_rep)
+                        regulator_constant, sign_rep, trivial_rep)
 from .surgery import SurgeryFailedError, certify, make_semistable
 from .tate import local_reduction
 from .weierstrass import SingularModelError, WeierstrassCurve
@@ -180,12 +179,13 @@ def cmd_regulator(args) -> int:
     for name, rep in reps:
         value = regulator_constant(rep, seed=args.seed)
         sq = SquareClass.of(value)
-        member = t_theta_member(rep, seed=args.seed)
+        parity = sq.ord_parity(p)
+        member = parity == 1  # T_Theta: odd p-adic valuation
         print(f"C_Theta({name}) = {value}  square class {sq.representative}  "
-              f"ord_{p} parity {sq.ord_parity(p)}  T_Theta member: {member}")
+              f"ord_{p} parity {parity}  T_Theta member: {member}")
         payload["reps"][name] = {"value": str(value),
                                  "square_class": sq.representative,
-                                 "ord_p_parity": sq.ord_parity(p),
+                                 "ord_p_parity": parity,
                                  "t_theta_member": member}
     _write_json(args.json, payload)
     return 0

@@ -99,10 +99,13 @@ class LocalSetting:
         if not isinstance(self.base, (Good, SplitMult, NonsplitMult,
                                       AdditivePotMult, AdditivePotGood)):
             raise InadmissibleSettingError(f"unknown reduction descriptor {self.base!r}")
-        if isinstance(self.base, AdditivePotGood) and self.ell == self.p \
-                and self.base.delta not in POT_GOOD_DELTAS:
-            raise InadmissibleSettingError(
-                f"delta = {self.base.delta} cannot occur for a minimal model at ell = p >= 5")
+        if isinstance(self.base, AdditivePotGood) and self.ell >= 5:
+            if self.base.delta > 11:
+                raise InadmissibleSettingError(
+                    f"delta = {self.base.delta} cannot occur for a minimal model at ell >= 5")
+            if self.ell == self.p and self.base.delta not in POT_GOOD_DELTAS:
+                raise InadmissibleSettingError(
+                    f"delta = {self.base.delta} cannot occur for a minimal model at ell = p >= 5")
         needs_flag = (self.G_v.kind == "dihedral" and self.I_v.kind == "dihedral"
                       and isinstance(self.base, AdditivePotMult))
         if needs_flag and not isinstance(self.eta_equals_chi, bool):
@@ -236,10 +239,7 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     else:
         eps = 1
     trace["epsilon"] = eps
-    # p is coprime to 12, hence +-1 mod e; the sign flips exactly at -1
-    sign = 1 if s.p % e == 1 % e else -1
-    assert sign == eps, "epsilon factor disagrees with the residue rule"
-    return sign, trace
+    return eps, trace
 
 
 @dataclass(frozen=True)
@@ -267,18 +267,9 @@ _PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
 
 def enumerate_settings(p: int, *, ell_values=(2, 3, 5, 7, 11, 13),
                        r_values=(1, 2), n_max: int = 10,
-                       deltas=POT_GOOD_DELTAS,
-                       mode: str = "permissive") -> list[LocalSetting]:
+                       deltas=POT_GOOD_DELTAS) -> list[LocalSetting]:
     """All admissible local settings over the given bounds, in a fixed
-    deterministic order.
-
-    mode "strict" additionally drops settings whose potential-good residue
-    class p mod e falls outside {+1, -1}; since (Z/e)* = {+1, -1} for
-    every e arising from the delta list, the filter provably never fires,
-    and the mode exists so that the claim is executable.
-    """
-    if mode not in ("permissive", "strict"):
-        raise ValueError(f"unknown mode {mode!r}")
+    deterministic order."""
     ells = sorted(set(ell_values) | {p})
     out: list[LocalSetting] = []
     for ell in ells:
@@ -300,13 +291,8 @@ def enumerate_settings(p: int, *, ell_values=(2, 3, 5, 7, 11, 13),
                     bases.append((AdditivePotGood(delta), (None,)))
                 for base, flags in bases:
                     for flag in flags:
-                        s = LocalSetting(p=p, ell=ell, r=r, base=base,
-                                         G_v=G_v, I_v=I_v, eta_equals_chi=flag)
-                        if mode == "strict" and isinstance(base, AdditivePotGood):
-                            e = ramification_degree_e(base.delta)
-                            if p % e not in (1 % e, (e - 1) % e):
-                                continue
-                        out.append(s)
+                        out.append(LocalSetting(p=p, ell=ell, r=r, base=base, G_v=G_v,
+                                                I_v=I_v, eta_equals_chi=flag))
     return out
 
 

@@ -13,7 +13,7 @@ The construction shifts coefficients by CRT-chosen amounts:
                      avoids the degenerate c4 = 0;
   step 3  a6 += c    for each prime q of c4 outside {2, 3, p0, v}, a
                      residue chosen through the exact quadratic behaviour
-                     Delta(a6 + c) - Delta(a6) = c (gamma - 432 c)
+                     Delta(a6 + c) - Delta(a6) = c (c6 - 432 c)
                      forces q away from Delta; a6 = 0 mod v completes the
                      nodal fibre at v.
 
@@ -30,7 +30,7 @@ from math import gcd
 from sympy import factorint, isprime
 
 from .tate import local_reduction, valuation
-from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve
+from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve, raw_invariants
 
 N_CAP = 4096
 
@@ -57,29 +57,6 @@ def crt(congruences) -> tuple[int, int]:
         x += modulus * ((diff * pow(modulus % m, -1, m)) % m)
         modulus *= m
     return x % modulus, modulus
-
-
-# invariant formulas on raw tuples: intermediate models may be singular,
-# so they cannot go through the validating curve constructor
-def _raw_c4(a1: int, a2: int, a3: int, a4: int) -> int:
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    return b2 * b2 - 24 * b4
-
-
-def _raw_delta(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-
-def _raw_gamma(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    beta = -b2 ** 3 - 216 * a3 * a3 + 36 * b2 * b4
-    return beta + 2 * A6_QUADRATIC_COEFF * a6
 
 
 @dataclass(frozen=True)
@@ -120,18 +97,16 @@ def _attempt(curve: WeierstrassCurve, p0: int, v: int, n: int) -> SurgeryPlan:
     a3n = a3 + d3
 
     d4, m4 = crt([(P, 0), (v, (-a4) % v)])
-    a4n = a4 + d4
-    bumps = 0
-    while _raw_c4(a1n, a2n, a3n, a4n) == 0:
-        bumps += 1
-        if bumps > 2:
-            raise SurgeryFailedError("could not steer away from c4 = 0")
-        d4 += m4
+    for _bump in range(3):
         a4n = a4 + d4
+        # the step-2 model may be singular, so it stays a raw tuple
+        *_, c4p, c6p, deltap = raw_invariants((a1n, a2n, a3n, a4n, a6))
+        if c4p != 0:
+            break
+        d4 += m4
+    else:
+        raise SurgeryFailedError("could not steer away from c4 = 0")
 
-    c4p = _raw_c4(a1n, a2n, a3n, a4n)
-    deltap = _raw_delta(a1n, a2n, a3n, a4n, a6)
-    gamma = _raw_gamma(a1n, a2n, a3n, a4n, a6)
     s_primes = tuple(sorted(int(q) for q in factorint(abs(c4p))
                             if q not in (2, 3, p0, v)))
     cong3 = [(P, 0), (v, (-a6) % v)]
@@ -139,19 +114,18 @@ def _attempt(curve: WeierstrassCurve, p0: int, v: int, n: int) -> SurgeryPlan:
         if deltap % q:
             cong3.append((q, 0))  # q already misses Delta; keep it that way
         else:
-            g = gamma % q
+            g = c6p % q
             alpha = next(a for a in range(1, 4) if a % q not in (0, g))
             inv_k = pow(A6_QUADRATIC_COEFF % q, -1, q)
-            cong3.append((q, ((alpha - gamma) * inv_k) % q))
+            cong3.append((q, ((alpha - c6p) * inv_k) % q))
     c, modulus = crt(cong3)
-    a6n = a6 + c
     bumps = 0
-    while _raw_delta(a1n, a2n, a3n, a4n, a6n) == 0:
+    while deltap + c * (c6p + A6_QUADRATIC_COEFF * c) == 0:
         bumps += 1
         if bumps > 3:
             raise SurgeryFailedError("could not steer away from Delta = 0")
         c += modulus
-        a6n = a6 + c
+    a6n = a6 + c
 
     return SurgeryPlan(
         original=curve, p0=p0, v=v, n=n, d1=d1, d2=d2, d3=d3, d4=d4, c=c,

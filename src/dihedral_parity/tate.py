@@ -233,30 +233,18 @@ def _arrange_for_star(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
     """Translate so that ell | a1, a2; ell^2 | a3, a4; ell^3 | a6.
 
     Valid once the II/III/IV tests have all failed on the model with its
-    singular point at the origin.
+    singular point at the origin.  The (s, t) are step 6 of Tate's
+    algorithm (Silverman, Advanced Topics IV.9; Cremona).
     """
-    if ell >= 5:
-        s = -E.a1 * _inv(2, ell) % ell
-        E = transform(E, 1, 0, s, 0)
-        t = -E.a3 * _inv(2, ell * ell) % (ell * ell)
-        E = transform(E, 1, 0, 0, t)
+    if ell == 2:
+        s, t = E.a2 % 2, 2 * ((E.a6 // 4) % 2)
     else:
-        found = None
-        for s in range(ell):
-            for t in range(ell ** 3):
-                cand = transform(E, 1, 0, s, t)
-                if (cand.a1 % ell == 0 and cand.a2 % ell == 0
-                        and cand.a3 % ell ** 2 == 0 and cand.a4 % ell ** 2 == 0
-                        and cand.a6 % ell ** 3 == 0):
-                    found = cand
-                    break
-            if found:
-                break
-        if found is None:
-            raise RuntimeError(f"star arrangement failed at {ell} for {E}")
-        E = found
-    assert (E.a1 % ell == 0 and E.a2 % ell == 0 and E.a3 % ell ** 2 == 0
-            and E.a4 % ell ** 2 == 0 and E.a6 % ell ** 3 == 0)
+        s = -E.a1 * _inv(2, ell) % ell
+        t = -E.a3 * _inv(2, ell * ell) % (ell * ell)
+    E = transform(E, 1, 0, s, t)
+    if (E.a1 % ell or E.a2 % ell or E.a3 % ell ** 2 or E.a4 % ell ** 2
+            or E.a6 % ell ** 3):
+        raise RuntimeError(f"star arrangement failed at {ell} for {E}")
     return E
 
 

@@ -17,10 +17,24 @@ class InvalidTransformError(ValueError):
     """Coordinate change with u = 0, or one whose image is not integral."""
 
 
-# Coefficient of a6^2 in Delta viewed as a quadratic polynomial in a6.
-# Delta = alpha + beta*a6 + A6_QUADRATIC_COEFF*a6^2 with the other four
-# coefficients held fixed; see a6_shift_delta below.
+# Shifting a6 by c fixes c4 and lowers c6 by 864c, so Delta, a quadratic
+# in a6 with this leading coefficient, changes by exactly c (c6 - 432 c);
+# see a6_shift_delta below.
 A6_QUADRATIC_COEFF = -432
+
+
+def raw_invariants(coeffs) -> tuple[int, int, int, int, int, int, int]:
+    """(b2, b4, b6, b8, c4, c6, Delta) of a coefficient tuple
+    (a1, a2, a3, a4, a6); singular tuples are allowed."""
+    a1, a2, a3, a4, a6 = coeffs
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, delta
 
 
 @dataclass(frozen=True)
@@ -36,6 +50,7 @@ class WeierstrassCurve:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"coefficient {name} must be an int, got {v!r}")
+        object.__setattr__(self, "_invariants", raw_invariants(self.coefficients()))
         if self.discriminant == 0:
             raise SingularModelError(f"singular model {self.coefficients()}")
 
@@ -44,34 +59,31 @@ class WeierstrassCurve:
 
     @property
     def b2(self) -> int:
-        return self.a1 * self.a1 + 4 * self.a2
+        return self._invariants[0]
 
     @property
     def b4(self) -> int:
-        return 2 * self.a4 + self.a1 * self.a3
+        return self._invariants[1]
 
     @property
     def b6(self) -> int:
-        return self.a3 * self.a3 + 4 * self.a6
+        return self._invariants[2]
 
     @property
     def b8(self) -> int:
-        return (self.a1 * self.a1 * self.a6 + 4 * self.a2 * self.a6
-                - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
-                - self.a4 * self.a4)
+        return self._invariants[3]
 
     @property
     def c4(self) -> int:
-        return self.b2 * self.b2 - 24 * self.b4
+        return self._invariants[4]
 
     @property
     def c6(self) -> int:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        return self._invariants[5]
 
     @property
     def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._invariants[6]
 
     @property
     def j_invariant(self) -> Fraction:
@@ -95,8 +107,7 @@ class InvariantSet:
 
 def invariants(curve: WeierstrassCurve) -> InvariantSet:
     """All standard b/c-invariants, the discriminant, and j, exactly."""
-    return InvariantSet(curve.b2, curve.b4, curve.b6, curve.b8,
-                        curve.c4, curve.c6, curve.discriminant, curve.j_invariant)
+    return InvariantSet(*curve._invariants, curve.j_invariant)
 
 
 def transform(curve: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:
@@ -122,20 +133,6 @@ def transform(curve: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:
     return WeierstrassCurve(*(int(x) for x in new))
 
 
-def a6_shift_linear_coeff(curve: WeierstrassCurve) -> int:
-    """beta: the coefficient of a6 in Delta as a quadratic polynomial in a6."""
-    a3 = curve.a3
-    b2 = curve.a1 * curve.a1 + 4 * curve.a2
-    b4 = 2 * curve.a4 + curve.a1 * curve.a3
-    return -b2 ** 3 - 216 * a3 * a3 + 36 * b2 * b4
-
-
-def a6_shift_gamma(curve: WeierstrassCurve) -> int:
-    """gamma = beta + 2 * A6_QUADRATIC_COEFF * a6, so that shifting a6 by c
-    changes Delta by exactly c * (gamma + A6_QUADRATIC_COEFF * c)."""
-    return a6_shift_linear_coeff(curve) + 2 * A6_QUADRATIC_COEFF * curve.a6
-
-
 def a6_shift_delta(curve: WeierstrassCurve, c: int) -> int:
     """Delta(a6 + c) - Delta(a6), computed from the closed form."""
-    return c * (a6_shift_gamma(curve) + A6_QUADRATIC_COEFF * c)
+    return c * (curve.c6 + A6_QUADRATIC_COEFF * c)

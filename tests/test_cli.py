@@ -112,6 +112,15 @@ def test_verify_global_pass(tmp_path, capsys):
     assert out.count("c_product=-1 w_product=-1 agree") == 2
 
 
+def test_verify_global_delta_12_at_2(tmp_path, capsys):
+    # I2* at 2 with minimal discriminant valuation 12
+    curves = put(tmp_path, "c.txt", "-6 3 -20 0 12\n")
+    comp = put(tmp_path, "comp.txt", "2 D2p Cp\n3 D2p Cp\n")
+    assert main(["verify-global", curves, "--p", "5",
+                 "--completion", comp]) == 0
+    assert "p=5: c_product=+1 w_product=+1 agree" in capsys.readouterr().out
+
+
 def test_verify_global_missing_completion(tmp_path, capsys):
     curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
     comp = put(tmp_path, "comp.txt", "37 D2p Cp\n")

@@ -61,6 +61,11 @@ def test_admissible_deltas_depend_on_ell():
     setting(AdditivePotGood(7), ell=7, p=5)
     with pytest.raises(InadmissibleSettingError):
         setting(AdditivePotGood(7), ell=5, p=5)
+    # delta >= 12 only occurs at the wild primes 2 and 3
+    setting(AdditivePotGood(12), ell=2, p=5)
+    setting(AdditivePotGood(16), ell=3, p=5)
+    with pytest.raises(InadmissibleSettingError):
+        setting(AdditivePotGood(12), ell=7, p=5)
 
 
 # --- character classes -----------------------------------------------------
@@ -163,9 +168,6 @@ def test_enumeration_shape(p):
         needs = (s.G_v.kind == "dihedral" and s.I_v.kind == "dihedral"
                  and isinstance(s.base, AdditivePotMult))
         assert (s.eta_equals_chi is not None) == needs
-    assert enumerate_settings(p, n_max=3, mode="strict") == settings
-    with pytest.raises(ValueError):
-        enumerate_settings(p, mode="lenient")
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -1,10 +1,10 @@
 import pytest
 
 from dihedral_parity.surgery import (NonCoprimeModuliError, SurgeryFailedError,
-                                     _raw_c4, _raw_delta, _raw_gamma, certify,
-                                     closeness_check, crt, make_semistable)
+                                     certify, closeness_check, crt, make_semistable)
 from dihedral_parity.tate import local_reduction, valuation
-from dihedral_parity.weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve
+from dihedral_parity.weierstrass import (A6_QUADRATIC_COEFF, WeierstrassCurve,
+                                         raw_invariants)
 
 
 # --- CRT -------------------------------------------------------------------
@@ -27,19 +27,26 @@ def test_crt_errors():
 # --- raw invariant helpers -------------------------------------------------
 
 def test_raw_formulas_match_curve_properties():
+    # 11a1 and 37a1 (b2, b4, b6, b8, c4, c6, Delta) as published
+    assert raw_invariants((0, -1, 1, -10, -20)) == (-4, -20, -79, -21, 496, 20008, -161051)
+    assert raw_invariants((0, 0, 1, -1, 0)) == (0, -2, 1, -1, 48, -216, 37)
+    # singular tuples are allowed: a node and a cusp
+    assert raw_invariants((0, 1, 0, 0, 0))[4:] == (16, -64, 0)
+    assert raw_invariants((0, 0, 0, 0, 0)) == (0,) * 7
     for coeffs in [(0, -1, 1, -10, -20), (1, 0, 1, 4, -6), (0, 0, 0, 25, 0)]:
         E = WeierstrassCurve(*coeffs)
-        assert _raw_c4(*coeffs[:4]) == E.c4
-        assert _raw_delta(*coeffs) == E.discriminant
+        assert raw_invariants(coeffs) == (E.b2, E.b4, E.b6, E.b8, E.c4, E.c6,
+                                          E.discriminant)
 
 
 def test_raw_gamma_drives_the_a6_shift():
+    # the shift law's gamma is c6 of the unshifted model
     coeffs = (1, 0, 1, 4, -6)
-    gamma = _raw_gamma(*coeffs)
+    *_, c6, delta = raw_invariants(coeffs)
     for c in (-7, -1, 1, 2, 11):
         shifted = coeffs[:4] + (coeffs[4] + c,)
-        diff = _raw_delta(*shifted) - _raw_delta(*coeffs)
-        assert diff == c * (gamma + A6_QUADRATIC_COEFF * c)
+        diff = raw_invariants(shifted)[6] - delta
+        assert diff == c * (c6 + A6_QUADRATIC_COEFF * c)
 
 
 # --- the construction ------------------------------------------------------
@@ -93,9 +100,8 @@ def test_plan_congruences(coeffs, p0, v):
     assert plan.after_step2[0] == a1 + plan.d1
     assert F.coefficients() == plan.after_step2[:4] + (a6 + plan.c,)
     # shift identity connecting step 2 to the final discriminant
-    diff = F.discriminant - _raw_delta(*plan.after_step2)
-    gamma = _raw_gamma(*plan.after_step2)
-    assert diff == plan.c * (gamma + A6_QUADRATIC_COEFF * plan.c)
+    *_, c6, delta = raw_invariants(plan.after_step2)
+    assert F.discriminant - delta == plan.c * (c6 + A6_QUADRATIC_COEFF * plan.c)
 
 
 def test_depth_starts_above_discriminant_valuation():

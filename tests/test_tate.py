@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from corpus import CONDUCTORS, TATE_CORPUS
@@ -8,7 +11,8 @@ from dihedral_parity.tate import (NotApplicableError, conductor_exponent,
                                   kodaira_symbol, legendre, local_reduction,
                                   potential_class, split_type, tamagawa_number,
                                   valuation)
-from dihedral_parity.weierstrass import SingularModelError, WeierstrassCurve
+from dihedral_parity.weierstrass import (SingularModelError, WeierstrassCurve,
+                                         raw_invariants, transform)
 
 
 @pytest.mark.parametrize("coeffs,ell,kod,delta,tam,f,split", TATE_CORPUS)
@@ -132,3 +136,36 @@ def test_random_curves_satisfy_structural_bounds():
             if data.reduction_class == "multiplicative":
                 assert data.conductor_exp == 1
                 assert data.kodaira == f"I{data.delta}"
+
+
+# --- invariance under changes of model ---------------------------------------
+
+def _local_data(curve, ell):
+    d = local_reduction(curve, ell)
+    return d.kodaira, d.delta, d.tamagawa, d.conductor_exp, d.split
+
+
+@st.composite
+def _curve_at(draw):
+    """A prime ell in {2, 3, 5, 7} and a nonsingular model whose
+    coefficients carry random powers of ell, so that every Kodaira family,
+    the starred ones included, comes up."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    coeffs = tuple(ell ** draw(st.integers(0, 4)) * draw(st.integers(-9, 9))
+                   for _ in range(5))
+    assume(raw_invariants(coeffs)[6] != 0)
+    return WeierstrassCurve(*coeffs), ell
+
+
+_shift = st.integers(-30, 30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_curve_at(), _shift, _shift, _shift)
+def test_local_data_invariant_under_change_of_model(curve_ell, r, s, t):
+    E, ell = curve_ell
+    want = _local_data(E, ell)
+    assert _local_data(transform(E, 1, r, s, t), ell) == want
+    # u = 1/ell multiplies a_i by ell^i: a non-minimal model of the same curve
+    assert _local_data(transform(E, Fraction(1, ell), 0, 0, 0), ell) == want
+    assert _local_data(transform(E, Fraction(1, ell), r, s, t), ell) == want

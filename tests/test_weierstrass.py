@@ -5,9 +5,7 @@ import pytest
 
 from dihedral_parity.weierstrass import (A6_QUADRATIC_COEFF, InvalidTransformError,
                                          SingularModelError, WeierstrassCurve,
-                                         a6_shift_delta, a6_shift_gamma,
-                                         a6_shift_linear_coeff, invariants,
-                                         transform)
+                                         a6_shift_delta, invariants, transform)
 
 
 def random_curve(rng, span=20):
@@ -111,8 +109,10 @@ def test_a6_shift_identity_matches_direct_difference():
 
 def test_a6_shift_gamma_consistency():
     e = WeierstrassCurve(1, 2, 3, 4, 5)
-    assert a6_shift_gamma(e) == a6_shift_linear_coeff(e) + 2 * A6_QUADRATIC_COEFF * e.a6
-    # derivative check: shifting by 1 twice equals shifting by 2
-    one = a6_shift_delta(e, 1)
     e1 = WeierstrassCurve(e.a1, e.a2, e.a3, e.a4, e.a6 + 1)
+    # the law's gamma is c6: a unit a6 shift keeps c4 and lowers c6 by 864
+    assert (e1.c4, e1.c6) == (e.c4, e.c6 - 864)
+    one = a6_shift_delta(e, 1)
+    assert one == e.c6 + A6_QUADRATIC_COEFF
+    # derivative check: shifting by 1 twice equals shifting by 2
     assert one + a6_shift_delta(e1, 1) == a6_shift_delta(e, 2)
