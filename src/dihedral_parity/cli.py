@@ -12,7 +12,8 @@ Subcommands:
 Curve files carry one curve per line as five integers "a1 a2 a3 a4 a6";
 completion files carry lines "prime G_v I_v [true|false]" with subgroup
 tokens 1, D2, Cp, D2p.  Blank lines and '#' comments are allowed in both.
-Exit status: 0 all checks passed, 1 a verdict failed, 2 usage error.
+Exit status: 0 all checks passed, 1 a verdict failed, 2 usage error,
+3 internal error (a failed internal consistency check).
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ import argparse
 import json
 import sys
 
-from sympy import factorint
-
 from .characters import (DihedralContext, SubgroupTag, TRIVIAL, ORDER2,
                          cyclic_p_power, dihedral_p_power, irreducibles,
                          verify_reduction_identity)
-from .parity import (FROZEN_POT_GOOD_TABLE, InadmissibleSettingError,
-                     MissingCompletionError, enumerate_settings, global_parity,
-                     pot_good_table, verify_local)
+from .parity import (FROZEN_POT_GOOD_TABLE, bad_primes, enumerate_settings,
+                     global_parity, pot_good_table, verify_local)
 from .regulator import (SquareClass, direct_sum, faithful_rep,
                         regulator_constant, sign_rep, trivial_rep)
 from .surgery import SurgeryFailedError, certify, make_semistable
@@ -40,8 +38,8 @@ class InputFileError(ValueError):
     """A curve or completion file failed to parse."""
 
 
-_SUBGROUP_TOKENS = {"1": TRIVIAL, "D2": ORDER2,
-                    "Cp": cyclic_p_power(1), "D2p": dihedral_p_power(1)}
+_SUBGROUP_TOKENS = {tag.label: tag for tag in (TRIVIAL, ORDER2, cyclic_p_power(1),
+                                                dihedral_p_power(1))}
 
 
 def parse_curve_file(path: str) -> list[WeierstrassCurve]:
@@ -88,7 +86,7 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
                 if tok not in _SUBGROUP_TOKENS:
                     raise InputFileError(
                         f"{path}:{lineno}: unknown subgroup token {tok!r} "
-                        f"(use 1, D2, Cp, D2p)")
+                        f"(use {', '.join(_SUBGROUP_TOKENS)})")
                 tags.append(_SUBGROUP_TOKENS[tok])
             flag: bool | None = None
             if len(parts) == 4:
@@ -115,9 +113,7 @@ def cmd_reduce(args) -> int:
     curves = parse_curve_file(args.curves)
     report = []
     for curve in curves:
-        ells = ([args.ell] if args.ell else
-                sorted(int(q) for q in factorint(abs(curve.discriminant))))
-        for ell in ells:
+        for ell in [args.ell] if args.ell else bad_primes(curve):
             d = local_reduction(curve, ell)
             tail = d.reduction_class
             if d.split is not None:
@@ -278,8 +274,7 @@ def cmd_surgery(args) -> int:
             continue
         cert = certify(plan)
         print(f"{curve.coefficients()} p0={args.p0} v={args.v}: n={plan.n} "
-              f"shifts=({plan.d1},{plan.d2},{plan.d3},{plan.d4},{plan.c}) "
-              f"S={list(plan.s_primes)}")
+              f"shifts=({plan.d1},{plan.d2},{plan.d3},{plan.d4},{plan.c})")
         print(f"  p0 data {cert.p0_before} -> {cert.p0_after} "
               f"({'kept' if cert.p0_match else 'LOST'}); "
               f"v: {cert.v_class} {cert.v_split}; residual gcd {cert.residual_gcd}; "
@@ -287,7 +282,6 @@ def cmd_surgery(args) -> int:
         report.append({"curve": list(curve.coefficients()), "p0": args.p0,
                        "v": args.v, "n": plan.n,
                        "shifts": [plan.d1, plan.d2, plan.d3, plan.d4, plan.c],
-                       "s_primes": list(plan.s_primes),
                        "final": list(plan.final.coefficients()),
                        "ok": cert.ok})
         if not cert.ok:
@@ -357,12 +351,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFileError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # bad input files and inadmissible or incomplete data are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InadmissibleSettingError, MissingCompletionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -361,6 +361,11 @@ def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
     return AdditivePotGood(data.delta)
 
 
+def bad_primes(curve: WeierstrassCurve) -> list[int]:
+    """The primes dividing the model's discriminant, ascending (factors it)."""
+    return sorted(int(q) for q in factorint(abs(curve.discriminant)))
+
+
 def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
                   r: int = 1) -> GlobalVerdict:
     """Run the local identity at every bad prime of the curve and combine.
@@ -368,9 +373,8 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
     completion maps each bad prime to (G_v, I_v, eta_equals_chi-or-None);
     entries for good primes are ignored, missing bad primes are an error.
     """
-    bad = sorted(int(q) for q in factorint(abs(curve.discriminant)))
     verdicts = []
-    for ell in bad:
+    for ell in bad_primes(curve):
         base = base_descriptor(curve, ell)
         if isinstance(base, Good):
             continue  # the model was not minimal at ell

@@ -29,6 +29,9 @@ from functools import cached_property
 
 from sympy import factorint
 
+from .characters import (DihedralContext, ORDER2, TRIVIAL, cyclic_p_power,
+                         dihedral_p_power)
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -224,17 +227,8 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
 
 
-_THETA = (("trivial", 1, 1), ("order2", 2, -2), ("cyclic", 0, -1), ("dihedral", 0, 2))
-
-
-def _subgroup_elements(kind: str, p: int):
-    if kind == "trivial":
-        return [(0, 0)]
-    if kind == "order2":
-        return [(0, 0), (0, 1)]
-    if kind == "cyclic":
-        return [(i, 0) for i in range(p)]
-    return [(i, e) for e in (0, 1) for i in range(p)]
+_THETA = ((TRIVIAL, 1), (ORDER2, -2), (cyclic_p_power(1), -1),
+          (dihedral_p_power(1), 2))
 
 
 def regulator_constant(rep: RationalRep, pairing: Matrix | None = None,
@@ -244,10 +238,10 @@ def regulator_constant(rep: RationalRep, pairing: Matrix | None = None,
         pairing = invariant_pairing(rep, seed)
     elif _det(pairing) == 0:
         raise DegeneratePairingError("supplied pairing is singular")
-    p = rep.p
+    ctx = DihedralContext(rep.p)
     result = Fraction(1)
-    for kind, _, weight in _THETA:
-        elems = _subgroup_elements(kind, p)
+    for tag, weight in _THETA:
+        elems = ctx.subgroup(tag).elements
         order = len(elems)
         proj = None
         for g in elems:

@@ -11,15 +11,17 @@ The construction shifts coefficients by CRT-chosen amounts:
           a3 += d3   mod 3 so 3 never divides c4; a3 = a4 = 0 mod v;
           a4 += d4   all shifts vanish mod p0^n; a small bump on d4
                      avoids the degenerate c4 = 0;
-  step 3  a6 += c    for each prime q of c4 outside {2, 3, p0, v}, a
-                     residue chosen through the exact quadratic behaviour
-                     Delta(a6 + c) - Delta(a6) = c (c6 - 432 c)
-                     forces q away from Delta; a6 = 0 mod v completes the
-                     nodal fibre at v.
+  step 3  a6 += c    c walks through c0, c0 + M, c0 + 2M, ... with
+                     M = p0^n v and c0 = 0 mod p0^n, c0 = -a6 mod v (so
+                     the fibre at v is nodal), and stops at the first c
+                     whose Delta = Delta' + c (c6' - 432 c) is nonzero and
+                     shares no prime other than p0 with c4'.
 
-After this, gcd(c4, Delta) is a pure power of p0, which certifies
-semistability everywhere outside p0 without factoring the (typically
-enormous) new discriminant.
+Steps 1 and 2 keep 2, 3 and v out of c4; any other prime q of c4 divides
+Delta for at most two step counts mod q (-432 M^2 is a unit mod q), so the
+walk stops within a few steps.  Its stopping test is the certificate:
+gcd(c4, Delta) is a power of p0, which proves semistability outside p0
+without factoring c4 or the (typically enormous) new discriminant.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import factorint, isprime
+from sympy import isprime
 
 from .tate import local_reduction, valuation
 from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve, raw_invariants
 
 N_CAP = 4096
+# step-3 candidates tried before giving up; a handful suffice in practice
+WALK_CAP = 1000
 
 
 class NonCoprimeModuliError(ValueError):
@@ -71,10 +75,18 @@ class SurgeryPlan:
     d3: int
     d4: int
     c: int
-    s_primes: tuple[int, ...]
     after_step1: tuple[int, int, int, int, int]
     after_step2: tuple[int, int, int, int, int]
     final: WeierstrassCurve
+
+
+def residual_gcd(c4: int, delta: int, p0: int) -> int:
+    """gcd(c4, Delta) with every factor p0 removed: 1 exactly when no prime
+    other than p0 divides both, i.e. the model is semistable outside p0."""
+    g = gcd(c4, delta)
+    while g % p0 == 0:
+        g //= p0
+    return g
 
 
 def _attempt(curve: WeierstrassCurve, p0: int, v: int, n: int) -> SurgeryPlan:
@@ -107,29 +119,19 @@ def _attempt(curve: WeierstrassCurve, p0: int, v: int, n: int) -> SurgeryPlan:
     else:
         raise SurgeryFailedError("could not steer away from c4 = 0")
 
-    s_primes = tuple(sorted(int(q) for q in factorint(abs(c4p))
-                            if q not in (2, 3, p0, v)))
-    cong3 = [(P, 0), (v, (-a6) % v)]
-    for q in s_primes:
-        if deltap % q:
-            cong3.append((q, 0))  # q already misses Delta; keep it that way
-        else:
-            g = c6p % q
-            alpha = next(a for a in range(1, 4) if a % q not in (0, g))
-            inv_k = pow(A6_QUADRATIC_COEFF % q, -1, q)
-            cong3.append((q, ((alpha - c6p) * inv_k) % q))
-    c, modulus = crt(cong3)
-    bumps = 0
-    while deltap + c * (c6p + A6_QUADRATIC_COEFF * c) == 0:
-        bumps += 1
-        if bumps > 3:
-            raise SurgeryFailedError("could not steer away from Delta = 0")
-        c += modulus
+    c, step = crt([(P, 0), (v, (-a6) % v)])
+    for _ in range(WALK_CAP):
+        delta = deltap + c * (c6p + A6_QUADRATIC_COEFF * c)
+        if delta and residual_gcd(c4p, delta, p0) == 1:
+            break
+        c += step
+    else:
+        raise SurgeryFailedError(
+            f"no a6 shift among {WALK_CAP} candidates cleared gcd(c4, Delta)")
     a6n = a6 + c
 
     return SurgeryPlan(
         original=curve, p0=p0, v=v, n=n, d1=d1, d2=d2, d3=d3, d4=d4, c=c,
-        s_primes=s_primes,
         after_step1=(a1n, a2, a3, a4, a6),
         after_step2=(a1n, a2n, a3n, a4n, a6),
         final=WeierstrassCurve(a1n, a2n, a3n, a4n, a6n))
@@ -154,20 +156,20 @@ def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
         raise ValueError(f"p0 must be prime, got {p0}")
     if not isprime(v) or v == 2 or v == p0:
         raise ValueError(f"v must be an odd prime different from p0, got {v}")
-    if n is not None:
-        plan = _attempt(curve, p0, v, n)
-        if not closeness_check(curve, plan.final, p0):
-            raise SurgeryFailedError(
-                f"local data at {p0} not preserved with n = {n}")
-        return plan
-    depth = max(8, valuation(abs(curve.discriminant), p0) + 3)
-    while depth <= N_CAP:
+    if n is None:
+        start = max(8, valuation(abs(curve.discriminant), p0) + 3)
+        # start, 2 start, 4 start, ... up to N_CAP
+        depths = [start << i for i in range((N_CAP // start).bit_length())]
+        failure = (f"no agreement depth up to {N_CAP} preserved the local "
+                   f"data at {p0}")
+    else:
+        depths = [n]
+        failure = f"local data at {p0} not preserved with n = {n}"
+    for depth in depths:
         plan = _attempt(curve, p0, v, depth)
         if closeness_check(curve, plan.final, p0):
             return plan
-        depth *= 2
-    raise SurgeryFailedError(f"no agreement depth up to {N_CAP} preserved the "
-                             f"local data at {p0}")
+    raise SurgeryFailedError(failure)
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,6 @@ class SurgeryCertificate:
     v_class: str
     v_split: str
     residual_gcd: int
-    s_primes: tuple[int, ...]
 
 
 def certify(plan: SurgeryPlan) -> SurgeryCertificate:
@@ -194,13 +195,11 @@ def certify(plan: SurgeryPlan) -> SurgeryCertificate:
     p0_match = ((before.kodaira, before.delta, before.tamagawa, before.conductor_exp)
                 == (after.kodaira, after.delta, after.tamagawa, after.conductor_exp))
     vdata = local_reduction(plan.final, plan.v)
-    g = gcd(plan.final.c4, plan.final.discriminant)
-    while g % plan.p0 == 0:
-        g //= plan.p0
+    g = residual_gcd(plan.final.c4, plan.final.discriminant, plan.p0)
     ok = p0_match and vdata.reduction_class == "multiplicative" and g == 1
     return SurgeryCertificate(
         ok=ok, p0_match=p0_match,
         p0_before=(before.kodaira, before.delta, before.tamagawa, before.conductor_exp),
         p0_after=(after.kodaira, after.delta, after.tamagawa, after.conductor_exp),
         v_class=vdata.reduction_class, v_split=vdata.split_label,
-        residual_gcd=g, s_primes=plan.s_primes)
+        residual_gcd=g)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dihedral_parity import cli
 from dihedral_parity.cli import main
 
 
@@ -170,6 +171,16 @@ def test_surgery_bad_parameters(tmp_path, capsys):
     curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
     assert main(["surgery", curves, "--p0", "4", "--v", "3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- exit statuses ---------------------------------------------------------
+
+def test_internal_fault_exits_3(curves_11a1, monkeypatch, capsys):
+    def broken(curve, ell):
+        raise RuntimeError("star arrangement failed")
+    monkeypatch.setattr(cli, "local_reduction", broken)
+    assert main(["reduce", curves_11a1, "--ell", "11"]) == 3
+    assert "internal error: star arrangement failed" in capsys.readouterr().err
 
 
 # --- argparse plumbing -----------------------------------------------------
