@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import DihedralContext, SubgroupTag
+from .characters import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .tate import valuation
-
-
-class UnsupportedCaseError(ValueError):
-    """Requested invariant is outside the supported (tame) range."""
 
 
 # --- reduction descriptors over the base field -----------------------------
@@ -101,7 +97,15 @@ class ConstrainedRange:
         return parities.pop()
 
 
+_UNPINNED = ConstrainedRange((1, 2, 3, 4))  # additive, not fixed by group data
+
+
 # --- degrees ---------------------------------------------------------------
+
+# A standard subgroup of D_2p, of order 2^a p^b, is coded as the bits a + 2b.
+# They all hold the same reflection, so meet and join are bitwise and and or.
+_BITS = {"trivial": 0, "order2": 1, "cyclic": 2, "dihedral": 3}
+
 
 def degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
             H: SubgroupTag) -> tuple[int, int]:
@@ -110,19 +114,15 @@ def degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
 
     e_H = [I_v : I_v cap H],  f_H = [G_v : I_v (H cap G_v)].
     """
-    ctx = DihedralContext(p, 1)
-    gset = ctx.subgroup(G_v).element_set
-    iset = ctx.subgroup(I_v).element_set
-    hset = ctx.subgroup(H).element_set
-    if not iset <= gset:
+    check_odd_prime(p)
+    for tag in (G_v, I_v, H):
+        if tag.level > 1:
+            raise InvalidSubgroupError(f"{tag} does not fit inside D_2p")
+    g, i, h = _BITS[G_v.kind], _BITS[I_v.kind], _BITS[H.kind]
+    if i & ~g:
         raise ValueError(f"inertia {I_v.label} is not inside decomposition {G_v.label}")
-    e = len(iset) // len(iset & hset)
-    hg = hset & gset
-    prod = {ctx.mul(a, b) for a in iset for b in hg}
-    if len(gset) % len(prod):
-        raise ValueError("I_v (H cap G_v) is not a subgroup here")
-    f = len(gset) // len(prod)
-    return e, f
+    order = (1, 2, p, 2 * p)
+    return order[i] // order[i & h], order[g] // order[i | (h & g)]
 
 
 # --- Tamagawa numbers over the extension place -----------------------------
@@ -150,11 +150,11 @@ def tamagawa_over(base: ReductionDescriptor, p: int, G_v: SubgroupTag,
     if isinstance(base, AdditivePotGood):
         if (e * base.delta) % 12 == 0:
             return 1  # reduction turns good over the extension
-        return ConstrainedRange((1, 2, 3, 4))
+        return _UNPINNED
     if isinstance(base, AdditivePotMult):
         if becomes_split is True and ell is not None and ell != 2:
             return base.n * e
-        return ConstrainedRange((1, 2, 3, 4))
+        return _UNPINNED
     raise TypeError(f"unknown reduction descriptor {base!r}")
 
 
@@ -164,18 +164,16 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
                       G_v: SubgroupTag, I_v: SubgroupTag,
                       H: SubgroupTag) -> int:
     """+1 or -1: parity of ord_p of the local period ratio at the induced
-    place, for a curve of multiplicity r.  Only tame places are supported.
+    place, for a curve of multiplicity r.  The ratio is a p-adic unit except
+    for additive potentially good reduction at ell = p: away from p, at 2
+    and 3 too, it is a power of ell.  Needs p >= 5 when ell = p.
     """
-    if ell in (2, 3):
-        raise UnsupportedCaseError(f"period ratios at ell = {ell} are wild; not supported")
-    if isinstance(base, (Good, SplitMult, NonsplitMult)):
-        return 1
-    if ell != p:
+    if ell == p and p < 5:
+        raise ValueError(f"the period ratio at ell = p = {p} is wild")
+    if ell != p or isinstance(base, (Good, SplitMult, NonsplitMult, AdditivePotMult)):
         return 1
     if isinstance(base, AdditivePotGood):
         e, f = degrees(p, G_v, I_v, H)
         exponent = r * f * ((base.delta * e) // 12)
         return -1 if exponent % 2 else 1
-    if isinstance(base, AdditivePotMult):
-        return 1
     raise TypeError(f"unknown reduction descriptor {base!r}")

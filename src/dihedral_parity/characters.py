@@ -187,12 +187,17 @@ class Cyclotomic:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+def check_odd_prime(p) -> None:
+    """Raise InvalidGroupError unless p is an odd prime."""
+    if not isinstance(p, int) or p % 2 == 0 or not isprime(p):
+        raise InvalidGroupError(f"p must be an odd prime, got {p}")
+
+
 class DihedralContext:
     """The group D_{2p^n} together with its cyclotomic value ring."""
 
     def __init__(self, p: int, n: int = 1):
-        if not isinstance(p, int) or p % 2 == 0 or not isprime(p):
-            raise InvalidGroupError(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         if not isinstance(n, int) or n < 1:
             raise InvalidGroupError(f"n must be a positive integer, got {n}")
         self.p = p

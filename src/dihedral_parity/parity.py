@@ -8,7 +8,9 @@ evaluated:
 
   * c_parity: the parity of ord_p of the Theta-weighted product of
     Tamagawa numbers and period factors over the subfields of the
-    relation Theta = [1] - 2[D_2] - [C_p] + 2[D_{2p}],
+    relation Theta = [1] - 2[D_2] - [C_p] + 2[D_{2p}], read from
+    `base_change`; terms of even weight are squares, so only the fields
+    fixed by 1 and C_p count,
   * w_ratio: the ratio of local root numbers picked up by twisting.
 
 The expected identity is that the two always agree; verify_local reports
@@ -31,8 +33,9 @@ from math import gcd
 
 from sympy import factorint, isprime
 
-from .base_change import (AdditivePotGood, AdditivePotMult, Good, NonsplitMult,
-                          ReductionDescriptor, SplitMult)
+from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
+                          NonsplitMult, ReductionDescriptor, SplitMult,
+                          omega_ordp_parity, tamagawa_over)
 from .characters import SubgroupTag, TRIVIAL, ORDER2, cyclic_p_power, dihedral_p_power
 from .tate import legendre, local_reduction, potential_class, valuation
 from .weierstrass import WeierstrassCurve
@@ -159,60 +162,47 @@ def ramification_degree_e(delta: int) -> int:
 
 # --- the two closed forms --------------------------------------------------
 
+_BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
+             NonsplitMult: "nonsplit-multiplicative",
+             AdditivePotMult: "additive-pot-multiplicative",
+             AdditivePotGood: "additive-pot-good"}
+
+
 def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     """(-1)^(ord_p of the Theta-weighted local Tamagawa/period product),
-    plus a branch trace."""
+    plus a trace of the branch and each subfield's ord_p parity.
+
+    A cyclic G_v (1, C_2 or C_p) carries no nontrivial Brauer relation, so
+    the product is a square.  For G_v = D_2p only the odd-weight terms of
+    Theta, H = 1 and H = C_p, count, each with one place above v.
+    """
     s = setting
-    trace: dict = {"G_v": s.G_v.label, "I_v": s.I_v.label}
     if s.G_v.kind != "dihedral":
-        trace["branch"] = "small-decomposition"
-        return 1, trace
-    base = s.base
-    if isinstance(base, Good):
-        trace["branch"] = "good"
-        return 1, trace
-    if isinstance(base, SplitMult):
-        trace["branch"] = "split-multiplicative"
-        trace["cancelled_ord_parity"] = valuation(base.n, s.p) % 2
-        return -1, trace
-    if isinstance(base, NonsplitMult):
-        trace["branch"] = "nonsplit-multiplicative"
-        if s.I_v.kind == "cyclic":
-            trace["cancelled_ord_parity"] = valuation(base.n, s.p) % 2
-            return -1, trace
-        return 1, trace
-    if isinstance(base, AdditivePotMult):
-        trace["branch"] = "additive-pot-multiplicative"
-        trace["eta_equals_chi"] = s.eta_chi_agree()
-        if s.I_v.kind == "dihedral" and s.eta_equals_chi:
-            trace["cancelled_ord_parity"] = valuation(base.n, s.p) % 2
-            return -1, trace
-        return 1, trace
-    # additive, potentially good
-    trace["branch"] = "additive-pot-good"
-    if s.I_v.kind == "cyclic":
-        return 1, trace
-    # I_v dihedral forces ell = p: the period floors survive
-    if s.r % 2 == 0:
-        trace["floor_exponent"] = 0
-        return 1, trace
-    exponent = (base.delta * s.p) // 6 - base.delta // 6
-    trace["floor_exponent"] = exponent
-    return (-1 if exponent % 2 else 1), trace
+        return 1, {"branch": "small-decomposition"}
+    trace: dict = {"branch": _BRANCHES[type(s.base)]}
+    total = 0
+    for H in (TRIVIAL, CYCLIC):
+        tam = tamagawa_over(s.base, s.p, s.G_v, s.I_v, H, ell=s.ell,
+                            becomes_split=s.eta_equals_chi)
+        par = tam.ord_parity(s.p) if isinstance(tam, ConstrainedRange) \
+            else valuation(tam, s.p) % 2
+        if omega_ordp_parity(s.base, s.ell, s.p, s.r, s.G_v, s.I_v, H) == -1:
+            par ^= 1
+        trace[H.label] = par
+        total += par
+    return (-1 if total % 2 else 1), trace
 
 
 def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     """Ratio of local root numbers across the dihedral twist, plus a
     branch trace."""
     s = setting
-    trace: dict = {"G_v": s.G_v.label, "I_v": s.I_v.label}
     if s.G_v.kind != "dihedral":
-        trace["branch"] = "small-decomposition"
-        return 1, trace
+        return 1, {"branch": "small-decomposition"}
     base = s.base
     if isinstance(base, Good):
-        trace["branch"] = "good"
-        return 1, trace
+        return 1, {"branch": "good"}
+    trace: dict = {}
     chi = s.chi_class()
     if chi is not None:
         # potentially multiplicative: -1 exactly when chi is trivial or eta_v

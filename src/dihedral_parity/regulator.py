@@ -40,7 +40,7 @@ class InvalidRepresentationError(ValueError):
 
 
 class DegeneratePairingError(ValueError):
-    """The averaged bilinear form is singular."""
+    """The pairing has the wrong size or is singular on a fixed space."""
 
 
 # --- small exact linear algebra --------------------------------------------
@@ -234,10 +234,12 @@ _THETA = ((TRIVIAL, 1), (ORDER2, -2), (cyclic_p_power(1), -1),
 def regulator_constant(rep: RationalRep, pairing: Matrix | None = None,
                        seed: int = 0) -> Fraction:
     """C_Theta(rep) as an exact rational, well defined modulo squares."""
+    dim = rep.dimension
     if pairing is None:
         pairing = invariant_pairing(rep, seed)
-    elif _det(pairing) == 0:
-        raise DegeneratePairingError("supplied pairing is singular")
+    elif len(pairing) != dim or any(len(row) != dim for row in pairing):
+        raise DegeneratePairingError(
+            f"supplied pairing is not {dim} x {dim}, the dimension of the representation")
     ctx = DihedralContext(rep.p)
     result = Fraction(1)
     for tag, weight in _THETA:
@@ -256,7 +258,9 @@ def regulator_constant(rep: RationalRep, pairing: Matrix | None = None,
         scaled = tuple(tuple(Fraction(x, order) for x in row) for row in pairing)
         gram = _matmul(_matmul(_transpose(v), scaled), v)
         d = _det(gram)
-        assert d != 0, "invariant pairing restricted to a fixed space went singular"
+        if d == 0:
+            raise DegeneratePairingError(
+                f"pairing is singular on the vectors fixed by {tag.label}")
         result *= d ** weight
     return result
 

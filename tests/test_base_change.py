@@ -2,10 +2,10 @@ import pytest
 
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
-                                         SplitMult, UnsupportedCaseError,
-                                         degrees, omega_ordp_parity,
+                                         SplitMult, degrees, omega_ordp_parity,
                                          tamagawa_over)
-from dihedral_parity.characters import (DihedralContext, ORDER2, TRIVIAL,
+from dihedral_parity.characters import (DihedralContext, InvalidGroupError,
+                                        InvalidSubgroupError, ORDER2, TRIVIAL,
                                         cyclic_p_power, dihedral_p_power)
 
 CP = cyclic_p_power(1)
@@ -39,18 +39,23 @@ def test_degree_table_p5():
         assert degrees(5, G, I, H) == ef, (G.label, I.label, H.label)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_degree_product_identity(p):
-    # e_H * f_H = |G_v| / |H cap G_v| for every admissible configuration
+    # e_H = [I_v : I_v cap H] and f_H = [G_v : I_v (H cap G_v)], counted on
+    # the element sets; e_H * f_H = |G_v| / |H cap G_v|
     ctx = DihedralContext(p, 1)
     for G in ALL_H:
         for I in ALL_H:
             gset = ctx.subgroup(G).element_set
-            if not ctx.subgroup(I).element_set <= gset:
+            iset = ctx.subgroup(I).element_set
+            if not iset <= gset:
                 continue
             for H in ALL_H:
                 e, f = degrees(p, G, I, H)
-                hg = ctx.subgroup(H).element_set & gset
+                hset = ctx.subgroup(H).element_set
+                hg = hset & gset
+                assert e == len(iset) // len(iset & hset)
+                assert f == len(gset) // len({ctx.mul(a, b) for a in iset for b in hg})
                 assert e * f == len(gset) // len(hg)
 
 
@@ -59,6 +64,16 @@ def test_degrees_rejects_inertia_outside_decomposition():
         degrees(5, ORDER2, CP, TRIVIAL)
     with pytest.raises(ValueError):
         degrees(5, TRIVIAL, ORDER2, TRIVIAL)
+
+
+def test_degrees_rejects_groups_outside_d2p():
+    for tags in ((cyclic_p_power(2), TRIVIAL, TRIVIAL), (D2P, dihedral_p_power(2), CP),
+                 (D2P, CP, cyclic_p_power(2))):
+        with pytest.raises(InvalidSubgroupError):
+            degrees(5, *tags)
+    for p in (9, 2, 1):
+        with pytest.raises(InvalidGroupError):
+            degrees(p, D2P, CP, TRIVIAL)
 
 
 # --- descriptors -----------------------------------------------------------
@@ -134,10 +149,17 @@ def test_tamagawa_additive_pot_mult():
 
 # --- period ratio parity ---------------------------------------------------
 
-def test_omega_rejects_wild_places():
+def test_omega_is_a_unit_at_wild_places():
+    # the period ratio at 2 or 3 is a power of ell, a unit at p >= 5
     for ell in (2, 3):
-        with pytest.raises(UnsupportedCaseError):
-            omega_ordp_parity(Good(), ell, 5, 1, D2P, CP, TRIVIAL)
+        for base in (Good(), SplitMult(3), NonsplitMult(2), AdditivePotMult(4),
+                     AdditivePotGood(2), AdditivePotGood(12)):
+            for G, I in ((D2P, CP), (CP, CP), (ORDER2, ORDER2)):
+                for H in ALL_H:
+                    assert omega_ordp_parity(base, ell, 5, 1, G, I, H) == 1
+    # at ell = p = 3 the place itself is wild
+    with pytest.raises(ValueError, match="wild"):
+        omega_ordp_parity(AdditivePotGood(2), 3, 3, 1, D2P, D2P, TRIVIAL)
 
 
 def test_omega_trivial_cases():

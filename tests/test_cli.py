@@ -122,6 +122,38 @@ def test_verify_global_delta_12_at_2(tmp_path, capsys):
     assert "p=5: c_product=+1 w_product=+1 agree" in capsys.readouterr().out
 
 
+# curve file, p, completion file, and per curve the (ell, branch, c, w) of
+# each place in the --json report
+GLOBAL_REPORTS = [
+    ("0 -1 1 -10 -20\n0 0 1 -1 0\n1 0 1 4 -6\n0 0 1 0 -7\n-6 3 -20 0 12\n", "5",
+     "2 D2p Cp\n3 D2p Cp\n7 D2p Cp\n11 D2p Cp\n37 D2p Cp\n",
+     [[(11, "split-multiplicative", -1, -1)],
+      [(37, "nonsplit-multiplicative", -1, -1)],
+      [(2, "nonsplit-multiplicative", -1, -1), (7, "split-multiplicative", -1, -1)],
+      [(3, "additive-pot-good", 1, 1)],
+      [(2, "additive-pot-good", 1, 1), (3, "additive-pot-good", 1, 1)]]),
+    ("0 0 1 0 -7\n", "5", "3 Cp Cp\n", [[(3, "small-decomposition", 1, 1)]]),
+    # type II at ell = p with dihedral inertia: the period floors survive
+    ("0 0 0 0 5\n", "5", "2 D2p Cp\n3 D2p Cp\n5 D2p D2p\n",
+     [[(2, "additive-pot-good", 1, 1), (3, "additive-pot-good", 1, 1),
+       (5, "additive-pot-good", -1, -1)]]),
+]
+
+
+@pytest.mark.parametrize("curves, p, completion, want", GLOBAL_REPORTS)
+def test_verify_global_json_report(tmp_path, capsys, curves, p, completion, want):
+    args = ["verify-global", put(tmp_path, "c.txt", curves), "--p", p,
+            "--completion", put(tmp_path, "comp.txt", completion)]
+    reports = []
+    for name in ("a.json", "b.json"):
+        assert main(args + ["--json", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]
+    got = [[(lv["ell"], lv["branch"], lv["c"], lv["w"]) for lv in entry["locals"]]
+           for entry in json.loads(reports[0])]
+    assert got == want
+
+
 def test_verify_global_missing_completion(tmp_path, capsys):
     curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
     comp = put(tmp_path, "comp.txt", "37 D2p Cp\n")

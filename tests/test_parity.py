@@ -116,10 +116,11 @@ def test_small_decomposition_is_inert():
 
 def test_multiplicative_branches():
     check(setting(Good()), 1, 1)
+    # Tamagawa numbers n e_H: 25 over the field fixed by 1, 5 over C_p's
     v = check(setting(SplitMult(5)), -1, -1)
-    assert v.c_trace["cancelled_ord_parity"] == 1  # ord_5(5)
-    v = check(setting(SplitMult(3)), -1, -1)
-    assert v.c_trace["cancelled_ord_parity"] == 0
+    assert (v.c_trace["1"], v.c_trace["Cp"]) == (0, 1)
+    v = check(setting(SplitMult(3)), -1, -1)  # 15 and 3
+    assert (v.c_trace["1"], v.c_trace["Cp"]) == (1, 0)
     check(setting(NonsplitMult(3)), -1, -1)
     check(setting(NonsplitMult(3), I_v=DIHEDRAL), 1, 1)
 
@@ -204,9 +205,10 @@ def theta_route_sign(s: LocalSetting) -> int:
     return -1 if total % 2 else 1
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_c_parity_matches_theta_route(p):
-    for s in enumerate_settings(p, n_max=3):
+    # theta_route_sign takes no shortcut for a cyclic decomposition group
+    for s in enumerate_settings(p):
         assert c_parity(s)[0] == theta_route_sign(s), s
 
 

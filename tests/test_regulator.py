@@ -69,6 +69,21 @@ def test_singular_supplied_pairing_rejected():
         regulator_constant(trivial_rep(5), pairing=zero)
 
 
+def test_pairing_singular_on_a_fixed_space_rejected():
+    # nondegenerate on the whole space, but it pairs the trivial line only
+    # with the sign line, so it vanishes on the vectors fixed by D2
+    rep = direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5))
+    hyperbolic = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+                  (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    with pytest.raises(DegeneratePairingError, match="fixed by D2"):
+        regulator_constant(rep, pairing=hyperbolic)
+    # a pairing of the wrong size is rejected before any fixed space
+    for wrong in (tuple(row[:4] for row in hyperbolic[:4]),
+                  tuple(row + (0,) for row in hyperbolic) + ((0,) * 6 + (1,),)):
+        with pytest.raises(DegeneratePairingError, match="not 6 x 6"):
+            regulator_constant(rep, pairing=wrong)
+
+
 # --- the constant ----------------------------------------------------------
 
 @pytest.mark.parametrize("p", [5, 7])
