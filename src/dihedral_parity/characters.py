@@ -14,9 +14,9 @@ canonically: identity, then the rotation pairs {s^j, s^-j} for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from sympy import isprime
+from .arith import is_prime
 
 
 class InvalidGroupError(ValueError):
@@ -187,9 +187,15 @@ class Cyclotomic:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+@lru_cache(maxsize=None, typed=True)
+def _is_odd_prime(p) -> bool:
+    # typed: 5.0 == 5 and True == 1 must not share an entry with the int
+    return isinstance(p, int) and p % 2 == 1 and is_prime(p)
+
+
 def check_odd_prime(p) -> None:
     """Raise InvalidGroupError unless p is an odd prime."""
-    if not isinstance(p, int) or p % 2 == 0 or not isprime(p):
+    if not _is_odd_prime(p):
         raise InvalidGroupError(f"p must be an odd prime, got {p}")
 
 

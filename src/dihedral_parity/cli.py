@@ -14,6 +14,12 @@ completion files carry lines "prime G_v I_v [true|false]" with subgroup
 tokens 1, D2, Cp, D2p.  Blank lines and '#' comments are allowed in both.
 Exit status: 0 all checks passed, 1 a verdict failed, 2 usage error,
 3 internal error (a failed internal consistency check).
+
+`reduce` without --ell and `verify-global` find bad primes by factoring
+the discriminant (for `verify-global`, only what is left after dividing
+out the completion's primes).  Factoring stops at a fixed Pollard rho step
+budget; past it the command exits 2 and names the digit count of the
+cofactor it could not split.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import argparse
 import json
 import sys
 
+from .arith import FactoringBudgetError
 from .characters import (DihedralContext, SubgroupTag, TRIVIAL, ORDER2,
                          cyclic_p_power, dihedral_p_power, irreducibles,
                          verify_reduction_identity)
@@ -113,7 +120,13 @@ def cmd_reduce(args) -> int:
     curves = parse_curve_file(args.curves)
     report = []
     for curve in curves:
-        for ell in [args.ell] if args.ell else bad_primes(curve):
+        try:
+            ells = [args.ell] if args.ell else bad_primes(curve)
+        except FactoringBudgetError as exc:
+            exc.args = (f"{curve.coefficients()}: {exc}; pass --ell to reduce "
+                        f"at one prime",)
+            raise
+        for ell in ells:
             d = local_reduction(curve, ell)
             tail = d.reduction_class
             if d.split is not None:

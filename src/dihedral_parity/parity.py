@@ -28,11 +28,11 @@ multiplicative reduction; everywhere else the answer is forced.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
-from sympy import factorint, isprime
-
+from .arith import FactoringBudgetError, factor, is_prime
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
@@ -80,9 +80,9 @@ class LocalSetting:
     eta_equals_chi: bool | None = None
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 5 or not isprime(self.p):
+        if not isinstance(self.p, int) or self.p < 5 or not is_prime(self.p):
             raise InadmissibleSettingError(f"p must be a prime >= 5, got {self.p}")
-        if not isinstance(self.ell, int) or not isprime(self.ell):
+        if not isinstance(self.ell, int) or not is_prime(self.ell):
             raise InadmissibleSettingError(f"ell must be prime, got {self.ell}")
         if not isinstance(self.r, int) or self.r < 1:
             raise InadmissibleSettingError(f"r must be a positive integer, got {self.r}")
@@ -351,9 +351,18 @@ def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
     return AdditivePotGood(data.delta)
 
 
-def bad_primes(curve: WeierstrassCurve) -> list[int]:
-    """The primes dividing the model's discriminant, ascending (factors it)."""
-    return sorted(int(q) for q in factorint(abs(curve.discriminant)))
+def bad_primes(curve: WeierstrassCurve, known: Iterable[int] = ()) -> list[int]:
+    """The primes dividing the model's discriminant, ascending.  The primes
+    among `known` are divided out first and only the cofactor left is
+    factored, so this raises FactoringBudgetError only on that cofactor."""
+    n = abs(curve.discriminant)
+    found = []
+    for q in known:
+        if q > 1 and n % q == 0 and is_prime(q):
+            found.append(q)
+            while n % q == 0:
+                n //= q
+    return sorted(found + list(factor(n)))
 
 
 def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
@@ -362,9 +371,18 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
 
     completion maps each bad prime to (G_v, I_v, eta_equals_chi-or-None);
     entries for good primes are ignored, missing bad primes are an error.
+    The bad primes outside the completion are found by factoring within
+    arith's budget; a cofactor that does not factor is a
+    MissingCompletionError naming its digit count.
     """
+    try:
+        primes = bad_primes(curve, known=completion)
+    except FactoringBudgetError as exc:
+        raise MissingCompletionError(
+            f"cannot list the bad primes: after dividing out the completion's "
+            f"primes, {exc}") from None
     verdicts = []
-    for ell in bad_primes(curve):
+    for ell in primes:
         base = base_descriptor(curve, ell)
         if isinstance(base, Good):
             continue  # the model was not minimal at ell

@@ -26,9 +26,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, isqrt, prod
 
-from sympy import factorint
-
+from .arith import factor, trial_divide
 from .characters import (DihedralContext, ORDER2, TRIVIAL, cyclic_p_power,
                          dihedral_p_power)
 
@@ -277,10 +277,12 @@ class SquareClass:
         if x == 0:
             raise ValueError("zero has no square class")
         n = x.numerator * x.denominator
-        rep = 1
-        for q, e in factorint(abs(n)).items():
-            if e % 2:
-                rep *= int(q)
+        small, rest = trial_divide(abs(n))
+        rep = prod(q for q, e in small.items() if e % 2)
+        if isqrt(rest) ** 2 != rest:
+            # a C_Theta's class is supported on 2 and p, so it only gets
+            # here for p > TRIAL_BOUND
+            rep *= prod(q for q, e in factor(rest).items() if e % 2)
         return cls(rep if n > 0 else -rep)
 
     @property
@@ -292,7 +294,8 @@ class SquareClass:
         return 1 if self.representative % q == 0 else 0
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass.of(Fraction(self.representative * other.representative))
+        a, b = self.representative, other.representative
+        return SquareClass(a * b // gcd(a, b) ** 2)
 
 
 def t_theta_member(rep: RationalRep, seed: int = 0) -> bool:

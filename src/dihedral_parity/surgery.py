@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import isprime
-
+from .arith import is_prime
 from .tate import local_reduction, valuation
 from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve, raw_invariants
 
@@ -152,9 +151,9 @@ def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
     """Run the surgery.  n is the p0-adic agreement depth; by default it
     starts just above the discriminant valuation at p0 and doubles until
     the p0 data survives unchanged (capped)."""
-    if not isprime(p0):
+    if not is_prime(p0):
         raise ValueError(f"p0 must be prime, got {p0}")
-    if not isprime(v) or v == 2 or v == p0:
+    if not is_prime(v) or v == 2 or v == p0:
         raise ValueError(f"v must be an odd prime different from p0, got {v}")
     if n is None:
         start = max(8, valuation(abs(curve.discriminant), p0) + 3)

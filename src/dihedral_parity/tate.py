@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime
-
+from .arith import is_prime
 from .weierstrass import WeierstrassCurve, transform
 
 # Stand-in for the valuation of 0; larger than any valuation that can occur.
@@ -250,7 +249,7 @@ def _arrange_for_star(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
 
 def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Full reduction data of curve at the prime ell."""
-    if not isinstance(ell, int) or ell < 2 or not isprime(ell):
+    if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     E = curve
 

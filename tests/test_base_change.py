@@ -71,7 +71,9 @@ def test_degrees_rejects_groups_outside_d2p():
                  (D2P, CP, cyclic_p_power(2))):
         with pytest.raises(InvalidSubgroupError):
             degrees(5, *tags)
-    for p in (9, 2, 1):
+    # 5 is accepted first: a cached answer for it must not admit 5.0 or True
+    degrees(5, D2P, CP, TRIVIAL)
+    for p in (9, 2, 1, 5.0, True):
         with pytest.raises(InvalidGroupError):
             degrees(p, D2P, CP, TRIVIAL)
 

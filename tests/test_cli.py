@@ -1,4 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +186,37 @@ def test_completion_parse_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+# Surgery output at p0 = 101, v = 3: its Delta has 99 digits, and after 2,
+# 3 and a 7-digit prime a 92-digit composite is left (an 18-digit prime
+# times a 74-digit one), far past the rho budget.
+SURGERED_INPUT = "-10 -47 -48 -47 33\n"
+
+
+def surgered_curve(tmp_path, capsys):
+    out_json = tmp_path / "s.json"
+    assert main(["surgery", put(tmp_path, "in.txt", SURGERED_INPUT), "--p0", "101",
+                 "--v", "3", "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    final = json.loads(out_json.read_text())[0]["final"]
+    return put(tmp_path, "out.txt", " ".join(map(str, final)) + "\n")
+
+
+def test_verify_global_stops_at_the_factoring_budget(tmp_path, capsys):
+    curves = surgered_curve(tmp_path, capsys)
+    comp = put(tmp_path, "comp.txt", "101 Cp Cp\n")
+    start = time.perf_counter()
+    assert main(["verify-global", curves, "--p", "5", "--completion", comp]) == 2
+    assert time.perf_counter() - start < 15
+    err = capsys.readouterr().err
+    assert "cannot list the bad primes" in err and "92-digit cofactor" in err
+
+
+def test_reduce_without_ell_stops_at_the_factoring_budget(tmp_path, capsys):
+    assert main(["reduce", surgered_curve(tmp_path, capsys)]) == 2
+    err = capsys.readouterr().err
+    assert "92-digit cofactor" in err and "--ell" in err
+
+
 # --- surgery ---------------------------------------------------------------
 
 def test_surgery_pass(tmp_path, capsys):
@@ -222,3 +259,17 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# --- imports ---------------------------------------------------------------
+
+def test_cli_import_does_not_load_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, dihedral_parity.cli; print(sorted(m for m in sys.modules "
+             "if m == 'sympy' or m.startswith('sympy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+    importers = [path.name for path in (src / "dihedral_parity").glob("*.py")
+                 if re.search(r"^\s*(import|from)\s+sympy\b", path.read_text(), re.M)]
+    assert importers == []
