@@ -27,35 +27,31 @@ class Good:
 
 
 @dataclass(frozen=True)
-class SplitMult:
+class _PositiveN:
+    """A descriptor carrying a valuation n >= 1.  Each subclass is its own
+    dataclass, so descriptors of different types never compare equal."""
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+
+
+@dataclass(frozen=True)
+class SplitMult(_PositiveN):
     """Split multiplicative reduction; n = valuation of the minimal
     discriminant = -v(j)."""
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)
-class NonsplitMult:
+class NonsplitMult(_PositiveN):
     """Nonsplit multiplicative reduction; n = valuation of the minimal
     discriminant."""
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)
-class AdditivePotMult:
+class AdditivePotMult(_PositiveN):
     """Additive reduction, potentially multiplicative; n = -v(j) > 0."""
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)

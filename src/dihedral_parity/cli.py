@@ -49,25 +49,30 @@ _SUBGROUP_TOKENS = {tag.label: tag for tag in (TRIVIAL, ORDER2, cyclic_p_power(1
                                                 dihedral_p_power(1))}
 
 
-def parse_curve_file(path: str) -> list[WeierstrassCurve]:
-    curves = []
+def _data_lines(path: str):
+    """Yield (line number, tokens) for each line of the file that is not
+    blank once its '#' comment is cut off."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise InputFileError(
-                    f"{path}:{lineno}: expected five integers, got {len(parts)} tokens")
-            try:
-                coeffs = [int(t) for t in parts]
-            except ValueError:
-                raise InputFileError(f"{path}:{lineno}: non-integer coefficient") from None
-            try:
-                curves.append(WeierstrassCurve(*coeffs))
-            except SingularModelError:
-                raise InputFileError(f"{path}:{lineno}: model is singular") from None
+            parts = raw.split("#", 1)[0].split()
+            if parts:
+                yield lineno, parts
+
+
+def parse_curve_file(path: str) -> list[WeierstrassCurve]:
+    curves = []
+    for lineno, parts in _data_lines(path):
+        if len(parts) != 5:
+            raise InputFileError(
+                f"{path}:{lineno}: expected five integers, got {len(parts)} tokens")
+        try:
+            coeffs = [int(t) for t in parts]
+        except ValueError:
+            raise InputFileError(f"{path}:{lineno}: non-integer coefficient") from None
+        try:
+            curves.append(WeierstrassCurve(*coeffs))
+        except SingularModelError:
+            raise InputFileError(f"{path}:{lineno}: model is singular") from None
     if not curves:
         raise InputFileError(f"{path}: no curves found")
     return curves
@@ -75,35 +80,30 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
+    for lineno, parts in _data_lines(path):
+        if len(parts) not in (3, 4):
+            raise InputFileError(
+                f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
+        try:
+            prime = int(parts[0])
+        except ValueError:
+            raise InputFileError(f"{path}:{lineno}: bad prime {parts[0]!r}") from None
+        tags = []
+        for tok in parts[1:3]:
+            if tok not in _SUBGROUP_TOKENS:
                 raise InputFileError(
-                    f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
-            try:
-                prime = int(parts[0])
-            except ValueError:
-                raise InputFileError(f"{path}:{lineno}: bad prime {parts[0]!r}") from None
-            tags = []
-            for tok in parts[1:3]:
-                if tok not in _SUBGROUP_TOKENS:
-                    raise InputFileError(
-                        f"{path}:{lineno}: unknown subgroup token {tok!r} "
-                        f"(use {', '.join(_SUBGROUP_TOKENS)})")
-                tags.append(_SUBGROUP_TOKENS[tok])
-            flag: bool | None = None
-            if len(parts) == 4:
-                if parts[3] not in ("true", "false"):
-                    raise InputFileError(
-                        f"{path}:{lineno}: flag must be 'true' or 'false'")
-                flag = parts[3] == "true"
-            if prime in out:
-                raise InputFileError(f"{path}:{lineno}: duplicate prime {prime}")
-            out[prime] = (tags[0], tags[1], flag)
+                    f"{path}:{lineno}: unknown subgroup token {tok!r} "
+                    f"(use {', '.join(_SUBGROUP_TOKENS)})")
+            tags.append(_SUBGROUP_TOKENS[tok])
+        flag: bool | None = None
+        if len(parts) == 4:
+            if parts[3] not in ("true", "false"):
+                raise InputFileError(
+                    f"{path}:{lineno}: flag must be 'true' or 'false'")
+            flag = parts[3] == "true"
+        if prime in out:
+            raise InputFileError(f"{path}:{lineno}: duplicate prime {prime}")
+        out[prime] = (tags[0], tags[1], flag)
     return out
 
 

@@ -1,8 +1,9 @@
 """Regulator constants for the dihedral group D_{2p}, p an odd prime.
 
-Everything is exact: representations are Fraction matrices, pairings are
-averaged over the group, determinants come from fraction Gaussian
-elimination.  The Brauer relation used throughout is
+Everything is exact and integral: representations, pairings, projectors
+and Gram matrices are integer matrices, and determinants come from
+fraction-free (Bareiss) elimination.  Only the final combination is a
+Fraction.  The Brauer relation used throughout is
 
     Theta = [1] - 2 [D_2] - [C_p] + 2 [D_{2p}]
 
@@ -12,7 +13,18 @@ and a nondegenerate invariant pairing B,
 
     C_Theta(rho) = prod_H det( (1/|H|) B restricted to rho^H )^{m_H}
 
-which is well defined in Q* modulo squares, independent of B.
+which is well defined in Q* modulo squares, independent of B.  Two
+identities let the computation stay on integers without changing the
+value as a Fraction:
+
+* rho^H is the column space of P = sum_{h in H} rho(h).  Take as basis
+  the first columns P_J of P that are independent of the ones before
+  them; with k = |J| = dim rho^H the factor for H is
+  det(P_J^T B P_J) / |H|^(3k).  Reducing those columns against each
+  other (a unit upper-triangular change) leaves the determinant alone.
+* A constant scale on B cancels: sum_H m_H dim rho^H = <rho, sum_H m_H
+  Ind_H 1> = 0.  So the pairing is an integer sum over the group, and a
+  rational pairing may be cleared of its denominators first.
 
 Over Q_p the self-dual irreducibles of D_{2p} are the trivial character,
 the sign character eta, and the (p-1)-dimensional rho2 = Q[x]/Phi_p
@@ -23,16 +35,15 @@ odd/even p-valuation of C_Theta is decided on that basis.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .arith import factor, trial_divide
 from .characters import (DihedralContext, ORDER2, TRIVIAL, cyclic_p_power,
                          dihedral_p_power)
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 class InvalidRepresentationError(ValueError):
@@ -43,14 +54,10 @@ class DegeneratePairingError(ValueError):
     """The pairing has the wrong size or is singular on a fixed space."""
 
 
-# --- small exact linear algebra --------------------------------------------
+# --- small exact integer linear algebra ------------------------------------
 
-def _mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _identity(k: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
+def _rationals(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -59,95 +66,94 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+def _matsum(mats) -> Matrix:
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
 
 
-def _matpow(a: Matrix, k: int) -> Matrix:
-    out = _identity(len(a))
-    for _ in range(k):
-        out = _matmul(out, a)
-    return out
+def _gram(b: Matrix, v: Matrix) -> Matrix:
+    """v^T b v."""
+    return _matmul(_matmul(tuple(zip(*v)), b), v)
 
 
-def _det(a: Matrix) -> Fraction:
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+def _det(a: Matrix) -> int:
+    """Determinant by fraction-free elimination; every division is exact
+    (Bareiss; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.6)."""
+    m = [list(row) for row in a]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
-def _column_space(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the column space, via row reduction of the transpose."""
-    rows = [list(r) for r in _transpose(a)]
-    basis = []
-    pivot_cols: list[int] = []
-    for row in rows:
-        row = list(row)
-        for b, pc in zip(basis, pivot_cols):
-            if row[pc] != 0:
-                f = row[pc] / b[pc]
-                row = [x - f * y for x, y in zip(row, b)]
-        pc = next((i for i, x in enumerate(row) if x != 0), None)
+def _independent_columns(a: Matrix) -> list[int]:
+    """Indices of the columns of a that are independent of the columns
+    before them, by fraction-free elimination."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
+    picked = []
+    for j, col in enumerate(zip(*a)):
+        v = list(col)
+        for pc, b in echelon:
+            if v[pc]:
+                v = [b[pc] * x - v[pc] * y for x, y in zip(v, b)]
+        pc = next((i for i, x in enumerate(v) if x), None)
         if pc is not None:
-            basis.append(row)
-            pivot_cols.append(pc)
-    return [tuple(b) for b in basis]
+            echelon.append((pc, v))
+            picked.append(j)
+    return picked
 
 
 # --- representations -------------------------------------------------------
 
 @dataclass(frozen=True)
 class RationalRep:
-    """Rational representation of D_{2p} given by the images of the
+    """Rational representation of D_{2p} given by integer images of the
     rotation generator s (order p) and a reflection t."""
     p: int
     s: Matrix
     t: Matrix
+    _powers: list[Matrix] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _mat(self.s))
-        object.__setattr__(self, "t", _mat(self.t))
-        d = len(self.s)
-        if any(len(r) != d for r in self.s) or len(self.t) != d \
-                or any(len(r) != d for r in self.t):
+        s, t = _rationals(self.s), _rationals(self.t)
+        if any(x.denominator != 1 for row in s + t for x in row):
+            raise InvalidRepresentationError(
+                "generator matrices must have integer entries "
+                "(conjugate the representation to an integral model)")
+        s, t = (tuple(tuple(map(int, row)) for row in m) for m in (s, t))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        d = len(s)
+        if any(len(r) != d for r in s) or len(t) != d or any(len(r) != d for r in t):
             raise InvalidRepresentationError("generator matrices must be square and equal-sized")
-        ident = _identity(d)
-        if _matpow(self.s, self.p) != ident:
+        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        powers = [ident]
+        for _ in range(self.p - 1):
+            powers.append(_matmul(powers[-1], s))
+        if _matmul(powers[-1], s) != ident:
             raise InvalidRepresentationError(f"s^{self.p} != identity")
-        if _matmul(self.t, self.t) != ident:
+        if _matmul(t, t) != ident:
             raise InvalidRepresentationError("t^2 != identity")
-        if _matmul(_matmul(self.t, self.s), self.t) != _matpow(self.s, self.p - 1):
+        if _matmul(_matmul(t, s), t) != powers[-1]:
             raise InvalidRepresentationError("t s t != s^-1")
+        object.__setattr__(self, "_powers", powers)
 
     @property
     def dimension(self) -> int:
         return len(self.s)
 
-    @cached_property
-    def _s_powers(self) -> list[Matrix]:
-        out = [_identity(self.dimension)]
-        for _ in range(self.p - 1):
-            out.append(_matmul(out[-1], self.s))
-        return out
-
     def image(self, g: tuple[int, int]) -> Matrix:
         i, e = g
-        m = self._s_powers[i % self.p]
+        m = self._powers[i % self.p]
         return _matmul(m, self.t) if e else m
 
     def elements(self):
@@ -191,12 +197,11 @@ def direct_sum(*reps: RationalRep) -> RationalRep:
 
     def block(mats):
         total = sum(len(m) for m in mats)
-        out = [[Fraction(0)] * total for _ in range(total)]
+        out = [[0] * total for _ in range(total)]
         off = 0
         for m in mats:
             for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    out[off + i][off + j] = x
+                out[off + i][off:off + len(m)] = row
             off += len(m)
         return out
 
@@ -206,22 +211,18 @@ def direct_sum(*reps: RationalRep) -> RationalRep:
 # --- pairings and the constant ---------------------------------------------
 
 def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
-    """Symmetric invariant nondegenerate pairing: a seeded random symmetric
-    integer matrix averaged over the group.  Singular draws are rethrown
-    from the same stream, so the result is deterministic per seed."""
+    """Symmetric invariant nondegenerate integer pairing: a seeded random
+    symmetric integer matrix S summed (not averaged) over the group,
+    sum_g rho(g)^T S rho(g), so it is 2p times the group average.  Singular
+    draws are rethrown from the same stream, so the result is
+    deterministic per seed."""
     rng = random.Random(seed)
     d = rep.dimension
-    scale = Fraction(1, 2 * rep.p)
+    images = [rep.image(g) for g in rep.elements()]
     for _ in range(64):
         raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-        sym = _mat([[raw[i][j] + raw[j][i] for j in range(d)] for i in range(d)])
-        total = None
-        for g in rep.elements():
-            m = rep.image(g)
-            term = _matmul(_matmul(_transpose(m), sym), m)
-            total = term if total is None else tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(total, term))
-        pairing = tuple(tuple(scale * x for x in row) for row in total)
+        sym = [[raw[i][j] + raw[j][i] for j in range(d)] for i in range(d)]
+        pairing = _matsum(_gram(sym, m) for m in images)
         if _det(pairing) != 0:
             return pairing
     raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
@@ -231,37 +232,32 @@ _THETA = ((TRIVIAL, 1), (ORDER2, -2), (cyclic_p_power(1), -1),
           (dihedral_p_power(1), 2))
 
 
-def regulator_constant(rep: RationalRep, pairing: Matrix | None = None,
-                       seed: int = 0) -> Fraction:
-    """C_Theta(rep) as an exact rational, well defined modulo squares."""
+def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fraction:
+    """C_Theta(rep) as an exact rational, well defined modulo squares.  A
+    supplied pairing may be rational; it is scaled to an integer one, which
+    leaves C_Theta unchanged."""
     dim = rep.dimension
     if pairing is None:
         pairing = invariant_pairing(rep, seed)
     elif len(pairing) != dim or any(len(row) != dim for row in pairing):
         raise DegeneratePairingError(
             f"supplied pairing is not {dim} x {dim}, the dimension of the representation")
+    else:
+        rows = _rationals(pairing)
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        pairing = tuple(tuple(int(x * scale) for x in row) for row in rows)
     ctx = DihedralContext(rep.p)
     result = Fraction(1)
     for tag, weight in _THETA:
         elems = ctx.subgroup(tag).elements
-        order = len(elems)
-        proj = None
-        for g in elems:
-            m = rep.image(g)
-            proj = m if proj is None else tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(proj, m))
-        proj = tuple(tuple(Fraction(x, order) for x in row) for row in proj)
-        basis = _column_space(proj)
-        if not basis:
-            continue  # empty Gram determinant is 1
-        v = _transpose(_mat(basis))  # columns are the fixed-space basis
-        scaled = tuple(tuple(Fraction(x, order) for x in row) for row in pairing)
-        gram = _matmul(_matmul(_transpose(v), scaled), v)
-        d = _det(gram)
+        proj = _matsum(rep.image(g) for g in elems)
+        cols = _independent_columns(proj)  # none: the empty determinant is 1
+        basis = tuple(tuple(row[j] for j in cols) for row in proj)
+        d = _det(_gram(pairing, basis))
         if d == 0:
             raise DegeneratePairingError(
                 f"pairing is singular on the vectors fixed by {tag.label}")
-        result *= d ** weight
+        result *= Fraction(d, len(elems) ** (3 * len(cols))) ** weight
     return result
 
 

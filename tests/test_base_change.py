@@ -93,6 +93,16 @@ def test_descriptor_validation():
             AdditivePotGood(bad)
 
 
+def test_descriptors_of_different_types_differ():
+    kinds = (SplitMult, NonsplitMult, AdditivePotMult)
+    for a in kinds:
+        assert a(3) == a(3) and a(3) != a(4)
+        for b in kinds:
+            assert (a(3) == b(3)) == (a is b)
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            a(0)
+
+
 def test_constrained_range():
     r = ConstrainedRange((4, 2, 2, 1))
     assert r.members == (1, 2, 4)

@@ -273,3 +273,40 @@ def test_cli_import_does_not_load_sympy():
     importers = [path.name for path in (src / "dihedral_parity").glob("*.py")
                  if re.search(r"^\s*(import|from)\s+sympy\b", path.read_text(), re.M)]
     assert importers == []
+
+
+# --- input file messages ---------------------------------------------------
+
+CURVE_FILE_ERRORS = [
+    ("1 2 3 4\n", "{path}:1: expected five integers, got 4 tokens"),
+    ("# header\n\n1 2 3 4 x\n", "{path}:3: non-integer coefficient"),
+    ("0 -1 1 -10 -20\n0 0 0 0 0  # singular\n", "{path}:2: model is singular"),
+    ("# only a comment\n   \n", "{path}: no curves found"),
+]
+
+COMPLETION_FILE_ERRORS = [
+    ("11 D2p\n", "{path}:1: expected 'prime G_v I_v [true|false]'"),
+    ("# header\nx D2p Cp\n", "{path}:2: bad prime 'x'"),
+    ("11 D4 Cp\n", "{path}:1: unknown subgroup token 'D4' (use 1, D2, Cp, D2p)"),
+    ("11 D2p Cp maybe\n", "{path}:1: flag must be 'true' or 'false'"),
+    ("11 D2p Cp\n\n11 D2p Cp true\n", "{path}:3: duplicate prime 11"),
+]
+
+
+@pytest.mark.parametrize("body, message", CURVE_FILE_ERRORS)
+def test_curve_file_error_messages(tmp_path, capsys, body, message):
+    path = put(tmp_path, "c.txt", body)
+    assert main(["reduce", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("body, message", COMPLETION_FILE_ERRORS)
+def test_completion_file_error_messages(tmp_path, capsys, body, message):
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    path = put(tmp_path, "comp.txt", body)
+    assert main(["verify-global", curves, "--p", "5", "--completion", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=path) + "\n"

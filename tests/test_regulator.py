@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from dihedral_parity.regulator import (DegeneratePairingError,
                                        SquareClass, direct_sum, faithful_rep,
                                        invariant_pairing, regulator_constant,
                                        sign_rep, t_theta_member, trivial_rep)
+from dihedral_parity.regulator import _det
 
 
 # --- representations -------------------------------------------------------
@@ -140,3 +142,77 @@ def test_square_class_basics():
     assert SquareClass.of(75).ord_parity(5) == 0
     with pytest.raises(ValueError):
         SquareClass.of(0)
+
+
+# --- exact values ----------------------------------------------------------
+
+# C_Theta as computed by the earlier Fraction-matrix implementation; the
+# integer one must reproduce each value exactly, not just its square class.
+PINNED = {5: Fraction(80), 7: Fraction(1792), 11: Fraction(720896)}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pinned_exact_constants(p, seed):
+    for rep in (faithful_rep(p),
+                direct_sum(trivial_rep(p), sign_rep(p), faithful_rep(p))):
+        assert regulator_constant(rep, seed=seed) == PINNED[p]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_supplied_pairing_scale_cancels(seed):
+    rep = direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5))
+    want = regulator_constant(rep, seed=seed)
+    B = invariant_pairing(rep, seed)
+    assert regulator_constant(rep, pairing=B) == want
+    scaled = tuple(tuple(Fraction(3, 7) * x for x in row) for row in B)
+    assert regulator_constant(rep, pairing=scaled) == want
+
+
+def test_non_integral_generators_rejected():
+    # conjugating rho2 by diag(2, 1, 1, 1) puts 1/2 into s
+    good = faithful_rep(5)
+    diag = (Fraction(2), 1, 1, 1)
+
+    def conj(m):
+        return tuple(tuple(diag[i] * x / diag[j] for j, x in enumerate(row))
+                     for i, row in enumerate(m))
+
+    with pytest.raises(InvalidRepresentationError, match="integer entries"):
+        RationalRep(5, conj(good.s), conj(good.t))
+
+
+def test_matrices_stay_integral():
+    # guards against a Fraction matrix layer creeping back in
+    rep = faithful_rep(7)
+    whole = direct_sum(trivial_rep(7), sign_rep(7), rep)
+    for m in (rep.s, rep.t, whole.s, whole.t, invariant_pairing(whole, seed=3)):
+        assert all(type(x) is int for row in m for x in row)
+
+
+def fraction_det(a):
+    """Gaussian elimination over Q, the reference for the Bareiss determinant."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def test_bareiss_determinant_matches_fraction_elimination():
+    # sparse entries force zero pivots (row swaps) and singular matrices
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        a = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+             for _ in range(n)]
+        assert _det(a) == fraction_det(a)
