@@ -5,6 +5,15 @@ power basis 1, zeta, ..., zeta^{phi-1} and reduced modulo the p^n-th
 cyclotomic polynomial; inner products, inductions and restrictions are all
 exact, with no floating point anywhere.
 
+An inner product sums |c| f1(c) conj(f2(c)) over the classes c in the group
+ring Z[x]/(x^m - 1), m = p^n, where conjugation negates exponents mod m and
+a product is a cyclic convolution; Phi_m divides x^m - 1, so one reduction
+modulo Phi_m at the end gives the same element of Z[zeta_m].  Induction from
+H to G reads a class-fusion table, cached on G: for each class of G, how
+many x in G conjugate its representative into each class of H.  An induced
+value is then an integer combination of the values of chi, divided exactly
+by |H|.  The irreducible table is built once per DihedralContext.
+
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
 canonically: identity, then the rotation pairs {s^j, s^-j} for
@@ -155,6 +164,11 @@ class Cyclotomic:
             out[m - i] += a
         return Cyclotomic.make(self.p, self.n, out)
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, c) with c != 0, the coefficient of zeta^i."""
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+
     @property
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -245,6 +259,21 @@ class DihedralContext:
     def full(self) -> "Subgroup":
         return self.subgroup(dihedral_p_power(self.n))
 
+    @cached_property
+    def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
+        G = self.full()
+        one = self.integer(1)
+        zero = self.integer(0)
+        nrot = (self.m - 1) // 2
+        out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
+               VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
+        for k in range(1, nrot + 1):
+            vals = [self.integer(2)]
+            vals += [self.zeta(k * j) + self.zeta(-k * j) for j in range(1, nrot + 1)]
+            vals.append(zero)
+            out.append(VirtualCharacter(G, tuple(vals)))
+        return tuple(out)
+
 
 class Subgroup:
     """A standard subgroup with its own canonical conjugacy classes."""
@@ -252,6 +281,7 @@ class Subgroup:
     def __init__(self, ctx: DihedralContext, tag: SubgroupTag):
         self.ctx = ctx
         self.tag = tag
+        self._fusion = {}
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup)
@@ -334,7 +364,28 @@ class Subgroup:
         return j
 
     def contains(self, other: "Subgroup") -> bool:
+        if self.ctx != other.ctx:
+            raise GroupMismatchError(f"{other!r} and {self!r} lie in different groups")
         return other.element_set <= self.element_set
+
+    def fusion(self, H: "Subgroup") -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each class rep g of self, the pairs (class index d in H,
+        number of x in self with x g x^-1 in class d of H), count > 0."""
+        table = self._fusion.get(H)
+        if table is None:
+            ctx = self.ctx
+            hset = H.element_set
+            rows = []
+            for g in self.class_reps:
+                counts = {}
+                for x in self.elements:
+                    y = ctx.mul(ctx.mul(x, g), ctx.inv(x))
+                    if y in hset:
+                        d = H.class_index(y)
+                        counts[d] = counts.get(d, 0) + 1
+                rows.append(tuple(counts.items()))
+            table = self._fusion[H] = tuple(rows)
+        return table
 
 
 @dataclass(frozen=True)
@@ -346,6 +397,9 @@ class VirtualCharacter:
     def __post_init__(self):
         if len(self.values) != len(self.group.class_reps):
             raise GroupMismatchError("value list does not match class count")
+        ctx = self.group.ctx
+        if any(v.p != ctx.p or v.n != ctx.n for v in self.values):
+            raise GroupMismatchError("values lie outside Z[zeta_m] of the group")
 
     @property
     def degree(self) -> int:
@@ -382,29 +436,18 @@ class VirtualCharacter:
 def irreducibles(ctx: DihedralContext) -> list[VirtualCharacter]:
     """All irreducible characters of D_{2p^n}: trivial, eta, then the
     two-dimensional I(chi_k) for 1 <= k <= (p^n - 1)/2."""
-    G = ctx.full()
-    one = ctx.integer(1)
-    zero = ctx.integer(0)
-    nrot = (ctx.m - 1) // 2
-    out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
-           VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
-    for k in range(1, nrot + 1):
-        vals = [ctx.integer(2)]
-        vals += [ctx.zeta(k * j) + ctx.zeta(-k * j) for j in range(1, nrot + 1)]
-        vals.append(zero)
-        out.append(VirtualCharacter(G, tuple(vals)))
-    return out
+    return list(ctx._irreducibles)
 
 
 def eta(ctx: DihedralContext) -> VirtualCharacter:
-    return irreducibles(ctx)[1]
+    return ctx._irreducibles[1]
 
 
 def two_dim(ctx: DihedralContext, k: int) -> VirtualCharacter:
     """I(chi_k) for 1 <= k <= (p^n - 1)/2."""
     if not 1 <= k <= (ctx.m - 1) // 2:
         raise ValueError(f"k must lie in 1..{(ctx.m - 1) // 2}, got {k}")
-    return irreducibles(ctx)[1 + k]
+    return ctx._irreducibles[1 + k]
 
 
 def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter]:
@@ -424,11 +467,16 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     virtual characters."""
     f1._check(f2)
     H = f1.group
-    total = None
+    ctx = H.ctx
+    m = ctx.m
+    acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
     for size, a, b in zip(H.class_sizes, f1.values, f2.values):
-        term = (a * b.conj()) * size
-        total = term if total is None else total + term
-    total = total.divide_exact(H.order)
+        bs = b.terms
+        for i, c in a.terms:
+            c *= size
+            for j, d in bs:
+                acc[(i - j) % m] += c * d
+    total = Cyclotomic.make(ctx.p, ctx.n, acc).divide_exact(H.order)
     return total.rational_value()
 
 
@@ -439,20 +487,20 @@ def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
-    """Induction from chi.group up to G by the elementwise mass formula."""
+    """Induction from chi.group up to G through the class-fusion table of
+    (G, chi.group)."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
     ctx = G.ctx
-    hset = H.element_set
+    phi = ctx.m - ctx.m // ctx.p
     vals = []
-    for g in G.class_reps:
-        total = ctx.integer(0)
-        for x in G.elements:
-            y = ctx.mul(ctx.mul(x, g), ctx.inv(x))
-            if y in hset:
-                total = total + chi.value_at(y)
-        vals.append(total.divide_exact(H.order))
+    for row in G.fusion(H):
+        acc = [0] * phi
+        for d, count in row:
+            for i, c in chi.values[d].terms:
+                acc[i] += count * c
+        vals.append(Cyclotomic(ctx.p, ctx.n, tuple(acc)).divide_exact(H.order))
     return VirtualCharacter(G, tuple(vals))
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_parity.characters import (Cyclotomic, DihedralContext,
                                         GroupMismatchError, InvalidGroupError,
@@ -96,7 +98,7 @@ def test_counts_degrees_sum_of_squares():
         assert sum(d * d for d in degs) == 2 * p ** n
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (5, 2), (3, 3)])
 def test_orthogonality(p, n):
     irr = irreducibles(DihedralContext(p, n))
     for i, a in enumerate(irr):
@@ -149,16 +151,23 @@ def test_restriction_values():
         restrict(chars[1], H2)  # D_2 is not inside C_5
 
 
-def test_frobenius_reciprocity_exhaustive_d50():
-    ctx = DihedralContext(5, 2)
+def _assert_frobenius_exhaustive(ctx):
     G = ctx.full()
     girr = irreducibles(ctx)
-    for level in (1, 2):
+    for level in range(1, ctx.n + 1):
         H = ctx.subgroup(cyclic_p_power(level))
         for f in cyclic_characters(ctx, level):
             indf = induce(f, G)
             for g in girr:
                 assert inner_product(indf, g) == inner_product(f, restrict(g, H))
+
+
+def test_frobenius_reciprocity_exhaustive_d50():
+    _assert_frobenius_exhaustive(DihedralContext(5, 2))
+
+
+def test_frobenius_reciprocity_exhaustive_d54():
+    _assert_frobenius_exhaustive(DihedralContext(3, 3))
 
 
 def test_reduction_identity():
@@ -178,3 +187,159 @@ def test_character_mismatch_errors():
     ctx = DihedralContext(5, 1)
     with pytest.raises(GroupMismatchError):
         VirtualCharacter(ctx.full(), (ctx.integer(1),))  # wrong arity
+
+
+def test_containment_across_groups_raises():
+    # C_5 of D_10 holds the pairs (i, 0) for i < 5, which are also pairs of
+    # D_50; a character of D_50 must still not restrict to it
+    chi = irreducibles(DihedralContext(5, 2))[2]
+    small = DihedralContext(5, 1)
+    Cp = small.subgroup(cyclic_p_power(1))
+    with pytest.raises(GroupMismatchError):
+        small.full().contains(chi.group)
+    with pytest.raises(GroupMismatchError):
+        restrict(chi, Cp)
+    with pytest.raises(GroupMismatchError):
+        induce(cyclic_characters(small, 1)[1], chi.group)
+    with pytest.raises(GroupMismatchError):
+        VirtualCharacter(Cp, tuple(chi.values[:5]))  # Z[zeta_25] values on D_10
+
+
+def test_irreducible_table_built_once_per_context():
+    ctx = DihedralContext(5, 2)
+    irr = irreducibles(ctx)
+    irr.append(None)  # the caller owns the list it gets
+    assert len(irreducibles(ctx)) == 14
+    assert eta(ctx) is irreducibles(ctx)[1]
+    assert two_dim(ctx, 3) is two_dim(ctx, 3) is irreducibles(ctx)[4]
+    fresh = DihedralContext(5, 2)
+    assert irreducibles(fresh) == irreducibles(ctx)
+    assert eta(fresh) is not eta(ctx)
+
+
+def test_fusion_table():
+    ctx = DihedralContext(5, 2)
+    G = ctx.full()
+    # inside G itself, every x in G conjugates a class rep into its own class
+    assert G.fusion(G) == tuple(((c, 50),) for c in range(len(G.class_reps)))
+    # s^5 generates C_5; its class {s^5, s^20} meets C_5 in two classes, and
+    # each element of the class is hit by the 25 rotations
+    C5 = ctx.subgroup(cyclic_p_power(1))
+    assert G.fusion(C5)[G.class_index((5, 0))] == ((1, 25), (4, 25))
+    assert G.fusion(C5)[G.class_index((1, 0))] == ()
+    assert G.fusion(C5) is G.fusion(ctx.subgroup(cyclic_p_power(1)))
+    assert ctx.full().fusion(C5) is not G.fusion(C5)  # cached per instance
+
+
+def test_inner_product_of_class_functions_that_are_not_characters():
+    ctx = DihedralContext(5, 1)
+    G = ctx.full()
+    zero, one = ctx.integer(0), ctx.integer(1)
+    delta = VirtualCharacter(G, (one, zero, zero, zero))
+    with pytest.raises(ValueError, match="not divisible by 10"):
+        inner_product(delta, irreducibles(ctx)[0])
+    spike = VirtualCharacter(G, (ctx.zeta(1) * 10, zero, zero, zero))
+    with pytest.raises(ValueError, match="is not rational"):
+        inner_product(spike, irreducibles(ctx)[0])
+
+
+# --- the kernels against the textbook formulas -----------------------------
+
+def reference_inner_product(f1, f2):
+    """(1/|H|) sum over classes of |c| a_c conj(b_c), reduced class by class."""
+    H = f1.group
+    total = None
+    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
+        term = (a * b.conj()) * size
+        total = term if total is None else total + term
+    return total.divide_exact(H.order).rational_value()
+
+
+def reference_induce(chi, G):
+    """The elementwise mass formula (1/|H|) sum_{x in G} chi(x g x^-1)."""
+    H = chi.group
+    ctx = G.ctx
+    vals = []
+    for g in G.class_reps:
+        total = ctx.integer(0)
+        for x in G.elements:
+            y = ctx.mul(ctx.mul(x, g), ctx.inv(x))
+            if y in H.element_set:
+                total = total + chi.value_at(y)
+        vals.append(total.divide_exact(H.order))
+    return VirtualCharacter(G, tuple(vals))
+
+
+GROUPS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return repr(e)
+
+
+@st.composite
+def _combination(draw, basis):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    total = basis[0] * coeffs[0]
+    for c, chi in zip(coeffs[1:], basis[1:]):
+        total = total + chi * c
+    return total
+
+
+@st.composite
+def _class_function(draw, H):
+    """Arbitrary integral values on the classes of H: rarely a character."""
+    ctx = H.ctx
+    phi = ctx.m - ctx.m // ctx.p
+    vals = [Cyclotomic(ctx.p, ctx.n, tuple(draw(st.lists(st.integers(-2, 2), min_size=phi,
+                                                           max_size=phi))))
+            for _ in H.class_reps]
+    return VirtualCharacter(H, tuple(vals))
+
+
+@st.composite
+def _function_on(draw, ctx, tag):
+    """A random integer combination of irreducibles of D_{2p^n} restricted to
+    the subgroup of `tag`, of cyclic characters when it is cyclic, or an
+    arbitrary class function."""
+    H = ctx.subgroup(tag)
+    how = draw(st.sampled_from(["irreducibles", "cyclic", "class function"]))
+    if how == "class function":
+        return draw(_class_function(H))
+    if how == "cyclic" and tag.kind == "cyclic":
+        return draw(_combination(cyclic_characters(ctx, tag.level)))
+    return restrict(draw(_combination(irreducibles(ctx))), H)
+
+
+@st.composite
+def _tower(draw):
+    """A context, a subgroup H and a subgroup G containing it."""
+    ctx = DihedralContext(*draw(st.sampled_from(GROUPS)))
+    n = ctx.n
+    tags = ([TRIVIAL, ORDER2] + [cyclic_p_power(k) for k in range(1, n + 1)]
+            + [dihedral_p_power(k) for k in range(1, n + 1)])
+    H = draw(st.sampled_from(tags))
+    G = draw(st.sampled_from([t for t in tags
+                              if ctx.subgroup(t).contains(ctx.subgroup(H))]))
+    return ctx, H, G
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inner_product_matches_reference(data):
+    ctx, tag, _ = data.draw(_tower())
+    f1 = data.draw(_function_on(ctx, tag))
+    f2 = data.draw(_function_on(ctx, tag))
+    assert _outcome(inner_product, f1, f2) == _outcome(reference_inner_product, f1, f2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_induce_matches_reference(data):
+    ctx, tag, up = data.draw(_tower())
+    chi = data.draw(_function_on(ctx, tag))
+    G = ctx.subgroup(up)
+    assert induce(chi, G) == reference_induce(chi, G)

@@ -138,7 +138,7 @@ def _surgery_input(draw):
     return WeierstrassCurve(*coeffs), p0, v
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None)
 @given(_surgery_input())
 def test_surgery_certifies_random_curves(inputs):
     E, p0, v = inputs

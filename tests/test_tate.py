@@ -160,7 +160,7 @@ def _curve_at(draw):
 _shift = st.integers(-30, 30)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None)
 @given(_curve_at(), _shift, _shift, _shift)
 def test_local_data_invariant_under_change_of_model(curve_ell, r, s, t):
     E, ell = curve_ell
