@@ -12,7 +12,8 @@ modulo Phi_m at the end gives the same element of Z[zeta_m].  Induction from
 H to G reads a class-fusion table, cached on G: for each class of G, how
 many x in G conjugate its representative into each class of H.  An induced
 value is then an integer combination of the values of chi, divided exactly
-by |H|.  The irreducible table is built once per DihedralContext.
+by |H|.  Restriction reads the class map of (G, H), cached on G the same
+way.  The irreducible table is built once per DihedralContext.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
@@ -282,6 +283,7 @@ class Subgroup:
         self.ctx = ctx
         self.tag = tag
         self._fusion = {}
+        self._class_maps = {}
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup)
@@ -387,6 +389,15 @@ class Subgroup:
             table = self._fusion[H] = tuple(rows)
         return table
 
+    def class_map(self, H: "Subgroup") -> tuple[int, ...]:
+        """For each class rep of H, the index of its class in self."""
+        table = self._class_maps.get(H)
+        if table is None:
+            if not self.contains(H):
+                raise GroupMismatchError(f"{H.tag.label} is not inside {self.tag.label}")
+            table = self._class_maps[H] = tuple(self.class_index(h) for h in H.class_reps)
+        return table
+
 
 @dataclass(frozen=True)
 class VirtualCharacter:
@@ -481,9 +492,8 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
 
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
-    if not chi.group.contains(H):
-        raise GroupMismatchError(f"{H.tag.label} is not inside {chi.group.tag.label}")
-    return VirtualCharacter(H, tuple(chi.value_at(g) for g in H.class_reps))
+    """Restriction to H through the class map of (chi.group, H)."""
+    return VirtualCharacter(H, tuple(chi.values[i] for i in chi.group.class_map(H)))
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
@@ -504,19 +514,26 @@ def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
     return VirtualCharacter(G, tuple(vals))
 
 
-def verify_reduction_identity(p: int, n: int) -> bool:
+def verify_reduction_identity(p: int, n: int, *,
+                              ctx: DihedralContext | None = None) -> bool:
     """Check Ind_{D_{2p^{n-1}}}^{D_{2p^n}} Res I(chi) = sum of the I(chi0)
     over the p characters chi0 of C_{p^n} restricting to chi on C_{p^{n-1}},
-    for every injective chi (index coprime to p).  Needs n >= 2."""
+    for every injective chi (index coprime to p).  Needs n >= 2.  A caller
+    that holds DihedralContext(p, n) passes it as ctx, so its irreducible
+    table is reused."""
     if n < 2:
         raise InvalidGroupError("the reduction identity needs n >= 2")
-    ctx = DihedralContext(p, n)
+    if ctx is None:
+        ctx = DihedralContext(p, n)
+    elif (ctx.p, ctx.n) != (p, n):
+        raise GroupMismatchError(f"{ctx!r} is not the context of (p={p}, n={n})")
     G = ctx.full()
     H = ctx.subgroup(dihedral_p_power(n - 1))
     irr = irreducibles(ctx)  # I(chi_k) is irr[1 + k], as in two_dim
     m = ctx.m
     half = (m - 1) // 2
     step = p ** (n - 1)
+    phi = m - step
 
     def fold(k):
         k %= m
@@ -525,12 +542,14 @@ def verify_reduction_identity(p: int, n: int) -> bool:
     for k in range(1, half + 1):
         if k % p == 0:
             continue
-        sigma = restrict(irr[1 + k], H)
-        lhs = induce(sigma, G)
-        rhs = None
-        for t in range(p):
-            term = irr[1 + fold(k + t * step)]
-            rhs = term if rhs is None else rhs + term
-        if lhs != rhs:
-            return False
+        lhs = induce(restrict(irr[1 + k], H), G)
+        # the right-hand side, summed class by class on coefficient vectors
+        terms = [irr[1 + fold(k + t * step)].values for t in range(p)]
+        for j, value in enumerate(lhs.values):
+            acc = [0] * phi
+            for term in terms:
+                for i, c in term[j].terms:
+                    acc[i] += c
+            if value.coeffs != tuple(acc):
+                return False
     return True

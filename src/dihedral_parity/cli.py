@@ -20,6 +20,10 @@ the discriminant (for `verify-global`, only what is left after dividing
 out the completion's primes).  Factoring stops at a fixed Pollard rho step
 budget; past it the command exits 2 and names the digit count of the
 cofactor it could not split.
+
+Each subcommand imports the library modules it runs inside its own
+function, so a fresh process loads only those: `chars`, for one, loads
+`characters` and `arith` and no curve code.
 """
 
 from __future__ import annotations
@@ -27,26 +31,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .arith import FactoringBudgetError
-from .characters import (DihedralContext, SubgroupTag, TRIVIAL, ORDER2,
-                         cyclic_p_power, dihedral_p_power, irreducibles,
-                         verify_reduction_identity)
-from .parity import (FROZEN_POT_GOOD_TABLE, bad_primes, enumerate_settings,
-                     global_parity, pot_good_table, verify_local)
-from .regulator import (SquareClass, direct_sum, faithful_rep,
-                        regulator_constant, sign_rep, trivial_rep)
-from .surgery import SurgeryFailedError, certify, make_semistable
-from .tate import local_reduction
-from .weierstrass import SingularModelError, WeierstrassCurve
+if TYPE_CHECKING:
+    from .characters import SubgroupTag
+    from .weierstrass import WeierstrassCurve
 
 
 class InputFileError(ValueError):
     """A curve or completion file failed to parse."""
-
-
-_SUBGROUP_TOKENS = {tag.label: tag for tag in (TRIVIAL, ORDER2, cyclic_p_power(1),
-                                                dihedral_p_power(1))}
 
 
 def _data_lines(path: str):
@@ -60,6 +53,7 @@ def _data_lines(path: str):
 
 
 def parse_curve_file(path: str) -> list[WeierstrassCurve]:
+    from .weierstrass import SingularModelError, WeierstrassCurve
     curves = []
     for lineno, parts in _data_lines(path):
         if len(parts) != 5:
@@ -79,6 +73,9 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
+    from .characters import ORDER2, TRIVIAL, cyclic_p_power, dihedral_p_power
+    tokens = {tag.label: tag for tag in (TRIVIAL, ORDER2, cyclic_p_power(1),
+                                         dihedral_p_power(1))}
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
     for lineno, parts in _data_lines(path):
         if len(parts) not in (3, 4):
@@ -90,11 +87,11 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
             raise InputFileError(f"{path}:{lineno}: bad prime {parts[0]!r}") from None
         tags = []
         for tok in parts[1:3]:
-            if tok not in _SUBGROUP_TOKENS:
+            if tok not in tokens:
                 raise InputFileError(
                     f"{path}:{lineno}: unknown subgroup token {tok!r} "
-                    f"(use {', '.join(_SUBGROUP_TOKENS)})")
-            tags.append(_SUBGROUP_TOKENS[tok])
+                    f"(use {', '.join(tokens)})")
+            tags.append(tokens[tok])
         flag: bool | None = None
         if len(parts) == 4:
             if parts[3] not in ("true", "false"):
@@ -117,6 +114,8 @@ def _write_json(path: str | None, payload) -> None:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_reduce(args) -> int:
+    from .arith import FactoringBudgetError
+    from .tate import bad_primes, local_reduction
     curves = parse_curve_file(args.curves)
     report = []
     for curve in curves:
@@ -142,6 +141,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_chars(args) -> int:
+    from .characters import DihedralContext, irreducibles, verify_reduction_identity
     ctx = DihedralContext(args.p, args.n)
     irr = irreducibles(ctx)
     G = ctx.full()
@@ -171,7 +171,7 @@ def cmd_chars(args) -> int:
         if ctx.n < 2:
             print("reduction identity: needs n >= 2", file=sys.stderr)
             return 2
-        ok = verify_reduction_identity(ctx.p, ctx.n)
+        ok = verify_reduction_identity(ctx.p, ctx.n, ctx=ctx)
         print(f"reduction identity at (p={ctx.p}, n={ctx.n}): "
               + ("PASS" if ok else "FAIL"))
         payload["reduction_identity"] = ok
@@ -181,6 +181,8 @@ def cmd_chars(args) -> int:
 
 
 def cmd_regulator(args) -> int:
+    from .regulator import (SquareClass, direct_sum, faithful_rep, regulator_constant,
+                            sign_rep, trivial_rep)
     p = args.p
     reps = [("1", trivial_rep(p)), ("eta", sign_rep(p)), ("rho2", faithful_rep(p))]
     reps.append(("1+eta+rho2", direct_sum(*(r for _, r in reps))))
@@ -206,6 +208,8 @@ def _table_payload(table) -> dict:
 
 
 def cmd_verify_local(args) -> int:
+    from .parity import (FROZEN_POT_GOOD_TABLE, enumerate_settings, pot_good_table,
+                         verify_local)
     status = 0
     payload = {"p": args.p}
     if args.emit_table:
@@ -245,6 +249,7 @@ def cmd_verify_local(args) -> int:
 
 
 def cmd_verify_global(args) -> int:
+    from .parity import global_parity
     curves = parse_curve_file(args.curves)
     completion = parse_completion_file(args.completion)
     report = []
@@ -273,6 +278,7 @@ def cmd_verify_global(args) -> int:
 
 
 def cmd_surgery(args) -> int:
+    from .surgery import SurgeryFailedError, certify, make_semistable
     curves = parse_curve_file(args.curves)
     report = []
     status = 0

@@ -28,22 +28,26 @@ multiplicative reduction; everywhere else the answer is forced.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
-from .arith import FactoringBudgetError, factor, is_prime
+from .arith import FactoringBudgetError, is_prime
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
 from .characters import SubgroupTag, TRIVIAL, ORDER2, cyclic_p_power, dihedral_p_power
-from .tate import legendre, local_reduction, potential_class, valuation
+from .tate import bad_primes, legendre, local_reduction, potential_class, valuation
 from .weierstrass import WeierstrassCurve
 
 CYCLIC = cyclic_p_power(1)
 DIHEDRAL = dihedral_p_power(1)
 
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
+
+# A sweep builds thousands of settings over a handful of p and ell, so each
+# distinct value is tested once.
+_is_prime = lru_cache(maxsize=64)(is_prime)
 
 
 class InadmissibleSettingError(ValueError):
@@ -80,9 +84,9 @@ class LocalSetting:
     eta_equals_chi: bool | None = None
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 5 or not is_prime(self.p):
+        if not isinstance(self.p, int) or self.p < 5 or not _is_prime(self.p):
             raise InadmissibleSettingError(f"p must be a prime >= 5, got {self.p}")
-        if not isinstance(self.ell, int) or not is_prime(self.ell):
+        if not isinstance(self.ell, int) or not _is_prime(self.ell):
             raise InadmissibleSettingError(f"ell must be prime, got {self.ell}")
         if not isinstance(self.r, int) or self.r < 1:
             raise InadmissibleSettingError(f"r must be a positive integer, got {self.r}")
@@ -349,20 +353,6 @@ def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
         n = valuation(curve.j_invariant.denominator, ell)
         return AdditivePotMult(n)
     return AdditivePotGood(data.delta)
-
-
-def bad_primes(curve: WeierstrassCurve, known: Iterable[int] = ()) -> list[int]:
-    """The primes dividing the model's discriminant, ascending.  The primes
-    among `known` are divided out first and only the cofactor left is
-    factored, so this raises FactoringBudgetError only on that cofactor."""
-    n = abs(curve.discriminant)
-    found = []
-    for q in known:
-        if q > 1 and n % q == 0 and is_prime(q):
-            found.append(q)
-            while n % q == 0:
-                n //= q
-    return sorted(found + list(factor(n)))
 
 
 def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,

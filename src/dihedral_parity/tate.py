@@ -12,9 +12,10 @@ count of the special fibre.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import factor, is_prime
 from .weierstrass import WeierstrassCurve, transform
 
 # Stand-in for the valuation of 0; larger than any valuation that can occur.
@@ -374,3 +375,17 @@ def potential_class(curve: WeierstrassCurve, ell: int) -> str:
         return "potentially good"
     vj = 3 * valuation(c4, ell) - valuation(curve.discriminant, ell)
     return "potentially multiplicative" if vj < 0 else "potentially good"
+
+
+def bad_primes(curve: WeierstrassCurve, known: Iterable[int] = ()) -> list[int]:
+    """The primes dividing the model's discriminant, ascending.  The primes
+    among `known` are divided out first and only the cofactor left is
+    factored, so this raises FactoringBudgetError only on that cofactor."""
+    n = abs(curve.discriminant)
+    found = []
+    for q in known:
+        if q > 1 and n % q == 0 and is_prime(q):
+            found.append(q)
+            while n % q == 0:
+                n //= q
+    return sorted(found + list(factor(n)))

@@ -175,6 +175,15 @@ def test_reduction_identity():
     assert verify_reduction_identity(7, 2) is True
     with pytest.raises(InvalidGroupError):
         verify_reduction_identity(5, 1)
+    ctx = DihedralContext(5, 2)
+    assert verify_reduction_identity(5, 2, ctx=ctx) is True
+    with pytest.raises(GroupMismatchError):
+        verify_reduction_identity(7, 2, ctx=ctx)
+    # negative control: a table with I(chi_1) and I(chi_2) swapped fails
+    table = irreducibles(ctx)
+    table[2], table[3] = table[3], table[2]
+    ctx.__dict__["_irreducibles"] = tuple(table)
+    assert verify_reduction_identity(5, 2, ctx=ctx) is False
 
 
 def test_character_mismatch_errors():

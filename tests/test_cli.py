@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dihedral_parity import cli
+import dihedral_parity
 from dihedral_parity.cli import main
 
 
@@ -247,7 +247,7 @@ def test_surgery_bad_parameters(tmp_path, capsys):
 def test_internal_fault_exits_3(curves_11a1, monkeypatch, capsys):
     def broken(curve, ell):
         raise RuntimeError("star arrangement failed")
-    monkeypatch.setattr(cli, "local_reduction", broken)
+    monkeypatch.setattr(dihedral_parity.tate, "local_reduction", broken)
     assert main(["reduce", curves_11a1, "--ell", "11"]) == 3
     assert "internal error: star arrangement failed" in capsys.readouterr().err
 
@@ -263,16 +263,63 @@ def test_usage_errors_exit_2():
 
 # --- imports ---------------------------------------------------------------
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _loaded_submodules(code: str) -> set[str]:
+    """The dihedral_parity submodules a fresh interpreter holds after `code`,
+    read from the last line it prints."""
+    out = _run_fresh(code + "\nimport sys; print(' '.join(m.split('.')[1] for m in sys.modules "
+                            "if m.startswith('dihedral_parity.')))")
+    return set(out.splitlines()[-1].split())
+
+
 def test_cli_import_does_not_load_sympy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, dihedral_parity.cli; print(sorted(m for m in sys.modules "
-             "if m == 'sympy' or m.startswith('sympy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
-                         capture_output=True, text=True, check=True).stdout
+    out = _run_fresh("import sys, dihedral_parity.cli; print(sorted(m for m in sys.modules "
+                     "if m == 'sympy' or m.startswith('sympy.')))")
     assert out.strip() == "[]"
-    importers = [path.name for path in (src / "dihedral_parity").glob("*.py")
+    importers = [path.name for path in (SRC / "dihedral_parity").glob("*.py")
                  if re.search(r"^\s*(import|from)\s+sympy\b", path.read_text(), re.M)]
     assert importers == []
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    run = "from dihedral_parity.cli import main; main({!r})"
+    assert _loaded_submodules("import dihedral_parity") == set()
+    chars = _loaded_submodules(run.format(["chars", "--p", "5", "--n", "2",
+                                           "--verify-reduction"]))
+    assert "characters" in chars and not chars & {"parity", "tate", "surgery", "regulator"}
+    reduce = _loaded_submodules(run.format(["reduce", curves, "--ell", "11"]))
+    assert "tate" in reduce and not reduce & {"characters", "parity", "regulator"}
+
+
+def test_package_resolves_every_public_name_and_submodule(monkeypatch):
+    submodules = {path.stem for path in (SRC / "dihedral_parity").glob("*.py")} - {"__init__"}
+    names = sorted(submodules) + dihedral_parity.__all__
+    # each name is the first one asked of a freshly imported package
+    _run_fresh("import importlib, sys\n"
+               f"for name in {names!r}:\n"
+               "    for m in [m for m in sys.modules if m.split('.')[0] == 'dihedral_parity']:\n"
+               "        del sys.modules[m]\n"
+               "    getattr(importlib.import_module('dihedral_parity'), name)")
+    assert _loaded_submodules("import dihedral_parity as dp\n"
+                              f"for name in {names!r}: getattr(dp, name)") == submodules
+    assert set(names) <= set(dir(dihedral_parity))
+    with pytest.raises(AttributeError):
+        dihedral_parity.no_such_name
+
+    def patched(curve, ell):
+        return "patched"
+    assert dihedral_parity.local_reduction is dihedral_parity.tate.local_reduction
+    monkeypatch.setattr(dihedral_parity.tate, "local_reduction", patched)
+    assert dihedral_parity.local_reduction is patched
 
 
 # --- input file messages ---------------------------------------------------

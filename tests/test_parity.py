@@ -34,6 +34,10 @@ def test_inadmissible_settings_rejected():
         dict(p=3, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
         dict(p=2, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
         dict(p=5, ell=6, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
+        dict(p=5.0, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
+        dict(p=True, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
+        dict(p=5, ell=7.0, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
+        dict(p=5, ell=True, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
         dict(p=5, ell=7, r=0, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC),
         dict(p=5, ell=7, r=1, base=Good(), G_v=dihedral_p_power(2), I_v=CYCLIC),
         dict(p=5, ell=7, r=1, base=Good(), G_v=TRIVIAL, I_v=ORDER2),
@@ -50,6 +54,7 @@ def test_inadmissible_settings_rejected():
              eta_equals_chi=False),
         dict(p=5, ell=7, r=1, base="split", G_v=DIHEDRAL, I_v=CYCLIC),
     ]
+    mk(p=5, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC)  # memoises 5 and 7 as primes
     for kwargs in cases:
         with pytest.raises(InadmissibleSettingError):
             mk(**kwargs)
