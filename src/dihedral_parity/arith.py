@@ -18,6 +18,7 @@ second-largest prime factor is below about 10^11 factors within the cap.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -141,6 +142,11 @@ def is_prime(n: int) -> bool:
     if not all(_strong_probable_prime(n, a, d, s) for a in MR_BASES):
         return False
     return n < PSI_13 or _strong_lucas_probable_prime(n)
+
+
+# Groups and local settings test the same few p and ell thousands of times.
+# Callers test isinstance(n, int) first: 5.0 == 5 would share 5's entry.
+cached_is_prime = lru_cache(maxsize=64)(is_prime)
 
 
 # --- factoring ---------------------------------------------------------------

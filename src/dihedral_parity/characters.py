@@ -19,14 +19,21 @@ Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
 canonically: identity, then the rotation pairs {s^j, s^-j} for
 1 <= j <= (p^n - 1)/2, then the single class of all reflections.
+
+This module is the one description of the subgroup lattice.  A standard
+subgroup (SubgroupTag) is 1, D_2 (the reflection t), C_{p^k} or D_{2p^k};
+Subgroup derives its elements and classes from one shape formula over
+(step, count, reflects), the same for all four kinds.  THETA is the Brauer
+relation [1] - 2[D_2] - [C_p] + 2[D_{2p}] of D_2p that the regulator
+constants, the parity engine and the completion-file tokens read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .arith import is_prime
+from .arith import cached_is_prime
 
 
 class InvalidGroupError(ValueError):
@@ -81,6 +88,14 @@ def cyclic_p_power(k: int) -> SubgroupTag:
 
 def dihedral_p_power(k: int) -> SubgroupTag:
     return SubgroupTag("dihedral", k)
+
+
+CYCLIC = cyclic_p_power(1)
+DIHEDRAL = dihedral_p_power(1)
+
+# The Brauer relation Theta = [1] - 2[D_2] - [C_p] + 2[D_2p] over the four
+# subgroups of D_2p up to conjugacy, as (subgroup, weight) pairs.
+THETA = ((TRIVIAL, 1), (ORDER2, -2), (CYCLIC, -1), (DIHEDRAL, 2))
 
 
 @dataclass(frozen=True)
@@ -202,15 +217,9 @@ class Cyclotomic:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-@lru_cache(maxsize=None, typed=True)
-def _is_odd_prime(p) -> bool:
-    # typed: 5.0 == 5 and True == 1 must not share an entry with the int
-    return isinstance(p, int) and p % 2 == 1 and is_prime(p)
-
-
 def check_odd_prime(p) -> None:
     """Raise InvalidGroupError unless p is an odd prime."""
-    if not _is_odd_prime(p):
+    if not (isinstance(p, int) and p % 2 == 1 and cached_is_prime(p)):
         raise InvalidGroupError(f"p must be an odd prime, got {p}")
 
 
@@ -253,7 +262,7 @@ class DihedralContext:
 
     # subgroups ------------------------------------------------------------
     def subgroup(self, tag: SubgroupTag) -> "Subgroup":
-        if tag.kind in ("cyclic", "dihedral") and tag.level > self.n:
+        if tag.level > self.n:
             raise InvalidSubgroupError(f"{tag} does not fit inside D_2p^{self.n}")
         return Subgroup(self, tag)
 
@@ -282,6 +291,15 @@ class Subgroup:
     def __init__(self, ctx: DihedralContext, tag: SubgroupTag):
         self.ctx = ctx
         self.tag = tag
+        # The subgroup is C_{p^k} or D_{2p^k}, k = tag.level (k = 0 for 1
+        # and D_2): the rotations (j step, 0) for 0 <= j < count and, when
+        # it reflects, the reflections (j step, 1).  A reflection conjugates
+        # (i, 0) to (-i, 0), so then the rotation classes are 0 <= j <=
+        # (count - 1) / 2, and the reflections form one class after them.
+        self._step = ctx.p ** (ctx.n - tag.level)
+        self._count = ctx.p ** tag.level
+        self._reflects = tag.kind in ("order2", "dihedral")
+        self._rotation_classes = (self._count + 1) // 2 if self._reflects else self._count
         self._fusion = {}
         self._class_maps = {}
 
@@ -297,16 +315,8 @@ class Subgroup:
 
     @cached_property
     def elements(self) -> tuple:
-        ctx = self.ctx
-        if self.tag.kind == "trivial":
-            return ((0, 0),)
-        if self.tag.kind == "order2":
-            return ((0, 0), (0, 1))
-        step = ctx.p ** (ctx.n - self.tag.level)
-        rot = [(i * step % ctx.m, 0) for i in range(ctx.p ** self.tag.level)]
-        if self.tag.kind == "cyclic":
-            return tuple(rot)
-        return tuple(rot + [(i, 1) for i, _ in rot])
+        rot = [(j * self._step, 0) for j in range(self._count)]
+        return tuple(rot + [(i, 1) for i, _ in rot] if self._reflects else rot)
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -318,52 +328,23 @@ class Subgroup:
 
     @cached_property
     def class_reps(self) -> tuple:
-        ctx = self.ctx
-        kind = self.tag.kind
-        if kind == "trivial":
-            return ((0, 0),)
-        if kind == "order2":
-            return ((0, 0), (0, 1))
-        step = ctx.p ** (ctx.n - self.tag.level)
-        mk = ctx.p ** self.tag.level
-        if kind == "cyclic":
-            return tuple((i * step % ctx.m, 0) for i in range(mk))
-        reps = [(0, 0)]
-        reps += [(j * step % ctx.m, 0) for j in range(1, (mk - 1) // 2 + 1)]
-        reps.append((0, 1))
-        return tuple(reps)
+        reps = tuple((j * self._step, 0) for j in range(self._rotation_classes))
+        return reps + ((0, 1),) if self._reflects else reps
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
-        kind = self.tag.kind
-        if kind == "trivial":
-            return (1,)
-        if kind == "order2":
-            return (1, 1)
-        mk = self.ctx.p ** self.tag.level
-        if kind == "cyclic":
-            return (1,) * mk
-        return (1,) + (2,) * ((mk - 1) // 2) + (mk,)
+        if not self._reflects:
+            return (1,) * self._count
+        return (1,) + (2,) * (self._rotation_classes - 1) + (self._count,)
 
     def class_index(self, g) -> int:
         i, e = g
         if g not in self.element_set:
             raise GroupMismatchError(f"{g} not in subgroup {self.tag.label}")
-        kind = self.tag.kind
-        if kind == "trivial":
-            return 0
-        if kind == "order2":
-            return e
-        ctx = self.ctx
-        step = ctx.p ** (ctx.n - self.tag.level)
-        mk = ctx.p ** self.tag.level
-        if kind == "cyclic":
-            return (i // step) % mk
         if e == 1:
-            return 1 + (mk - 1) // 2
-        j = (i // step) % mk
-        j = min(j, mk - j)
-        return j
+            return self._rotation_classes
+        j = i // self._step
+        return min(j, self._count - j) if self._reflects else j
 
     def contains(self, other: "Subgroup") -> bool:
         if self.ctx != other.ctx:

@@ -73,9 +73,8 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
-    from .characters import ORDER2, TRIVIAL, cyclic_p_power, dihedral_p_power
-    tokens = {tag.label: tag for tag in (TRIVIAL, ORDER2, cyclic_p_power(1),
-                                         dihedral_p_power(1))}
+    from .characters import THETA
+    tokens = {tag.label: tag for tag, _ in THETA}
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
     for lineno, parts in _data_lines(path):
         if len(parts) not in (3, 4):

@@ -29,25 +29,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
 
-from .arith import FactoringBudgetError, is_prime
+from .arith import FactoringBudgetError, cached_is_prime
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
-from .characters import SubgroupTag, TRIVIAL, ORDER2, cyclic_p_power, dihedral_p_power
+from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .tate import bad_primes, legendre, local_reduction, potential_class, valuation
 from .weierstrass import WeierstrassCurve
 
-CYCLIC = cyclic_p_power(1)
-DIHEDRAL = dihedral_p_power(1)
-
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
-
-# A sweep builds thousands of settings over a handful of p and ell, so each
-# distinct value is tested once.
-_is_prime = lru_cache(maxsize=64)(is_prime)
 
 
 class InadmissibleSettingError(ValueError):
@@ -64,12 +56,13 @@ class QuadCharClass(enum.Enum):
     RAMIFIED = "ramified"
 
 
-_ALLOWED_INERTIA = {
-    "trivial": ("trivial",),
-    "order2": ("trivial", "order2"),
-    "cyclic": ("trivial", "cyclic"),
-    "dihedral": ("cyclic", "dihedral"),
-}
+# The admissible (G_v, I_v): I_v is normal in G_v with cyclic quotient.
+_PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
+          (CYCLIC, TRIVIAL), (CYCLIC, CYCLIC), (DIHEDRAL, CYCLIC),
+          (DIHEDRAL, DIHEDRAL))
+# the per-setting check: G_v kind -> the inertia kinds it admits
+_ALLOWED_INERTIA = {G.kind: tuple(I.kind for H, I in _PAIRS if H == G)
+                    for G, _ in _PAIRS}
 
 
 @dataclass(frozen=True)
@@ -84,16 +77,16 @@ class LocalSetting:
     eta_equals_chi: bool | None = None
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 5 or not _is_prime(self.p):
+        if not isinstance(self.p, int) or self.p < 5 or not cached_is_prime(self.p):
             raise InadmissibleSettingError(f"p must be a prime >= 5, got {self.p}")
-        if not isinstance(self.ell, int) or not _is_prime(self.ell):
+        if not isinstance(self.ell, int) or not cached_is_prime(self.ell):
             raise InadmissibleSettingError(f"ell must be prime, got {self.ell}")
         if not isinstance(self.r, int) or self.r < 1:
             raise InadmissibleSettingError(f"r must be a positive integer, got {self.r}")
         for tag in (self.G_v, self.I_v):
             if not isinstance(tag, SubgroupTag):
                 raise InadmissibleSettingError(f"{tag!r} is not a subgroup tag")
-            if tag.kind in ("cyclic", "dihedral") and tag.level != 1:
+            if tag.level > 1:
                 raise InadmissibleSettingError(
                     f"{tag.label} does not live in the D_2p lattice")
         if self.I_v.kind not in _ALLOWED_INERTIA[self.G_v.kind]:
@@ -166,6 +159,8 @@ def ramification_degree_e(delta: int) -> int:
 
 # --- the two closed forms --------------------------------------------------
 
+_ODD_THETA = tuple(H for H, weight in THETA if weight % 2)
+
 _BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
              NonsplitMult: "nonsplit-multiplicative",
              AdditivePotMult: "additive-pot-multiplicative",
@@ -185,7 +180,7 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
         return 1, {"branch": "small-decomposition"}
     trace: dict = {"branch": _BRANCHES[type(s.base)]}
     total = 0
-    for H in (TRIVIAL, CYCLIC):
+    for H in _ODD_THETA:
         tam = tamagawa_over(s.base, s.p, s.G_v, s.I_v, H, ell=s.ell,
                             becomes_split=s.eta_equals_chi)
         par = tam.ord_parity(s.p) if isinstance(tam, ConstrainedRange) \
@@ -254,39 +249,30 @@ def verify_local(setting: LocalSetting) -> LocalVerdict:
 
 # --- enumeration -----------------------------------------------------------
 
-_PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
-          (CYCLIC, TRIVIAL), (CYCLIC, CYCLIC), (DIHEDRAL, CYCLIC),
-          (DIHEDRAL, DIHEDRAL))
+SWEEP_ELLS = (2, 3, 5, 7, 11, 13)
+SWEEP_RS = (1, 2)
 
 
-def enumerate_settings(p: int, *, ell_values=(2, 3, 5, 7, 11, 13),
-                       r_values=(1, 2), n_max: int = 10,
-                       deltas=POT_GOOD_DELTAS) -> list[LocalSetting]:
-    """All admissible local settings over the given bounds, in a fixed
-    deterministic order."""
-    ells = sorted(set(ell_values) | {p})
+def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
+    """All admissible local settings at ell in SWEEP_ELLS and p, r in
+    SWEEP_RS, valuations n up to n_max and every delta in POT_GOOD_DELTAS,
+    in a fixed deterministic order."""
+    ns = range(1, n_max + 1)
     out: list[LocalSetting] = []
-    for ell in ells:
-        for r in r_values:
+    for ell in sorted(set(SWEEP_ELLS) | {p}):
+        for r in SWEEP_RS:
             for G_v, I_v in _PAIRS:
                 if I_v.kind == "dihedral" and ell != p:
                     continue
-                bases: list[tuple[ReductionDescriptor, tuple[bool | None, ...]]] = \
-                    [(Good(), (None,))]
-                for n in range(1, n_max + 1):
-                    bases.append((SplitMult(n), (None,)))
-                    bases.append((NonsplitMult(n), (None,)))
-                for n in range(1, n_max + 1):
-                    flags: tuple[bool | None, ...] = (None,)
-                    if G_v.kind == "dihedral" and I_v.kind == "dihedral":
-                        flags = (False, True)
-                    bases.append((AdditivePotMult(n), flags))
-                for delta in deltas:
-                    bases.append((AdditivePotGood(delta), (None,)))
-                for base, flags in bases:
-                    for flag in flags:
-                        out.append(LocalSetting(p=p, ell=ell, r=r, base=base, G_v=G_v,
-                                                I_v=I_v, eta_equals_chi=flag))
+                # dihedral inertia lies only under G_v = D_2p, where additive
+                # potentially multiplicative reduction needs eta_equals_chi
+                flags = (False, True) if I_v.kind == "dihedral" else (None,)
+                cases = ([(Good(), None)]
+                         + [(cls(n), None) for n in ns for cls in (SplitMult, NonsplitMult)]
+                         + [(AdditivePotMult(n), flag) for n in ns for flag in flags]
+                         + [(AdditivePotGood(delta), None) for delta in POT_GOOD_DELTAS])
+                out += [LocalSetting(p=p, ell=ell, r=r, base=base, G_v=G_v, I_v=I_v,
+                                     eta_equals_chi=flag) for base, flag in cases]
     return out
 
 

@@ -8,7 +8,8 @@ Fraction.  The Brauer relation used throughout is
     Theta = [1] - 2 [D_2] - [C_p] + 2 [D_{2p}]
 
 over the four subgroups up to conjugacy (trivial, a reflection pair, the
-rotation subgroup, the whole group).  For a rational representation rho
+rotation subgroup, the whole group).  It is characters.THETA, and each
+subgroup's elements come from characters.Subgroup.  For a rational representation rho
 and a nondegenerate invariant pairing B,
 
     C_Theta(rho) = prod_H det( (1/|H|) B restricted to rho^H )^{m_H}
@@ -40,8 +41,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .arith import factor, trial_divide
-from .characters import (DihedralContext, ORDER2, TRIVIAL, cyclic_p_power,
-                         dihedral_p_power)
+from .characters import THETA, DihedralContext
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -228,10 +228,6 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
 
 
-_THETA = ((TRIVIAL, 1), (ORDER2, -2), (cyclic_p_power(1), -1),
-          (dihedral_p_power(1), 2))
-
-
 def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fraction:
     """C_Theta(rep) as an exact rational, well defined modulo squares.  A
     supplied pairing may be rational; it is scaled to an integer one, which
@@ -248,7 +244,7 @@ def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fractio
         pairing = tuple(tuple(int(x * scale) for x in row) for row in rows)
     ctx = DihedralContext(rep.p)
     result = Fraction(1)
-    for tag, weight in _THETA:
+    for tag, weight in THETA:
         elems = ctx.subgroup(tag).elements
         proj = _matsum(rep.image(g) for g in elems)
         cols = _independent_columns(proj)  # none: the empty determinant is 1

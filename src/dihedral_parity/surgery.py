@@ -136,14 +136,17 @@ def _attempt(curve: WeierstrassCurve, p0: int, v: int, n: int) -> SurgeryPlan:
         final=WeierstrassCurve(a1n, a2n, a3n, a4n, a6n))
 
 
+def _p0_data(curve: WeierstrassCurve, p0: int) -> tuple[str, int, int, int]:
+    """Kodaira type, minimal discriminant valuation, Tamagawa number and
+    conductor exponent of the curve at p0, from Tate's algorithm."""
+    d = local_reduction(curve, p0)
+    return (d.kodaira, d.delta, d.tamagawa, d.conductor_exp)
+
+
 def closeness_check(original: WeierstrassCurve, surgered: WeierstrassCurve,
                     p0: int) -> bool:
-    """The two curves have identical local data at p0: Kodaira type,
-    minimal discriminant valuation, Tamagawa number, conductor exponent."""
-    a = local_reduction(original, p0)
-    b = local_reduction(surgered, p0)
-    return ((a.kodaira, a.delta, a.tamagawa, a.conductor_exp)
-            == (b.kodaira, b.delta, b.tamagawa, b.conductor_exp))
+    """The two curves have identical local data at p0 (see _p0_data)."""
+    return _p0_data(original, p0) == _p0_data(surgered, p0)
 
 
 def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
@@ -189,16 +192,14 @@ def certify(plan: SurgeryPlan) -> SurgeryCertificate:
     gcd(c4, Delta) of the result is a pure p0 power, which rules out
     additive reduction anywhere else without factoring Delta.
     """
-    before = local_reduction(plan.original, plan.p0)
-    after = local_reduction(plan.final, plan.p0)
-    p0_match = ((before.kodaira, before.delta, before.tamagawa, before.conductor_exp)
-                == (after.kodaira, after.delta, after.tamagawa, after.conductor_exp))
+    before = _p0_data(plan.original, plan.p0)
+    after = _p0_data(plan.final, plan.p0)
+    p0_match = before == after
     vdata = local_reduction(plan.final, plan.v)
     g = residual_gcd(plan.final.c4, plan.final.discriminant, plan.p0)
     ok = p0_match and vdata.reduction_class == "multiplicative" and g == 1
     return SurgeryCertificate(
         ok=ok, p0_match=p0_match,
-        p0_before=(before.kodaira, before.delta, before.tamagawa, before.conductor_exp),
-        p0_after=(after.kodaira, after.delta, after.tamagawa, after.conductor_exp),
+        p0_before=before, p0_after=after,
         v_class=vdata.reduction_class, v_split=vdata.split_label,
         residual_gcd=g)

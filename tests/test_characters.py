@@ -282,6 +282,44 @@ def reference_induce(chi, G):
 GROUPS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)]
 
 
+def _standard_tags(n):
+    return ([TRIVIAL, ORDER2] + [cyclic_p_power(k) for k in range(1, n + 1)]
+            + [dihedral_p_power(k) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("p,n", GROUPS)
+def test_subgroup_classes_match_conjugation_orbits(p, n):
+    """Each standard subgroup against brute force: its elements are those
+    generated by s^(p^(n-k)) (and the reflection t when it has one), and
+    its classes are the orbits of conjugation by its own elements."""
+    ctx = DihedralContext(p, n)
+    G = ctx.full()
+    for tag in _standard_tags(n):
+        H = ctx.subgroup(tag)
+        gens = [(p ** (n - tag.level) % ctx.m, 0)]
+        if tag.kind in ("order2", "dihedral"):
+            gens.append((0, 1))
+        generated = {(0, 0)}
+        while True:
+            grown = generated | {ctx.mul(a, b) for a in generated for b in gens}
+            if grown == generated:
+                break
+            generated = grown
+        assert len(H.elements) == len(set(H.elements)) and set(H.elements) == generated
+        orbit = {h: frozenset(ctx.mul(ctx.mul(x, h), ctx.inv(x)) for x in H.elements)
+                 for h in H.elements}
+        rep_orbits = [orbit[g] for g in H.class_reps]
+        assert H.class_reps[0] == (0, 0)
+        assert len(set(rep_orbits)) == len(rep_orbits) and set(rep_orbits) == set(orbit.values())
+        assert H.class_sizes == tuple(len(o) for o in rep_orbits)
+        for h in H.elements:
+            assert h in rep_orbits[H.class_index(h)]
+        for g in G.elements:
+            if g not in generated:
+                with pytest.raises(GroupMismatchError):
+                    H.class_index(g)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -327,9 +365,7 @@ def _function_on(draw, ctx, tag):
 def _tower(draw):
     """A context, a subgroup H and a subgroup G containing it."""
     ctx = DihedralContext(*draw(st.sampled_from(GROUPS)))
-    n = ctx.n
-    tags = ([TRIVIAL, ORDER2] + [cyclic_p_power(k) for k in range(1, n + 1)]
-            + [dihedral_p_power(k) for k in range(1, n + 1)])
+    tags = _standard_tags(ctx.n)
     H = draw(st.sampled_from(tags))
     G = draw(st.sampled_from([t for t in tags
                               if ctx.subgroup(t).contains(ctx.subgroup(H))]))

@@ -5,7 +5,7 @@ from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
                                          SplitMult, omega_ordp_parity,
                                          tamagawa_over)
-from dihedral_parity.characters import (ORDER2, TRIVIAL, cyclic_p_power,
+from dihedral_parity.characters import (ORDER2, THETA, TRIVIAL, cyclic_p_power,
                                         dihedral_p_power)
 from dihedral_parity.parity import (CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TABLE,
                                     InadmissibleSettingError, LocalSetting,
@@ -174,6 +174,26 @@ def test_enumeration_shape(p):
         needs = (s.G_v.kind == "dihedral" and s.I_v.kind == "dihedral"
                  and isinstance(s.base, AdditivePotMult))
         assert (s.eta_equals_chi is not None) == needs
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_local_setting_admits_exactly_the_enumerated_pairs(p):
+    """Of the 16 pairs of D_2p subgroup tags, LocalSetting accepts (G_v, I_v)
+    at ell exactly when enumerate_settings produces it there."""
+    enumerated = {(s.ell, s.G_v, s.I_v) for s in enumerate_settings(p, n_max=1)}
+    ells = sorted({ell for ell, _, _ in enumerated})
+    assert ells == sorted({2, 3, 5, 7, 11, 13, p})
+    tags = [tag for tag, _ in THETA]
+    for ell in ells:
+        for G_v in tags:
+            for I_v in tags:
+                try:
+                    LocalSetting(p=p, ell=ell, r=1, base=Good(), G_v=G_v, I_v=I_v)
+                    accepted = True
+                except InadmissibleSettingError:
+                    accepted = False
+                assert accepted == ((ell, G_v, I_v) in enumerated), \
+                    (ell, G_v.label, I_v.label)
 
 
 @pytest.mark.parametrize("p", [5, 7])
