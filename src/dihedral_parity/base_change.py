@@ -13,70 +13,68 @@ ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import InvalidSubgroupError, SubgroupTag, check_odd_prime
+from .records import Record
 from .tate import valuation
 
 
 # --- reduction descriptors over the base field -----------------------------
 
-@dataclass(frozen=True)
-class Good:
+class Good(Record):
     """Good reduction."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _PositiveN:
-    """A descriptor carrying a valuation n >= 1.  Each subclass is its own
-    dataclass, so descriptors of different types never compare equal."""
-    n: int
+class _PositiveN(Record):
+    """A descriptor carrying a valuation n >= 1.  Records compare equal only
+    within one type, so descriptors of different types never do."""
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.n = n
 
 
-@dataclass(frozen=True)
 class SplitMult(_PositiveN):
     """Split multiplicative reduction; n = valuation of the minimal
     discriminant = -v(j)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NonsplitMult(_PositiveN):
     """Nonsplit multiplicative reduction; n = valuation of the minimal
     discriminant."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AdditivePotMult(_PositiveN):
     """Additive reduction, potentially multiplicative; n = -v(j) > 0."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AdditivePotGood:
+class AdditivePotGood(Record):
     """Additive reduction, potentially good; delta = valuation of the
     minimal discriminant (at most 11 when ell >= 5, unbounded at 2 and 3)."""
-    delta: int
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
+    def __init__(self, delta: int):
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        self.delta = delta
 
 
 ReductionDescriptor = Good | SplitMult | NonsplitMult | AdditivePotMult | AdditivePotGood
 
 
-@dataclass(frozen=True)
-class ConstrainedRange:
+class ConstrainedRange(Record):
     """A Tamagawa number known only up to a small finite set."""
-    members: tuple[int, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        if not self.members or any(m < 1 for m in self.members):
+    def __init__(self, members: tuple[int, ...]):
+        if not members or any(m < 1 for m in members):
             raise ValueError("members must be positive")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        self.members = tuple(sorted(set(members)))
 
     def __contains__(self, x) -> bool:
         return x in self.members

@@ -7,8 +7,9 @@ exact, with no floating point anywhere.
 
 An inner product sums |c| f1(c) conj(f2(c)) over the classes c in the group
 ring Z[x]/(x^m - 1), m = p^n, where conjugation negates exponents mod m and
-a product is a cyclic convolution; Phi_m divides x^m - 1, so one reduction
-modulo Phi_m at the end gives the same element of Z[zeta_m].  Induction from
+a product is a cyclic convolution; Phi_m divides x^m - 1, so the sum maps
+to the inner product in Z[zeta_m], and an integer is read straight off it.
+Only a sum that is not an integer is reduced modulo Phi_m.  Induction from
 H to G reads a class-fusion table, cached on G: for each class of G, how
 many x in G conjugate its representative into each class of H.  An induced
 value is then an integer combination of the values of chi, divided exactly
@@ -30,10 +31,10 @@ constants, the parity engine and the completion-file tokens read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import cached_is_prime
+from .records import Record
 
 
 class InvalidGroupError(ValueError):
@@ -48,25 +49,25 @@ class GroupMismatchError(ValueError):
     """Operation mixing characters of unrelated groups."""
 
 
-@dataclass(frozen=True)
-class SubgroupTag:
+class SubgroupTag(Record):
     """One of the standard subgroups of D_{2p^n}, up to the fixed embedding.
 
     kind "trivial" or "order2" (the chosen reflection), or "cyclic" /
     "dihedral" with level k meaning C_{p^k} / D_{2p^k}.
     """
-    kind: str
-    level: int = 0
+    __slots__ = ("kind", "level")
 
-    def __post_init__(self):
-        if self.kind in ("trivial", "order2"):
-            if self.level != 0:
-                raise InvalidSubgroupError(f"{self.kind} takes no level")
-        elif self.kind in ("cyclic", "dihedral"):
-            if self.level < 1:
-                raise InvalidSubgroupError(f"{self.kind} needs level >= 1")
+    def __init__(self, kind: str, level: int = 0):
+        if kind in ("trivial", "order2"):
+            if level != 0:
+                raise InvalidSubgroupError(f"{kind} takes no level")
+        elif kind in ("cyclic", "dihedral"):
+            if level < 1:
+                raise InvalidSubgroupError(f"{kind} needs level >= 1")
         else:
-            raise InvalidSubgroupError(f"unknown subgroup kind {self.kind!r}")
+            raise InvalidSubgroupError(f"unknown subgroup kind {kind!r}")
+        self.kind = kind
+        self.level = level
 
     @property
     def label(self) -> str:
@@ -98,12 +99,14 @@ DIHEDRAL = dihedral_p_power(1)
 THETA = ((TRIVIAL, 1), (ORDER2, -2), (CYCLIC, -1), (DIHEDRAL, 2))
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(Record):
     """Element of Z[zeta_{p^n}] in the power basis mod the cyclotomic polynomial."""
-    p: int
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "n", "coeffs", "_terms")
+
+    def __init__(self, p: int, n: int, coeffs: tuple[int, ...]):
+        self.p = p
+        self.n = n
+        self.coeffs = coeffs
 
     @property
     def m(self) -> int:
@@ -180,10 +183,15 @@ class Cyclotomic:
             out[m - i] += a
         return Cyclotomic.make(self.p, self.n, out)
 
-    @cached_property
+    @property
     def terms(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (i, c) with c != 0, the coefficient of zeta^i."""
-        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+        """The pairs (i, c) with c != 0, the coefficient of zeta^i; built on
+        first use and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = terms = tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+            return terms
 
     @property
     def is_rational(self) -> bool:
@@ -304,8 +312,8 @@ class Subgroup:
         self._class_maps = {}
 
     def __eq__(self, other):
-        return (isinstance(other, Subgroup)
-                and self.ctx == other.ctx and self.tag == other.tag)
+        return self is other or (isinstance(other, Subgroup)
+                                 and self.ctx == other.ctx and self.tag == other.tag)
 
     def __hash__(self):
         return hash((self.ctx, self.tag))
@@ -380,18 +388,18 @@ class Subgroup:
         return table
 
 
-@dataclass(frozen=True)
-class VirtualCharacter:
+class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles semantics."""
-    group: Subgroup
-    values: tuple[Cyclotomic, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.class_reps):
+    def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
+        if len(values) != len(group.class_reps):
             raise GroupMismatchError("value list does not match class count")
-        ctx = self.group.ctx
-        if any(v.p != ctx.p or v.n != ctx.n for v in self.values):
+        ctx = group.ctx
+        if any(v.p != ctx.p or v.n != ctx.n for v in values):
             raise GroupMismatchError("values lie outside Z[zeta_m] of the group")
+        self.group = group
+        self.values = values
 
     @property
     def degree(self) -> int:
@@ -468,6 +476,16 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
             c *= size
             for j, d in bs:
                 acc[(i - j) % m] += c * d
+    # The multiples of Phi_m in Z[x]/(x^m - 1) are the vectors of period
+    # q = m/p, so acc is the rational r exactly when acc - r x^0 has period
+    # q, and then r = acc[0] - acc[q].
+    q = m // ctx.p
+    if all(run.count(run[0]) == len(run)
+           for run in [acc[q::q]] + [acc[j::q] for j in range(1, q)]):
+        r = acc[0] - acc[q]
+        if r % H.order == 0:
+            return r // H.order
+    # not an integer: the reduction names what fails
     total = Cyclotomic.make(ctx.p, ctx.n, acc).divide_exact(H.order)
     return total.rational_value()
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -101,6 +102,15 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
             raise InputFileError(f"{path}:{lineno}: duplicate prime {prime}")
         out[prime] = (tags[0], tags[1], flag)
     return out
+
+
+def _check_json_path(path: str) -> None:
+    """Reject a --json path that cannot be written, before any work."""
+    if os.path.isdir(path):
+        raise ValueError(f"--json {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--json {path}: no directory {parent}")
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -368,9 +378,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json:
+            _check_json_path(args.json)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # bad input files and inadmissible or incomplete data are ValueErrors
+    except (ValueError, OSError) as exc:
+        # bad input files and inadmissible or incomplete data are ValueErrors;
+        # a path that cannot be read or written is an OSError naming it
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:

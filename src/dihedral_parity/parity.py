@@ -28,7 +28,6 @@ multiplicative reduction; everywhere else the answer is forced.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import FactoringBudgetError, cached_is_prime
@@ -36,6 +35,7 @@ from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Go
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
 from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
+from .records import Record
 from .tate import bad_primes, legendre, local_reduction, potential_class, valuation
 from .weierstrass import WeierstrassCurve
 
@@ -65,56 +65,58 @@ _ALLOWED_INERTIA = {G.kind: tuple(I.kind for H, I in _PAIRS if H == G)
                     for G, _ in _PAIRS}
 
 
-@dataclass(frozen=True)
-class LocalSetting:
+class LocalSetting(Record):
     """One local situation at a place of the dihedral field."""
-    p: int
-    ell: int
-    r: int
-    base: ReductionDescriptor
-    G_v: SubgroupTag
-    I_v: SubgroupTag
-    eta_equals_chi: bool | None = None
+    __slots__ = ("p", "ell", "r", "base", "G_v", "I_v", "eta_equals_chi")
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 5 or not cached_is_prime(self.p):
-            raise InadmissibleSettingError(f"p must be a prime >= 5, got {self.p}")
-        if not isinstance(self.ell, int) or not cached_is_prime(self.ell):
-            raise InadmissibleSettingError(f"ell must be prime, got {self.ell}")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise InadmissibleSettingError(f"r must be a positive integer, got {self.r}")
-        for tag in (self.G_v, self.I_v):
+    def __init__(self, p: int, ell: int, r: int, base: ReductionDescriptor,
+                 G_v: SubgroupTag, I_v: SubgroupTag,
+                 eta_equals_chi: bool | None = None):
+        if not isinstance(p, int) or p < 5 or not cached_is_prime(p):
+            raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
+        if not isinstance(ell, int) or not cached_is_prime(ell):
+            raise InadmissibleSettingError(f"ell must be prime, got {ell}")
+        if not isinstance(r, int) or r < 1:
+            raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
+        for tag in (G_v, I_v):
             if not isinstance(tag, SubgroupTag):
                 raise InadmissibleSettingError(f"{tag!r} is not a subgroup tag")
             if tag.level > 1:
                 raise InadmissibleSettingError(
                     f"{tag.label} does not live in the D_2p lattice")
-        if self.I_v.kind not in _ALLOWED_INERTIA[self.G_v.kind]:
+        if I_v.kind not in _ALLOWED_INERTIA[G_v.kind]:
             raise InadmissibleSettingError(
-                f"inertia {self.I_v.label} is impossible under decomposition "
-                f"{self.G_v.label} (quotient must be cyclic)")
-        if self.I_v.kind == "dihedral" and self.ell != self.p:
+                f"inertia {I_v.label} is impossible under decomposition "
+                f"{G_v.label} (quotient must be cyclic)")
+        if I_v.kind == "dihedral" and ell != p:
             raise InadmissibleSettingError(
                 "dihedral inertia is wild and forces ell = p")
-        if not isinstance(self.base, (Good, SplitMult, NonsplitMult,
-                                      AdditivePotMult, AdditivePotGood)):
-            raise InadmissibleSettingError(f"unknown reduction descriptor {self.base!r}")
-        if isinstance(self.base, AdditivePotGood) and self.ell >= 5:
-            if self.base.delta > 11:
+        if not isinstance(base, (Good, SplitMult, NonsplitMult,
+                                 AdditivePotMult, AdditivePotGood)):
+            raise InadmissibleSettingError(f"unknown reduction descriptor {base!r}")
+        if isinstance(base, AdditivePotGood) and ell >= 5:
+            if base.delta > 11:
                 raise InadmissibleSettingError(
-                    f"delta = {self.base.delta} cannot occur for a minimal model at ell >= 5")
-            if self.ell == self.p and self.base.delta not in POT_GOOD_DELTAS:
+                    f"delta = {base.delta} cannot occur for a minimal model at ell >= 5")
+            if ell == p and base.delta not in POT_GOOD_DELTAS:
                 raise InadmissibleSettingError(
-                    f"delta = {self.base.delta} cannot occur for a minimal model at ell = p >= 5")
-        needs_flag = (self.G_v.kind == "dihedral" and self.I_v.kind == "dihedral"
-                      and isinstance(self.base, AdditivePotMult))
-        if needs_flag and not isinstance(self.eta_equals_chi, bool):
+                    f"delta = {base.delta} cannot occur for a minimal model at ell = p >= 5")
+        needs_flag = (G_v.kind == "dihedral" and I_v.kind == "dihedral"
+                      and isinstance(base, AdditivePotMult))
+        if needs_flag and not isinstance(eta_equals_chi, bool):
             raise InadmissibleSettingError(
                 "eta_equals_chi must be set for dihedral inertia with "
                 "additive potentially multiplicative reduction")
-        if not needs_flag and self.eta_equals_chi is not None:
+        if not needs_flag and eta_equals_chi is not None:
             raise InadmissibleSettingError(
                 "eta_equals_chi is determined here and must be left as None")
+        self.p = p
+        self.ell = ell
+        self.r = r
+        self.base = base
+        self.G_v = G_v
+        self.I_v = I_v
+        self.eta_equals_chi = eta_equals_chi
 
     # --- derived character classes ------------------------------------
 
@@ -231,14 +233,19 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     return eps, trace
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
-    setting: LocalSetting
-    c_side: int
-    w_side: int
-    agree: bool
-    c_trace: dict = field(compare=False)
-    w_trace: dict = field(compare=False)
+class LocalVerdict(Record):
+    """Both sides of the local identity; the traces are not compared."""
+    __slots__ = ("setting", "c_side", "w_side", "agree", "c_trace", "w_trace")
+    _uncompared = ("c_trace", "w_trace")
+
+    def __init__(self, setting: LocalSetting, c_side: int, w_side: int, agree: bool,
+                 c_trace: dict, w_trace: dict):
+        self.setting = setting
+        self.c_side = c_side
+        self.w_side = w_side
+        self.agree = agree
+        self.c_trace = c_trace
+        self.w_trace = w_trace
 
 
 def verify_local(setting: LocalSetting) -> LocalVerdict:
@@ -318,14 +325,18 @@ def pot_good_table(side: str) -> dict[tuple[int, int], int]:
 CompletionMap = dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]
 
 
-@dataclass(frozen=True)
-class GlobalVerdict:
-    curve: WeierstrassCurve
-    p: int
-    locals: tuple[LocalVerdict, ...]
-    c_product: int
-    w_product: int
-    agree: bool
+class GlobalVerdict(Record):
+    """The local verdicts at the bad primes of one curve, and their products."""
+    __slots__ = ("curve", "p", "locals", "c_product", "w_product", "agree")
+
+    def __init__(self, curve: WeierstrassCurve, p: int, locals: tuple[LocalVerdict, ...],
+                 c_product: int, w_product: int, agree: bool):
+        self.curve = curve
+        self.p = p
+        self.locals = locals
+        self.c_product = c_product
+        self.w_product = w_product
+        self.agree = agree
 
 
 def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:

@@ -36,12 +36,12 @@ odd/even p-valuation of C_Theta is decided on that basis.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .arith import factor, trial_divide
 from .characters import THETA, DihedralContext
+from .records import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -114,38 +114,36 @@ def _independent_columns(a: Matrix) -> list[int]:
 
 # --- representations -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalRep:
+class RationalRep(Record):
     """Rational representation of D_{2p} given by integer images of the
-    rotation generator s (order p) and a reflection t."""
-    p: int
-    s: Matrix
-    t: Matrix
-    _powers: list[Matrix] = field(init=False, repr=False, compare=False)
+    rotation generator s (order p) and a reflection t; _powers holds
+    s^0, ..., s^(p-1)."""
+    __slots__ = ("p", "s", "t", "_powers")
 
-    def __post_init__(self):
-        s, t = _rationals(self.s), _rationals(self.t)
+    def __init__(self, p: int, s: Matrix, t: Matrix):
+        s, t = _rationals(s), _rationals(t)
         if any(x.denominator != 1 for row in s + t for x in row):
             raise InvalidRepresentationError(
                 "generator matrices must have integer entries "
                 "(conjugate the representation to an integral model)")
         s, t = (tuple(tuple(map(int, row)) for row in m) for m in (s, t))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
         d = len(s)
         if any(len(r) != d for r in s) or len(t) != d or any(len(r) != d for r in t):
             raise InvalidRepresentationError("generator matrices must be square and equal-sized")
         ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         powers = [ident]
-        for _ in range(self.p - 1):
+        for _ in range(p - 1):
             powers.append(_matmul(powers[-1], s))
         if _matmul(powers[-1], s) != ident:
-            raise InvalidRepresentationError(f"s^{self.p} != identity")
+            raise InvalidRepresentationError(f"s^{p} != identity")
         if _matmul(t, t) != ident:
             raise InvalidRepresentationError("t^2 != identity")
         if _matmul(_matmul(t, s), t) != powers[-1]:
             raise InvalidRepresentationError("t s t != s^-1")
-        object.__setattr__(self, "_powers", powers)
+        self.p = p
+        self.s = s
+        self.t = t
+        self._powers = powers
 
     @property
     def dimension(self) -> int:
@@ -213,16 +211,17 @@ def direct_sum(*reps: RationalRep) -> RationalRep:
 def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     """Symmetric invariant nondegenerate integer pairing: a seeded random
     symmetric integer matrix S summed (not averaged) over the group,
-    sum_g rho(g)^T S rho(g), so it is 2p times the group average.  Singular
-    draws are rethrown from the same stream, so the result is
-    deterministic per seed."""
+    sum_g rho(g)^T S rho(g), so it is 2p times the group average.  The
+    reflections are s^i t, so the sum is R + t^T R t with R the sum over
+    the rotations s^i alone.  Singular draws are rethrown from the same
+    stream, so the result is deterministic per seed."""
     rng = random.Random(seed)
     d = rep.dimension
-    images = [rep.image(g) for g in rep.elements()]
     for _ in range(64):
         raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         sym = [[raw[i][j] + raw[j][i] for j in range(d)] for i in range(d)]
-        pairing = _matsum(_gram(sym, m) for m in images)
+        rotations = _matsum(_gram(sym, m) for m in rep._powers)
+        pairing = _matsum((rotations, _gram(rotations, rep.t)))
         if _det(pairing) != 0:
             return pairing
     raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
@@ -257,11 +256,13 @@ def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fractio
     return result
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Record):
     """Class of a nonzero rational modulo squares, as its squarefree
     integer representative (sign included)."""
-    representative: int
+    __slots__ = ("representative",)
+
+    def __init__(self, representative: int):
+        self.representative = representative
 
     @classmethod
     def of(cls, x) -> "SquareClass":

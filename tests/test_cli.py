@@ -242,6 +242,38 @@ def test_surgery_bad_parameters(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_surgery_depth_must_be_positive(tmp_path, capsys, n):
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    assert main(["surgery", curves, "--p0", "11", "--v", "3", "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: n must be a positive integer, got {n}\n"
+
+
+# --- paths -----------------------------------------------------------------
+
+def test_directory_as_curve_file_exits_2(tmp_path, capsys):
+    assert main(["reduce", str(tmp_path), "--ell", "37"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_directory_as_json_path_exits_2(curves_11a1, tmp_path, capsys):
+    assert main(["reduce", curves_11a1, "--ell", "11", "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --json {tmp_path}: is a directory\n"
+
+
+def test_json_path_is_checked_before_any_work(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    target = str(missing / "x.json")
+    assert main(["chars", "--p", "5", "--json", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table printed
+    assert captured.err == f"error: --json {target}: no directory {missing}\n"
+    assert not missing.exists()
+
+
 # --- exit statuses ---------------------------------------------------------
 
 def test_internal_fault_exits_3(curves_11a1, monkeypatch, capsys):

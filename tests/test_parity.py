@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import TATE_CORPUS
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
@@ -7,8 +8,9 @@ from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          tamagawa_over)
 from dihedral_parity.characters import (ORDER2, THETA, TRIVIAL, cyclic_p_power,
                                         dihedral_p_power)
-from dihedral_parity.parity import (CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TABLE,
-                                    InadmissibleSettingError, LocalSetting,
+from dihedral_parity.parity import (_PAIRS, CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TABLE,
+                                    POT_GOOD_DELTAS, InadmissibleSettingError,
+                                    LocalSetting,
                                     MissingCompletionError, QuadCharClass,
                                     base_descriptor, c_parity,
                                     enumerate_settings, global_parity,
@@ -201,6 +203,63 @@ def test_identity_holds_on_enumeration(p):
     for s in enumerate_settings(p, n_max=3):
         v = verify_local(s)
         assert v.agree, s
+
+
+# --- past the sweep --------------------------------------------------------
+
+def _primes_below(bound):
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, int(bound ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytearray(len(range(q * q, bound, q)))
+    return [q for q in range(bound) if sieve[q]]
+
+
+RESIDUE_PRIMES = _primes_below(2 * 10 ** 4)
+LARGE_GROUP_PRIMES = [q for q in RESIDUE_PRIMES if 5 <= q < 500]
+
+
+@st.composite
+def local_fields(draw):
+    """The fields of a LocalSetting: p < 500, ell < 2 10^4 or ell = p,
+    n <= 10^6, r <= 50, an admissible (G_v, I_v) and the flag where one is
+    required.  delta is not screened, so some draws are inadmissible."""
+    p = draw(st.sampled_from(LARGE_GROUP_PRIMES))
+    G_v, I_v = draw(st.sampled_from(_PAIRS))
+    if I_v.kind == "dihedral":
+        ell = p
+    else:
+        ell = draw(st.one_of(st.just(p), st.sampled_from(RESIDUE_PRIMES)))
+    kind = draw(st.sampled_from(
+        [Good, SplitMult, NonsplitMult, AdditivePotMult, AdditivePotGood]))
+    if kind is Good:
+        base = Good()
+    elif kind is AdditivePotGood:
+        base = kind(draw(st.one_of(st.sampled_from(POT_GOOD_DELTAS),
+                                   st.integers(1, 12), st.integers(1, 10 ** 6))))
+    else:
+        base = kind(draw(st.integers(1, 10 ** 6)))
+    flag = None
+    if G_v.kind == I_v.kind == "dihedral" and kind is AdditivePotMult:
+        flag = draw(st.booleans())
+    return dict(p=p, ell=ell, r=draw(st.integers(1, 50)), base=base,
+                G_v=G_v, I_v=I_v, eta_equals_chi=flag)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(local_fields())
+def test_identity_holds_past_the_sweep(fields):
+    try:
+        s = LocalSetting(**fields)
+    except InadmissibleSettingError:
+        # the only rejection left: a delta no minimal model has at ell >= 5
+        base, ell = fields["base"], fields["ell"]
+        assert isinstance(base, AdditivePotGood) and ell >= 5
+        assert base.delta > 11 or (ell == fields["p"]
+                                   and base.delta not in POT_GOOD_DELTAS)
+        return
+    assert c_parity(s)[0] == w_ratio(s)[0], s
 
 
 # --- dual route: Theta-weighted Tamagawa/period bookkeeping ----------------

@@ -1,0 +1,132 @@
+"""The small immutable records: equality within one type, a hash that
+agrees with it, and the dataclass-style repr that reports print."""
+
+import pytest
+
+from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
+                                         ConstrainedRange, Good, NonsplitMult,
+                                         SplitMult)
+from dihedral_parity.characters import (CYCLIC, DIHEDRAL, Cyclotomic, DihedralContext,
+                                        InvalidSubgroupError, SubgroupTag,
+                                        VirtualCharacter, irreducibles)
+from dihedral_parity.parity import (GlobalVerdict, LocalSetting, LocalVerdict,
+                                    verify_local)
+from dihedral_parity.regulator import RationalRep, SquareClass, faithful_rep, trivial_rep
+from dihedral_parity.weierstrass import WeierstrassCurve
+
+
+def _setting(**changes):
+    fields = dict(p=5, ell=5, r=1, base=AdditivePotMult(2), G_v=DIHEDRAL,
+                  I_v=DIHEDRAL, eta_equals_chi=True)
+    fields.update(changes)
+    return LocalSetting(**fields)
+
+
+# Each row: a factory called twice for two equal, separately built values,
+# and a value of the same type that differs in one field.
+EQUAL_PAIRS = [
+    (lambda: SubgroupTag("cyclic", 2), SubgroupTag("cyclic", 1)),
+    (lambda: Cyclotomic(5, 1, (1, 0, -2, 0)), Cyclotomic(5, 1, (1, 0, 2, 0))),
+    (lambda: Good(), None),
+    (lambda: SplitMult(3), SplitMult(4)),
+    (lambda: NonsplitMult(3), NonsplitMult(4)),
+    (lambda: AdditivePotMult(3), AdditivePotMult(4)),
+    (lambda: AdditivePotGood(8), AdditivePotGood(9)),
+    (lambda: ConstrainedRange((4, 1, 2)), ConstrainedRange((1, 2))),
+    (lambda: _setting(), _setting(eta_equals_chi=False)),
+    (lambda: trivial_rep(5), trivial_rep(7)),
+    (lambda: faithful_rep(5), faithful_rep(7)),
+    (lambda: SquareClass.of(-18), SquareClass(2)),
+]
+
+
+@pytest.mark.parametrize("make,other", EQUAL_PAIRS)
+def test_equal_values_hash_alike(make, other):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    if other is not None:
+        assert a != other and not a == other
+
+
+def test_virtual_characters_compare_by_group_and_values():
+    ctx = DihedralContext(5, 1)
+    a = irreducibles(ctx)[2]
+    b = VirtualCharacter(ctx.full(), a.values)
+    assert a == b and hash(a) == hash(b)
+    assert a != irreducibles(ctx)[3]
+    assert VirtualCharacter(DihedralContext(5, 1).full(), a.values) == a
+
+
+def test_descriptors_of_different_types_are_unequal():
+    descriptors = [Good(), SplitMult(3), NonsplitMult(3), AdditivePotMult(3),
+                   AdditivePotGood(3)]
+    for i, a in enumerate(descriptors):
+        for j, b in enumerate(descriptors):
+            assert (a == b) == (i == j)
+    assert len(set(descriptors)) == 5
+    assert SubgroupTag("cyclic", 1) != ("cyclic", 1)
+    assert SquareClass(2) != 2
+
+
+def test_local_verdict_equality_ignores_the_traces():
+    v = verify_local(_setting(ell=7, r=2, base=SplitMult(2), I_v=CYCLIC,
+                              eta_equals_chi=None))
+    w = LocalVerdict(v.setting, v.c_side, v.w_side, v.agree, {}, {"other": 1})
+    assert v == w and hash(v) == hash(w)
+    assert v != LocalVerdict(v.setting, -v.c_side, v.w_side, not v.agree, {}, {})
+
+
+def test_global_verdicts_compare_by_value():
+    curve = WeierstrassCurve(0, -1, 1, -10, -20)
+    v = verify_local(_setting(ell=11, base=SplitMult(5), I_v=CYCLIC, eta_equals_chi=None))
+    a = GlobalVerdict(curve, 5, (v,), -1, -1, True)
+    assert a == GlobalVerdict(curve, 5, (v,), -1, -1, True)
+    assert hash(a) == hash(GlobalVerdict(curve, 5, (v,), -1, -1, True))
+    assert a != GlobalVerdict(curve, 7, (v,), -1, -1, True)
+
+
+def test_reprs_are_pinned():
+    assert repr(SubgroupTag("cyclic", 2)) == "SubgroupTag(kind='cyclic', level=2)"
+    assert repr(SubgroupTag("trivial")) == "SubgroupTag(kind='trivial', level=0)"
+    assert repr(Good()) == "Good()"
+    assert repr(NonsplitMult(n=3)) == "NonsplitMult(n=3)"
+    assert repr(AdditivePotGood(delta=8)) == "AdditivePotGood(delta=8)"
+    assert repr(ConstrainedRange((4, 1, 2, 2))) == "ConstrainedRange(members=(1, 2, 4))"
+    assert repr(_setting()) == (
+        "LocalSetting(p=5, ell=5, r=1, base=AdditivePotMult(n=2), "
+        "G_v=SubgroupTag(kind='dihedral', level=1), "
+        "I_v=SubgroupTag(kind='dihedral', level=1), eta_equals_chi=True)")
+    assert repr(RationalRep(3, ((1,),), ((-1,),))) == "RationalRep(p=3, s=((1,),), t=((-1,),))"
+    assert repr(SquareClass.of(-18)) == "SquareClass(representative=-2)"
+    v = verify_local(_setting(ell=7, r=2, base=SplitMult(2), I_v=CYCLIC,
+                              eta_equals_chi=None))
+    assert repr(v).startswith("LocalVerdict(setting=LocalSetting(p=5, ell=7, r=2, ")
+    assert repr(v).endswith(", c_side=-1, w_side=-1, agree=True, c_trace={'branch': "
+                            "'split-multiplicative', '1': 1, 'Cp': 0}, "
+                            "w_trace={'branch': 'pot-multiplicative', 'chi_class': "
+                            "'trivial', 'eta_class': 'unramified', "
+                            "'eta_equals_chi': False})")
+
+
+def test_cached_terms_stay_out_of_repr_and_equality():
+    z = Cyclotomic(5, 1, (0, 3, 0, -1))
+    fresh = Cyclotomic(5, 1, (0, 3, 0, -1))
+    assert z.terms == ((1, 3), (3, -1))
+    assert z.terms is z.terms  # built once
+    assert z == fresh and hash(z) == hash(fresh)
+    assert repr(z) == repr(fresh) == "Cyclotomic(p=5, n=1, coeffs=(0, 3, 0, -1))"
+
+
+def test_validation_messages_are_kept():
+    with pytest.raises(InvalidSubgroupError, match="cyclic needs level >= 1"):
+        SubgroupTag("cyclic")
+    with pytest.raises(InvalidSubgroupError, match="unknown subgroup kind 'x'"):
+        SubgroupTag("x")
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        SplitMult(0)
+    with pytest.raises(ValueError, match="delta must be >= 1, got 0"):
+        AdditivePotGood(0)
+    with pytest.raises(ValueError, match="members must be positive"):
+        ConstrainedRange(())

@@ -216,3 +216,37 @@ def test_bareiss_determinant_matches_fraction_elimination():
         a = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
              for _ in range(n)]
         assert _det(a) == fraction_det(a)
+
+
+# --- the pairing against the literal group sum -----------------------------
+
+def _product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def reference_invariant_pairing(rep, seed):
+    """The first nonsingular sum over every g of image(g)^T S image(g), with
+    S drawn from the seed's stream as invariant_pairing draws it."""
+    rng = random.Random(seed)
+    d = rep.dimension
+    for _ in range(64):
+        raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        S = tuple(tuple(raw[i][j] + raw[j][i] for j in range(d)) for i in range(d))
+        total = [[0] * d for _ in range(d)]
+        for g in rep.elements():
+            m = rep.image(g)
+            term = _product(_product(tuple(zip(*m)), S), m)
+            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, term)]
+        if fraction_det(total) != 0:
+            return tuple(map(tuple, total))
+    raise AssertionError("no nonsingular draw")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_invariant_pairing_matches_the_group_sum(p):
+    reps = [trivial_rep(p), sign_rep(p), faithful_rep(p)]
+    reps.append(direct_sum(*reps))
+    for rep in reps:
+        for seed in (0, 3, 23, 2024):
+            assert invariant_pairing(rep, seed) == reference_invariant_pairing(rep, seed)
