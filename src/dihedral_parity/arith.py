@@ -66,7 +66,7 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
+def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a / n) for odd n > 0."""
     a %= n
     sign = 1
@@ -95,7 +95,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         return False  # no such D exists for a square
     D = 5
     while True:
-        j = _jacobi(D, n)
+        j = jacobi(D, n)
         if j == -1:
             break
         if j == 0:

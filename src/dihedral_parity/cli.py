@@ -13,7 +13,7 @@ Curve files carry one curve per line as five integers "a1 a2 a3 a4 a6";
 completion files carry lines "prime G_v I_v [true|false]" with subgroup
 tokens 1, D2, Cp, D2p.  Blank lines and '#' comments are allowed in both.
 Exit status: 0 all checks passed, 1 a verdict failed, 2 usage error,
-3 internal error (a failed internal consistency check).
+3 internal error (a failed internal consistency check, or any other fault).
 
 `reduce` without --ell and `verify-global` find bad primes by factoring
 the discriminant (for `verify-global`, only what is left after dividing
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from .arith import FactoringBudgetError, cached_is_prime
+from .arith import FactoringBudgetError, cached_is_prime, jacobi
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
 from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
-from .tate import bad_primes, legendre, local_reduction, potential_class, valuation
+from .tate import bad_primes, local_reduction, potential_class, valuation
 from .weierstrass import WeierstrassCurve
 
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
@@ -142,16 +142,16 @@ class LocalSetting(Record):
         return QuadCharClass.UNRAMIFIED
 
     def eta_chi_agree(self) -> bool | None:
-        """Whether eta_v equals chi, when chi exists and G_v = D_2p."""
-        if self.G_v.kind != "dihedral" or self.chi_class() is None:
+        """Whether eta_v equals chi, when chi exists and G_v = D_2p: they
+        differ when their classes do, and two ramified characters agree
+        exactly when eta_equals_chi says so."""
+        chi = self.chi_class() if self.G_v.kind == "dihedral" else None
+        if chi is None:
             return None
-        if isinstance(self.base, SplitMult):
-            return False  # chi trivial, eta_v is not
-        if isinstance(self.base, NonsplitMult):
-            return self.I_v.kind == "cyclic"
-        if self.I_v.kind == "cyclic":
-            return False  # eta_v unramified, chi ramified
-        return self.eta_equals_chi
+        eta = self.eta_class()
+        if chi is QuadCharClass.RAMIFIED and eta is chi:
+            return self.eta_equals_chi
+        return eta is chi
 
 
 def ramification_degree_e(delta: int) -> int:
@@ -224,9 +224,9 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
         trace["epsilon"] = 1
         return 1, trace
     if e in (3, 6):
-        eps = legendre(-3 % s.p, s.p)
+        eps = jacobi(-3, s.p)
     elif e == 4:
-        eps = legendre(-1 % s.p, s.p)
+        eps = jacobi(-1, s.p)
     else:
         eps = 1
     trace["epsilon"] = eps

@@ -2,12 +2,15 @@
 discriminant valuation, Tamagawa number, conductor exponent, split type.
 
 The step chain is the classical reduction-type algorithm run entirely in
-exact arithmetic.  Singular points come from closed forms for primes >= 5
-and exhaustive residue-field search at 2 and 3; rational-root counts of the
-auxiliary cubic and quadratics use gcds with X^l - X over F_l, so there is
-no floating point and no randomness anywhere.  The conductor exponent is
-read off from the valuation of the minimal discriminant and the component
-count of the special fibre.
+exact arithmetic.  Singular points, and the multiple root of the star
+step's cubic P, come from closed forms for primes >= 5 and exhaustive
+residue-field search at 2 and 3: there t is a multiple root when
+P(t) = P'(t) = 0, and a triple one when the second Hasse derivative 3t + A
+vanishes too.  Rational-root counts of the auxiliary cubic and quadratics
+use gcds with X^l - X over F_l, so there is no floating point and no
+randomness anywhere.  The conductor exponent is read off from the
+valuation of the minimal discriminant and the component count of the
+special fibre.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .arith import factor, is_prime
+from .arith import factor, is_prime, jacobi
 from .weierstrass import WeierstrassCurve, transform
 
 # Stand-in for the valuation of 0; larger than any valuation that can occur.
@@ -39,15 +42,6 @@ def valuation(x: int, ell: int) -> int:
 
 def _inv(a: int, ell: int) -> int:
     return pow(a % ell, -1, ell)
-
-
-def legendre(a: int, ell: int) -> int:
-    """Legendre symbol (a / ell) for an odd prime ell."""
-    a %= ell
-    if a == 0:
-        return 0
-    r = pow(a, (ell - 1) // 2, ell)
-    return 1 if r == 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +135,9 @@ def _cubic_multiple_root(A: int, B: int, C: int, ell: int):
     C %= ell
     if ell <= 3:
         for t in range(ell):
-            # multiplicity of t by repeated synthetic division
-            q = [C, B, A, 1]
-            mult = 0
-            while True:
-                rem = 0
-                out = []
-                for c in reversed(q):
-                    rem = (rem * t + c) % ell
-                    out.append(rem)
-                if rem != 0:
-                    break
-                mult += 1
-                q = list(reversed(out[:-1]))
-                if len(q) == 1:
-                    break
-            if mult >= 2:
-                return t, mult
+            if (t ** 3 + A * t * t + B * t + C) % ell == 0 \
+                    and (3 * t * t + 2 * A * t + B) % ell == 0:
+                return t, 3 if (3 * t + A) % ell == 0 else 2
         return None
     inv3 = _inv(3, ell)
     p_ = (B - A * A * inv3) % ell
@@ -273,7 +253,7 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
             if ell == 2:
                 split = any((t * t + E.a1 * t - E.a2) % 2 == 0 for t in range(2))
             else:
-                split = legendre(E.b2, ell) == 1
+                split = jacobi(E.b2, ell) == 1
             if split:
                 c = n
             else:

@@ -1,12 +1,16 @@
 """Exact arithmetic on integral Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-Everything here is computed over Z (or Fraction for j), never floats.
+Everything here is computed over Z (or Fraction for j), never floats.  A
+curve's b/c-invariants and discriminant are fields of the curve, set once
+from raw_invariants when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Record
 
 
 class SingularModelError(ValueError):
@@ -37,53 +41,25 @@ def raw_invariants(coeffs) -> tuple[int, int, int, int, int, int, int]:
     return b2, b4, b6, b8, c4, c6, delta
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+class WeierstrassCurve(Record):
+    """An integral nonsingular model; equality and hash read a1 ... a6 only."""
+    __slots__ = ("a1", "a2", "a3", "a4", "a6",
+                 "b2", "b4", "b6", "b8", "c4", "c6", "discriminant")
+    _uncompared = ("b2", "b4", "b6", "b8", "c4", "c6", "discriminant")
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            v = getattr(self, name)
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
+        coeffs = (a1, a2, a3, a4, a6)
+        for name, v in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"coefficient {name} must be an int, got {v!r}")
-        object.__setattr__(self, "_invariants", raw_invariants(self.coefficients()))
+        self.a1, self.a2, self.a3, self.a4, self.a6 = coeffs
+        (self.b2, self.b4, self.b6, self.b8, self.c4, self.c6,
+         self.discriminant) = raw_invariants(coeffs)
         if self.discriminant == 0:
-            raise SingularModelError(f"singular model {self.coefficients()}")
+            raise SingularModelError(f"singular model {coeffs}")
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @property
-    def b2(self) -> int:
-        return self._invariants[0]
-
-    @property
-    def b4(self) -> int:
-        return self._invariants[1]
-
-    @property
-    def b6(self) -> int:
-        return self._invariants[2]
-
-    @property
-    def b8(self) -> int:
-        return self._invariants[3]
-
-    @property
-    def c4(self) -> int:
-        return self._invariants[4]
-
-    @property
-    def c6(self) -> int:
-        return self._invariants[5]
-
-    @property
-    def discriminant(self) -> int:
-        return self._invariants[6]
 
     @property
     def j_invariant(self) -> Fraction:
@@ -107,7 +83,8 @@ class InvariantSet:
 
 def invariants(curve: WeierstrassCurve) -> InvariantSet:
     """All standard b/c-invariants, the discriminant, and j, exactly."""
-    return InvariantSet(*curve._invariants, curve.j_invariant)
+    return InvariantSet(curve.b2, curve.b4, curve.b6, curve.b8, curve.c4, curve.c6,
+                        curve.discriminant, curve.j_invariant)
 
 
 def transform(curve: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:

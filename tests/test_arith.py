@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime, nextprime, primerange
 
 from dihedral_parity import arith
-from dihedral_parity.arith import FactoringBudgetError, factor, is_prime, trial_divide
+from dihedral_parity.arith import (FactoringBudgetError, factor, is_prime, jacobi,
+                                   trial_divide)
 from dihedral_parity.regulator import SquareClass
 
 # Strong pseudoprimes to the first 9, 12 and 13 prime bases: the last is
@@ -96,6 +97,14 @@ def test_factor_prime_powers_and_squares():
     assert factor(1) == {}
     with pytest.raises(ValueError):
         factor(0)
+
+
+def test_jacobi_is_eulers_criterion_at_odd_primes():
+    for p in primerange(3, 200):
+        for a in range(p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+            assert jacobi(a - 3 * p, p) == jacobi(a, p)
 
 
 def test_trial_divide_splits_off_small_primes():

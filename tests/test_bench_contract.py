@@ -1,0 +1,45 @@
+"""What the benchmark in bench/ reads of the library.  A rename or deletion
+that would break a benchmark run fails here first."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mod_name,names", sorted(_tracing().TRACED.items()))
+def test_traced_names_resolve(mod_name, names):
+    # Tracer.install patches a class's own __init__, a dotted name's
+    # classmethod on its class, and every other name as a module function
+    mod = importlib.import_module(f"dihedral_parity.{mod_name}")
+    for name in names:
+        if "." in name:
+            cls_name, meth = name.split(".")
+            assert isinstance(vars(getattr(mod, cls_name))[meth], classmethod), name
+            continue
+        obj = getattr(mod, name)
+        if isinstance(obj, type):
+            assert "__init__" in vars(obj), name
+        else:
+            assert callable(obj), name
+
+
+def test_bench_selftest_passes():
+    # no bytecode is written, so the run leaves nothing under bench/
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

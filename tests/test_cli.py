@@ -284,6 +284,15 @@ def test_internal_fault_exits_3(curves_11a1, monkeypatch, capsys):
     assert "internal error: star arrangement failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_untyped_internal_fault_exits_3(error, curves_11a1, monkeypatch, capsys):
+    def broken(curve, ell):
+        raise error("no such branch")
+    monkeypatch.setattr(dihedral_parity.tate, "local_reduction", broken)
+    assert main(["reduce", curves_11a1, "--ell", "11"]) == 3
+    assert "internal error: " in capsys.readouterr().err
+
+
 # --- argparse plumbing -----------------------------------------------------
 
 def test_usage_errors_exit_2():

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import TATE_CORPUS
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
@@ -16,8 +18,8 @@ from dihedral_parity.parity import (_PAIRS, CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TA
                                     enumerate_settings, global_parity,
                                     pot_good_table, ramification_degree_e,
                                     verify_local, w_ratio)
-from dihedral_parity.tate import valuation
-from dihedral_parity.weierstrass import WeierstrassCurve
+from dihedral_parity.tate import bad_primes, valuation
+from dihedral_parity.weierstrass import WeierstrassCurve, raw_invariants, transform
 
 
 def setting(base, G_v=DIHEDRAL, I_v=CYCLIC, p=5, ell=None, r=1, flag=None):
@@ -104,6 +106,29 @@ def test_eta_chi_agree():
     assert setting(AdditivePotMult(2), I_v=DIHEDRAL, flag=False).eta_chi_agree() is False
     assert setting(SplitMult(2), G_v=CYCLIC, I_v=CYCLIC).eta_chi_agree() is None
     assert setting(Good()).eta_chi_agree() is None
+
+
+def _eta_chi_agree_by_cases(s):
+    """The case table that eta_chi_agree replaces."""
+    if s.G_v.kind != "dihedral" or s.chi_class() is None:
+        return None
+    if isinstance(s.base, SplitMult):
+        return False  # chi trivial, eta_v is not
+    if isinstance(s.base, NonsplitMult):
+        return s.I_v.kind == "cyclic"
+    if s.I_v.kind == "cyclic":
+        return False  # eta_v unramified, chi ramified
+    return s.eta_equals_chi
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_eta_chi_agree_matches_the_case_table(p):
+    outcomes = set()
+    for s in enumerate_settings(p):
+        want = _eta_chi_agree_by_cases(s)
+        assert s.eta_chi_agree() is want, s
+        outcomes.add(want)
+    assert outcomes == {None, False, True}
 
 
 # --- branch spot checks ----------------------------------------------------
@@ -362,3 +387,68 @@ def test_global_parity_multiplies_over_places():
                       {2: (DIHEDRAL, CYCLIC, None), 7: (DIHEDRAL, CYCLIC, None)})
     assert [lv.c_side for lv in v.locals] == [-1, -1]
     assert (v.c_product, v.w_product, v.agree) == (1, 1, True)
+
+
+# --- whole-curve fuzz and metamorphic checks -------------------------------
+
+@st.composite
+def _deep_curves(draw):
+    """A prime ell in {2, 3, 5, 7} and a nonsingular model whose
+    coefficients carry random powers of ell, as deep as the starred and
+    non-minimal fibres there.  Three times in four the model is replaced by
+    the quadratic twist by d of y^2 = x^3 - 27 c4 x - 54 c6; with ell | d
+    that turns multiplicative reduction at an odd ell into additive,
+    potentially multiplicative reduction."""
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    coeffs = tuple(ell ** draw(st.integers(0, i)) * draw(st.integers(-9, 9))
+                   for i in (2, 3, 4, 5, 7))
+    *_, c4, c6, delta = raw_invariants(coeffs)
+    assume(delta != 0)
+    d = draw(st.sampled_from((None, -1, ell, -ell)))
+    if d is not None:
+        coeffs = (0, 0, 0, -27 * d ** 2 * c4, -54 * d ** 3 * c6)
+    return WeierstrassCurve(*coeffs), ell
+
+
+@st.composite
+def _completions(draw, E, p):
+    """A random admissible (G_v, I_v, flag) at every bad prime of E, with
+    dihedral inertia only at p, the flag where one is required, and now
+    and then one prime left out."""
+    completion = {}
+    for q in bad_primes(E):
+        G_v, I_v = draw(st.sampled_from(
+            [pair for pair in _PAIRS if pair[1].kind != "dihedral" or q == p]))
+        flag = None
+        if I_v.kind == "dihedral" and isinstance(base_descriptor(E, q), AdditivePotMult):
+            flag = draw(st.booleans())
+        completion[q] = (G_v, I_v, flag)
+    if completion and draw(st.integers(0, 9)) == 0:
+        del completion[draw(st.sampled_from(sorted(completion)))]
+    return completion
+
+
+def _signs(E, p, completion):
+    v = global_parity(E, p, completion)
+    assert v.agree and v.c_product == v.w_product, v
+    return {lv.setting.ell: (lv.c_side, lv.w_side) for lv in v.locals}
+
+
+_small_shift = st.integers(-20, 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _deep_curves(), st.sampled_from((5, 7)),
+       _small_shift, _small_shift, _small_shift)
+def test_whole_curve_signs_agree_and_survive_changes_of_model(data, curve_ell, p, r, s, t):
+    E, ell = curve_ell
+    completion = data.draw(_completions(E, p))
+    try:
+        signs = _signs(E, p, completion)
+    except MissingCompletionError:
+        left_out = set(bad_primes(E)) - set(completion)
+        assert any(base_descriptor(E, q) != Good() for q in left_out)
+        return
+    assert _signs(transform(E, 1, r, s, t), p, completion) == signs
+    # u = 1/ell multiplies a_i by ell^i: a non-minimal model of the same curve
+    assert _signs(transform(E, Fraction(1, ell), 0, 0, 0), p, completion) == signs

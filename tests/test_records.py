@@ -119,6 +119,22 @@ def test_cached_terms_stay_out_of_repr_and_equality():
     assert repr(z) == repr(fresh) == "Cyclotomic(p=5, n=1, coeffs=(0, 3, 0, -1))"
 
 
+def test_weierstrass_curves_compare_by_coefficients():
+    e = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert repr(e) == "WeierstrassCurve(0, -1, 1, -10, -20)"
+    same = WeierstrassCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20)
+    assert e == same and hash(e) == hash(same) == hash(e.coefficients())
+    assert e != WeierstrassCurve(0, -1, 1, -10, -21)
+    assert e != (0, -1, 1, -10, -20)
+    # the invariants are fields, set once, but equality reads a1 ... a6 only
+    assert (e.b2, e.c4, e.c6, e.discriminant) == (-4, 496, 20008, -161051)
+    assert WeierstrassCurve._compared == ("a1", "a2", "a3", "a4", "a6")
+    with pytest.raises(TypeError, match="coefficient a3 must be an int, got True"):
+        WeierstrassCurve(0, 0, True, 0, 1)
+    with pytest.raises(TypeError, match="coefficient a1 must be an int, got 1.0"):
+        WeierstrassCurve(1.0, 0, 0, 0, 1)
+
+
 def test_validation_messages_are_kept():
     with pytest.raises(InvalidSubgroupError, match="cyclic needs level >= 1"):
         SubgroupTag("cyclic")

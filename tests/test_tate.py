@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from corpus import CONDUCTORS, TATE_CORPUS
-from dihedral_parity.tate import (NotApplicableError, conductor_exponent,
-                                  kodaira_symbol, legendre, local_reduction,
+from dihedral_parity.arith import jacobi
+from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
+                                  conductor_exponent, kodaira_symbol, local_reduction,
                                   potential_class, split_type, tamagawa_number,
                                   valuation)
 from dihedral_parity.weierstrass import (SingularModelError, WeierstrassCurve,
@@ -76,7 +78,7 @@ def test_split_detection_against_quadratic_residue():
         e = WeierstrassCurve(*coeffs)
         data = local_reduction(e, ell)
         c6 = data.minimal_model.c6
-        assert (legendre((-c6) % ell, ell) == 1) == (split == "split")
+        assert (jacobi((-c6) % ell, ell) == 1) == (split == "split")
 
 
 def test_split_type_only_for_multiplicative():
@@ -111,9 +113,9 @@ def test_valuation_and_legendre_basics():
     assert valuation(-45, 3) == 2
     assert valuation(7, 5) == 0
     assert valuation(0, 5) > 10 ** 8  # sentinel for "infinite"
-    assert legendre(4, 5) == 1
-    assert legendre(2, 5) == -1
-    assert legendre(0, 5) == 0
+    assert jacobi(4, 5) == 1
+    assert jacobi(2, 5) == -1
+    assert jacobi(0, 5) == 0
     with pytest.raises(ValueError):
         local_reduction(WeierstrassCurve(0, 0, 0, -1, 0), 4)
 
@@ -169,3 +171,37 @@ def test_local_data_invariant_under_change_of_model(curve_ell, r, s, t):
     # u = 1/ell multiplies a_i by ell^i: a non-minimal model of the same curve
     assert _local_data(transform(E, Fraction(1, ell), 0, 0, 0), ell) == want
     assert _local_data(transform(E, Fraction(1, ell), r, s, t), ell) == want
+
+
+# --- the multiplicity test of the star step ------------------------------------
+
+def _multiplicity_by_division(A, B, C, ell, t):
+    """Multiplicity of t as a root of T^3 + A T^2 + B T + C over F_ell, by
+    repeated synthetic division."""
+    q = [C, B, A, 1]
+    mult = 0
+    while len(q) > 1:
+        rem, out = 0, []
+        for c in reversed(q):
+            rem = (rem * t + c) % ell
+            out.append(rem)
+        if rem:
+            break
+        mult += 1
+        q = list(reversed(out[:-1]))
+    return mult
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_cubic_multiple_root_against_synthetic_division(ell):
+    # a multiple root of a cubic over a perfect field is rational, so
+    # searching F_ell finds it whenever there is one
+    outcomes = set()
+    for A, B, C in itertools.product(range(ell), repeat=3):
+        multiple = [(t, m) for t in range(ell)
+                    if (m := _multiplicity_by_division(A, B, C, ell, t)) >= 2]
+        want = multiple[0] if multiple else None
+        assert _cubic_multiple_root(A, B, C, ell) == want, (A, B, C)
+        assert _cubic_multiple_root(A - ell, B + ell, C + 2 * ell, ell) == want
+        outcomes.add(None if want is None else want[1])
+    assert outcomes == {None, 2, 3}
