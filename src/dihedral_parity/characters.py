@@ -14,7 +14,10 @@ H to G reads a class-fusion table, cached on G: for each class of G, how
 many x in G conjugate its representative into each class of H.  An induced
 value is then an integer combination of the values of chi, divided exactly
 by |H|.  Restriction reads the class map of (G, H), cached on G the same
-way.  The irreducible table is built once per DihedralContext.
+way.  Each DihedralContext reduces zeta^k once for each k < m, into one
+table: the irreducible table, built once per context, reads its (m + 1)/2
+distinct values zeta^a + zeta^-a from it, the cyclic characters read their
+values from it, and characters so share value objects and their caches.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
@@ -278,16 +281,26 @@ class DihedralContext:
         return self.subgroup(dihedral_p_power(self.n))
 
     @cached_property
+    def _zetas(self) -> tuple[Cyclotomic, ...]:
+        """zeta^k for 0 <= k < m, each reduced once."""
+        return tuple(self.zeta(k) for k in range(self.m))
+
+    @cached_property
     def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
         G = self.full()
         one = self.integer(1)
         zero = self.integer(0)
-        nrot = (self.m - 1) // 2
+        m = self.m
+        nrot = (m - 1) // 2
+        # I(chi_k) at s^j is cosines[kj mod m]; of the m values, nrot + 1
+        # are distinct and built once
+        zetas = self._zetas
+        half = [zetas[a] + zetas[-a] for a in range(nrot + 1)]
+        cosines = half + half[:0:-1]  # zeta^a + zeta^-a for 0 <= a < m
         out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
                VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
         for k in range(1, nrot + 1):
-            vals = [self.integer(2)]
-            vals += [self.zeta(k * j) + self.zeta(-k * j) for j in range(1, nrot + 1)]
+            vals = [cosines[k * j % m] for j in range(nrot + 1)]
             vals.append(zero)
             out.append(VirtualCharacter(G, tuple(vals)))
         return tuple(out)
@@ -455,11 +468,10 @@ def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter
     H = ctx.subgroup(cyclic_p_power(level))
     mk = ctx.p ** level
     lift = ctx.p ** (ctx.n - level)  # zeta_{p^level} = zeta_{p^n}^lift
-    out = []
-    for t in range(mk):
-        vals = tuple(ctx.zeta(t * i * lift) for i in range(mk))
-        out.append(VirtualCharacter(H, vals))
-    return out
+    m = ctx.m
+    zetas = ctx._zetas
+    return [VirtualCharacter(H, tuple(zetas[t * i * lift % m] for i in range(mk)))
+            for t in range(mk)]
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:

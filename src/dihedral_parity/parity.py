@@ -265,21 +265,27 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     SWEEP_RS, valuations n up to n_max and every delta in POT_GOOD_DELTAS,
     in a fixed deterministic order."""
     ns = range(1, n_max + 1)
+    # each descriptor is built once and shared by the settings that use it
+    unflagged = [Good()] + [cls(n) for n in ns for cls in (SplitMult, NonsplitMult)]
+    pot_mult = [AdditivePotMult(n) for n in ns]
+    pot_good = [AdditivePotGood(delta) for delta in POT_GOOD_DELTAS]
+
+    def cases(flags):
+        return ([(base, None) for base in unflagged]
+                + [(base, flag) for base in pot_mult for flag in flags]
+                + [(base, None) for base in pot_good])
+
+    # dihedral inertia lies only under G_v = D_2p, where additive
+    # potentially multiplicative reduction needs eta_equals_chi
+    plain, flagged = cases((None,)), cases((False, True))
     out: list[LocalSetting] = []
     for ell in sorted(set(SWEEP_ELLS) | {p}):
         for r in SWEEP_RS:
             for G_v, I_v in _PAIRS:
                 if I_v.kind == "dihedral" and ell != p:
                     continue
-                # dihedral inertia lies only under G_v = D_2p, where additive
-                # potentially multiplicative reduction needs eta_equals_chi
-                flags = (False, True) if I_v.kind == "dihedral" else (None,)
-                cases = ([(Good(), None)]
-                         + [(cls(n), None) for n in ns for cls in (SplitMult, NonsplitMult)]
-                         + [(AdditivePotMult(n), flag) for n in ns for flag in flags]
-                         + [(AdditivePotGood(delta), None) for delta in POT_GOOD_DELTAS])
-                out += [LocalSetting(p=p, ell=ell, r=r, base=base, G_v=G_v, I_v=I_v,
-                                     eta_equals_chi=flag) for base, flag in cases]
+                out += [LocalSetting(p, ell, r, base, G_v, I_v, flag)
+                        for base, flag in (flagged if I_v.kind == "dihedral" else plain)]
     return out
 
 

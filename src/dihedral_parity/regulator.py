@@ -3,7 +3,11 @@
 Everything is exact and integral: representations, pairings, projectors
 and Gram matrices are integer matrices, and determinants come from
 fraction-free (Bareiss) elimination.  Only the final combination is a
-Fraction.  The Brauer relation used throughout is
+Fraction.  The images of s^i and t and the projectors are mostly zeros:
+each product puts such a factor on the left and adds up the rows of the
+right factor that its nonzero entries pick, and a Gram matrix is formed
+transposed to keep it there (see _gram).  The Brauer relation used
+throughout is
 
     Theta = [1] - 2 [D_2] - [C_p] + 2 [D_{2p}]
 
@@ -61,9 +65,18 @@ def _rationals(rows) -> list[list[Fraction]]:
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    """a b.  Each row of the product is the combination of the rows of b
+    picked by the nonzero entries of that row of a, so a sparse a costs
+    only its nonzeros."""
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = zero
+        for x, b_row in zip(row, b):
+            if x:
+                acc = tuple([u + x * y for u, y in zip(acc, b_row)])
+        out.append(acc)
+    return tuple(out)
 
 
 def _matsum(mats) -> Matrix:
@@ -71,8 +84,12 @@ def _matsum(mats) -> Matrix:
 
 
 def _gram(b: Matrix, v: Matrix) -> Matrix:
-    """v^T b v."""
-    return _matmul(_matmul(tuple(zip(*v)), b), v)
+    """v^T b^T v = (v^T b v)^T, formed as v^T (v^T b)^T so that the sparse
+    factor v^T is on the left of both products.  It is v^T b v for a
+    symmetric b; for any b the determinant is the same, so a supplied
+    pairing that is not symmetric still gives the same C_Theta."""
+    vt = tuple(zip(*v))
+    return _matmul(vt, tuple(zip(*_matmul(vt, b))))
 
 
 def _det(a: Matrix) -> int:

@@ -226,6 +226,25 @@ def test_irreducible_table_built_once_per_context():
     assert eta(fresh) is not eta(ctx)
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2), (13, 1)])
+def test_table_built_characters_match_fresh_powers(p, n):
+    # the reference reduces every power of zeta afresh
+    ctx = DihedralContext(p, n)
+    m = p ** n
+    nrot = (m - 1) // 2
+    irr = irreducibles(ctx)
+    for k in range(1, nrot + 1):
+        want = [ctx.zeta(k * j) + ctx.zeta(-k * j) for j in range(nrot + 1)]
+        assert irr[1 + k].values == tuple(want + [ctx.integer(0)])
+    for level in range(1, n + 1):
+        mk = p ** level
+        lift = p ** (n - level)
+        chars = cyclic_characters(ctx, level)
+        assert len(chars) == mk
+        for t, f in enumerate(chars):
+            assert f.values == tuple(ctx.zeta(t * i * lift) for i in range(mk))
+
+
 def test_fusion_table():
     ctx = DihedralContext(5, 2)
     G = ctx.full()

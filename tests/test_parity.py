@@ -197,6 +197,23 @@ def test_enumeration_shape(p):
     # pair which only exists at ell = p
     assert len(settings) == 5 * 2 * 6 * 17 + 2 * (6 * 17 + 20)
     assert settings == enumerate_settings(p, n_max=3)
+    # the same listing with fresh descriptors built for every setting
+    reference = []
+    for ell in sorted({2, 3, 5, 7, 11, 13, p}):
+        for r in (1, 2):
+            for G_v, I_v in _PAIRS:
+                if I_v.kind == "dihedral" and ell != p:
+                    continue
+                flags = (False, True) if I_v.kind == "dihedral" else (None,)
+                cases = ([(Good, (), None)]
+                         + [(cls, (n,), None) for n in (1, 2, 3)
+                            for cls in (SplitMult, NonsplitMult)]
+                         + [(AdditivePotMult, (n,), flag) for n in (1, 2, 3) for flag in flags]
+                         + [(AdditivePotGood, (delta,), None) for delta in POT_GOOD_DELTAS])
+                reference += [LocalSetting(p=p, ell=ell, r=r, base=cls(*args), G_v=G_v,
+                                           I_v=I_v, eta_equals_chi=flag)
+                              for cls, args, flag in cases]
+    assert settings == reference
     for s in settings:
         needs = (s.G_v.kind == "dihedral" and s.I_v.kind == "dihedral"
                  and isinstance(s.base, AdditivePotMult))

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dihedral_parity.regulator import (DegeneratePairingError,
                                        InvalidRepresentationError, RationalRep,
                                        SquareClass, direct_sum, faithful_rep,
                                        invariant_pairing, regulator_constant,
                                        sign_rep, t_theta_member, trivial_rep)
-from dihedral_parity.regulator import _det
+from dihedral_parity.regulator import _det, _gram, _matmul
 
 
 # --- representations -------------------------------------------------------
@@ -218,12 +219,59 @@ def test_bareiss_determinant_matches_fraction_elimination():
         assert _det(a) == fraction_det(a)
 
 
+# --- the matrix kernels against a triple loop ------------------------------
+
+def loop_product(a, b, inner, cols):
+    """a b from the definition, for a len(a) x inner matrix a and an
+    inner x cols matrix b."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+                 for i in range(len(a)))
+
+
+def _transpose(a, rows, cols):
+    return tuple(tuple(a[i][j] for i in range(rows)) for j in range(cols))
+
+
+# mostly zeros and units, as in the images of s^i and t and the projectors
+_entries = st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-9, 9)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols).map(tuple),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_matches_the_triple_loop(data):
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(_matrix(rows, inner))
+    b = data.draw(_matrix(inner, cols))
+    # a 0 x cols matrix is (), which does not carry cols, so the product of
+    # a rows x 0 matrix and it has empty rows
+    assert _matmul(a, b) == loop_product(a, b, inner, cols if inner else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gram_matches_the_triple_loop(data):
+    # b need not be symmetric: _gram gives the transpose of v^T b v, whose
+    # determinant is the same; k = 0 is the empty basis of a fixed space
+    # (sign_rep has no vector fixed by D_2)
+    d = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, d))
+    b = data.draw(_matrix(d, d))
+    v = data.draw(_matrix(d, k))
+    vt = _transpose(v, d, k)
+    want = loop_product(loop_product(vt, b, d, d), v, d, k)
+    got = _gram(b, v)
+    assert got == _transpose(want, k, k)
+    assert _det(got) == _det(want) == fraction_det(want)
+    symmetric = tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(b, zip(*b)))
+    assert _gram(symmetric, v) == loop_product(loop_product(vt, symmetric, d, d), v, d, k)
+
+
 # --- the pairing against the literal group sum -----------------------------
-
-def _product(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
-                 for row in a)
-
 
 def reference_invariant_pairing(rep, seed):
     """The first nonsingular sum over every g of image(g)^T S image(g), with
@@ -236,7 +284,7 @@ def reference_invariant_pairing(rep, seed):
         total = [[0] * d for _ in range(d)]
         for g in rep.elements():
             m = rep.image(g)
-            term = _product(_product(tuple(zip(*m)), S), m)
+            term = loop_product(loop_product(_transpose(m, d, d), S, d, d), m, d, d)
             total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, term)]
         if fraction_det(total) != 0:
             return tuple(map(tuple, total))
