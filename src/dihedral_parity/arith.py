@@ -30,6 +30,9 @@ RHO_STEP_BUDGET = 1 << 20
 # rho steps between two gcd tests
 _RHO_BATCH = 128
 
+# Stand-in for the valuation of 0; larger than any valuation that can occur.
+BIG = 10 ** 9
+
 
 class FactoringBudgetError(ValueError):
     """Pollard rho used up its step budget on a composite cofactor."""
@@ -80,6 +83,17 @@ def jacobi(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def valuation(x: int, ell: int) -> int:
+    """ord_ell(x), with ord_ell(0) = BIG."""
+    if x == 0:
+        return BIG
+    v = 0
+    while x % ell == 0:
+        x //= ell
+        v += 1
+    return v
 
 
 def _half(x: int, n: int) -> int:

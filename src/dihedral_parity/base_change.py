@@ -13,9 +13,9 @@ ratio.
 
 from __future__ import annotations
 
+from .arith import valuation
 from .characters import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .records import Record
-from .tate import valuation
 
 
 # --- reduction descriptors over the base field -----------------------------

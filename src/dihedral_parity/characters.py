@@ -9,6 +9,9 @@ An inner product sums |c| f1(c) conj(f2(c)) over the classes c in the group
 ring Z[x]/(x^m - 1), m = p^n, where conjugation negates exponents mod m and
 a product is a cyclic convolution; Phi_m divides x^m - 1, so the sum maps
 to the inner product in Z[zeta_m], and an integer is read straight off it.
+Any preimage of each value in Z[x]/(x^m - 1) will do, so the sum runs over
+each value's `lift`: x^k for zeta^k and x^a + x^-a for zeta^a + zeta^-a,
+where the reduced forms have up to p - 1 terms per power.
 Only a sum that is not an integer is reduced modulo Phi_m.  Induction from
 H to G reads a class-fusion table, cached on G: for each class of G, how
 many x in G conjugate its representative into each class of H.  An induced
@@ -18,6 +21,8 @@ way.  Each DihedralContext reduces zeta^k once for each k < m, into one
 table: the irreducible table, built once per context, reads its (m + 1)/2
 distinct values zeta^a + zeta^-a from it, the cyclic characters read their
 values from it, and characters so share value objects and their caches.
+A context also keeps one Subgroup per tag, so characters on one subgroup
+share one group object, with its fusion tables and class maps.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
@@ -103,8 +108,10 @@ THETA = ((TRIVIAL, 1), (ORDER2, -2), (CYCLIC, -1), (DIHEDRAL, 2))
 
 
 class Cyclotomic(Record):
-    """Element of Z[zeta_{p^n}] in the power basis mod the cyclotomic polynomial."""
-    __slots__ = ("p", "n", "coeffs", "_terms")
+    """Element of Z[zeta_{p^n}] in the power basis mod the cyclotomic
+    polynomial.  A value built from powers of zeta may record, as _lift, the
+    sparse preimage in Z[x]/(x^m - 1) it was built from (see `lift`)."""
+    __slots__ = ("p", "n", "coeffs", "_terms", "_lift")
 
     def __init__(self, p: int, n: int, coeffs: tuple[int, ...]):
         self.p = p
@@ -197,6 +204,18 @@ class Cyclotomic(Record):
             return terms
 
     @property
+    def lift(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, c), c != 0, of a preimage sum c x^i in Z[x]/(x^m - 1),
+        0 <= i < m: the one recorded when the value was built, x^k for
+        zeta^k, which has one term where the reduced zeta^k may have p - 1;
+        else `terms`, kept on first use."""
+        try:
+            return self._lift
+        except AttributeError:
+            self._lift = lift = self.terms
+            return lift
+
+    @property
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -244,6 +263,7 @@ class DihedralContext:
         self.p = p
         self.n = n
         self.m = p ** n
+        self._subgroups = {}
 
     def __eq__(self, other):
         return isinstance(other, DihedralContext) and (self.p, self.n) == (other.p, other.n)
@@ -273,17 +293,25 @@ class DihedralContext:
 
     # subgroups ------------------------------------------------------------
     def subgroup(self, tag: SubgroupTag) -> "Subgroup":
-        if tag.level > self.n:
-            raise InvalidSubgroupError(f"{tag} does not fit inside D_2p^{self.n}")
-        return Subgroup(self, tag)
+        """The one Subgroup of this context for tag, so characters on it
+        share one group object and its caches."""
+        H = self._subgroups.get(tag)
+        if H is None:
+            if tag.level > self.n:
+                raise InvalidSubgroupError(f"{tag} does not fit inside D_2p^{self.n}")
+            H = self._subgroups[tag] = Subgroup(self, tag)
+        return H
 
     def full(self) -> "Subgroup":
         return self.subgroup(dihedral_p_power(self.n))
 
     @cached_property
     def _zetas(self) -> tuple[Cyclotomic, ...]:
-        """zeta^k for 0 <= k < m, each reduced once."""
-        return tuple(self.zeta(k) for k in range(self.m))
+        """zeta^k for 0 <= k < m, each reduced once, with lift x^k."""
+        zetas = tuple(self.zeta(k) for k in range(self.m))
+        for k, z in enumerate(zetas):
+            z._lift = ((k, 1),)
+        return zetas
 
     @cached_property
     def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
@@ -296,6 +324,8 @@ class DihedralContext:
         # are distinct and built once
         zetas = self._zetas
         half = [zetas[a] + zetas[-a] for a in range(nrot + 1)]
+        for a in range(1, nrot + 1):
+            half[a]._lift = ((a, 1), (m - a, 1))
         cosines = half + half[:0:-1]  # zeta^a + zeta^-a for 0 <= a < m
         out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
                VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
@@ -422,7 +452,7 @@ class VirtualCharacter(Record):
         return self.values[self.group.class_index(g)]
 
     def _check(self, other: "VirtualCharacter"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GroupMismatchError("characters live on different groups")
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
@@ -483,17 +513,17 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     m = ctx.m
     acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
     for size, a, b in zip(H.class_sizes, f1.values, f2.values):
-        bs = b.terms
-        for i, c in a.terms:
+        bs = b.lift
+        for i, c in a.lift:
             c *= size
             for j, d in bs:
-                acc[(i - j) % m] += c * d
+                acc[i - j] += c * d  # -m < i - j < m: index i - j mod m
     # The multiples of Phi_m in Z[x]/(x^m - 1) are the vectors of period
     # q = m/p, so acc is the rational r exactly when acc - r x^0 has period
-    # q, and then r = acc[0] - acc[q].
+    # q, and then r = acc[0] - acc[q].  Neither test nor r depends on which
+    # lift of each value was summed.
     q = m // ctx.p
-    if all(run.count(run[0]) == len(run)
-           for run in [acc[q::q]] + [acc[j::q] for j in range(1, q)]):
+    if acc[1:m - q] == acc[1 + q:]:
         r = acc[0] - acc[q]
         if r % H.order == 0:
             return r // H.order

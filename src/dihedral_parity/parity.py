@@ -29,15 +29,17 @@ from __future__ import annotations
 
 import enum
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .arith import FactoringBudgetError, cached_is_prime, jacobi
+from .arith import FactoringBudgetError, cached_is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
 from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
-from .tate import bad_primes, local_reduction, potential_class, valuation
-from .weierstrass import WeierstrassCurve
+
+if TYPE_CHECKING:
+    from .weierstrass import WeierstrassCurve
 
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
 
@@ -347,6 +349,7 @@ class GlobalVerdict(Record):
 
 def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
     """Reduction descriptor of the curve at ell, from Tate's algorithm."""
+    from .tate import local_reduction, potential_class
     data = local_reduction(curve, ell)
     if data.conductor_exp == 0:
         return Good()
@@ -368,6 +371,7 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
     arith's budget; a cofactor that does not factor is a
     MissingCompletionError naming its digit count.
     """
+    from .tate import bad_primes
     try:
         primes = bad_primes(curve, known=completion)
     except FactoringBudgetError as exc:

@@ -60,8 +60,10 @@ class DegeneratePairingError(ValueError):
 
 # --- small exact integer linear algebra ------------------------------------
 
-def _rationals(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _rationals(rows) -> list[list]:
+    """The entries as exact rationals: an int stays as it is, anything else
+    goes through Fraction (and its errors)."""
+    return [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:

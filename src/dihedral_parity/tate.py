@@ -18,26 +18,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .arith import factor, is_prime, jacobi
+from .arith import BIG, factor, is_prime, jacobi, valuation  # noqa: F401 (re-exported)
 from .weierstrass import WeierstrassCurve, transform
-
-# Stand-in for the valuation of 0; larger than any valuation that can occur.
-BIG = 10 ** 9
 
 
 class NotApplicableError(ValueError):
     """Asked for a quantity (e.g. split type) outside its defining case."""
-
-
-def valuation(x: int, ell: int) -> int:
-    """ord_ell(x), with ord_ell(0) = BIG."""
-    if x == 0:
-        return BIG
-    v = 0
-    while x % ell == 0:
-        x //= ell
-        v += 1
-    return v
 
 
 def _inv(a: int, ell: int) -> int:

@@ -256,7 +256,7 @@ def test_fusion_table():
     assert G.fusion(C5)[G.class_index((5, 0))] == ((1, 25), (4, 25))
     assert G.fusion(C5)[G.class_index((1, 0))] == ()
     assert G.fusion(C5) is G.fusion(ctx.subgroup(cyclic_p_power(1)))
-    assert ctx.full().fusion(C5) is not G.fusion(C5)  # cached per instance
+    assert ctx.full().fusion(C5) is G.fusion(C5)  # one Subgroup per tag and context
 
 
 def test_inner_product_of_class_functions_that_are_not_characters():
@@ -407,3 +407,169 @@ def test_induce_matches_reference(data):
     chi = data.draw(_function_on(ctx, tag))
     G = ctx.subgroup(up)
     assert induce(chi, G) == reference_induce(chi, G)
+
+
+# --- sparse lifts ----------------------------------------------------------
+
+def terms_inner_product(f1, f2):
+    """The inner product summed over the nonzero coefficients of the reduced
+    values, with the period test run by run: the kernel before values
+    recorded their lifts."""
+    f1._check(f2)
+    H = f1.group
+    ctx = H.ctx
+    m = ctx.m
+    acc = [0] * m
+    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
+        bs = b.terms
+        for i, c in a.terms:
+            c *= size
+            for j, d in bs:
+                acc[(i - j) % m] += c * d
+    q = m // ctx.p
+    if all(run.count(run[0]) == len(run)
+           for run in [acc[q::q]] + [acc[j::q] for j in range(1, q)]):
+        r = acc[0] - acc[q]
+        if r % H.order == 0:
+            return r // H.order
+    total = Cyclotomic.make(ctx.p, ctx.n, acc).divide_exact(H.order)
+    return total.rational_value()
+
+
+def _characters_by_subgroup(ctx):
+    """For each standard subgroup H: the restrictions of the irreducibles
+    to H, the cyclic characters when H is cyclic, and the inductions of
+    the cyclic characters of each level up to H's when H is dihedral."""
+    irr = irreducibles(ctx)
+    out = []
+    for tag in _standard_tags(ctx.n):
+        H = ctx.subgroup(tag)
+        chars = [restrict(chi, H) for chi in irr]
+        if tag.kind == "cyclic":
+            chars += cyclic_characters(ctx, tag.level)
+        if tag.kind == "dihedral":
+            chars += [induce(f, H) for level in range(1, tag.level + 1)
+                      for f in cyclic_characters(ctx, level)]
+        out.append(chars)
+    return out
+
+
+@pytest.mark.parametrize("p,n", GROUPS)
+def test_inner_product_matches_the_terms_loop_on_every_pair(p, n):
+    ctx = DihedralContext(p, n)
+    for chars in _characters_by_subgroup(ctx):
+        for f1 in chars:
+            for f2 in chars:
+                assert inner_product(f1, f2) == terms_inner_product(f1, f2)
+
+
+@pytest.mark.parametrize("p,n", GROUPS)
+def test_recorded_lifts_are_sparse_preimages(p, n):
+    ctx = DihedralContext(p, n)
+    m = ctx.m
+    values = list(ctx._zetas) + [v for chi in irreducibles(ctx) for v in chi.values]
+    for v in values:
+        dense = [0] * m
+        for i, c in v.lift:
+            assert 0 <= i < m and c != 0
+            dense[i] += c
+        assert Cyclotomic.make(p, n, dense) == v
+        assert len(v.lift) <= 2
+    # a value built by arithmetic has no recorded lift: it reads its terms
+    total = ctx._zetas[1] + ctx._zetas[2]
+    assert total.lift == total.terms
+
+
+def _with_lift(v, lift):
+    out = Cyclotomic(v.p, v.n, v.coeffs)
+    out._lift = lift
+    return out
+
+
+@st.composite
+def _table_function(draw, H):
+    """A class function on H whose values are drawn from the context's own
+    table (powers of zeta and irreducible values, each with its recorded
+    lift): rarely a character."""
+    ctx = H.ctx
+    table = list(ctx._zetas) + [v for chi in irreducibles(ctx) for v in chi.values]
+    return VirtualCharacter(H, tuple(draw(st.sampled_from(table)) for _ in H.class_reps))
+
+
+@st.composite
+def _pair_on(draw):
+    ctx, tag, _ = draw(_tower())
+    H = ctx.subgroup(tag)
+    kinds = st.sampled_from(["function", "table"])
+    f1, f2 = (draw(_function_on(ctx, tag)) if draw(kinds) == "function"
+              else draw(_table_function(H)) for _ in range(2))
+    return ctx, f1, f2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inner_product_matches_the_terms_loop_on_table_values(data):
+    """Values with recorded lifts, on functions that are mostly not
+    characters: the same integer or the same error message."""
+    _, f1, f2 = data.draw(_pair_on())
+    want = _outcome(terms_inner_product, f1, f2)
+    assert _outcome(inner_product, f1, f2) == want == _outcome(reference_inner_product, f1, f2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inner_product_does_not_depend_on_the_lift(data):
+    """Adding a vector of period q = m/p, a multiple of Phi_m in
+    Z[x]/(x^m - 1), to any value's lift changes neither the integer nor
+    the error."""
+    ctx, f1, f2 = data.draw(_pair_on())
+    m, q = ctx.m, ctx.m // ctx.p
+    shifted = []
+    for v in f1.values:
+        period = data.draw(st.dictionaries(st.integers(0, q - 1), st.integers(-2, 2),
+                                           max_size=2))
+        dense = [period.get(i % q, 0) for i in range(m)]
+        for i, c in v.lift:
+            dense[i] += c
+        shifted.append(_with_lift(v, tuple((i, c) for i, c in enumerate(dense) if c)))
+    moved = VirtualCharacter(f1.group, tuple(shifted))
+    assert moved == f1
+    assert _outcome(inner_product, moved, f2) == _outcome(inner_product, f1, f2)
+    assert _outcome(inner_product, f2, moved) == _outcome(inner_product, f2, f1)
+
+
+def test_errors_name_the_reduced_value_whatever_the_lift():
+    ctx = DihedralContext(5, 2)
+    one = ctx.integer(1)
+    # zeta^24 reduces to four terms; its lift is x^24
+    z24 = ctx._zetas[24]
+    assert z24.lift == ((24, 1),) and len(z24.terms) == 4
+    trivial = ctx.subgroup(TRIVIAL)
+    f = VirtualCharacter(trivial, (z24,))
+    g = VirtualCharacter(trivial, (one,))
+    with pytest.raises(ValueError) as got:
+        inner_product(f, g)
+    assert str(got.value) == "-z^4 - z^9 - z^14 - z^19 is not rational"
+    assert _outcome(inner_product, f, g) == _outcome(terms_inner_product, f, g)
+    C25 = ctx.subgroup(cyclic_p_power(2))
+    f = VirtualCharacter(C25, (z24,) + (ctx.integer(0),) * 24)
+    g = VirtualCharacter(C25, (one,) * 25)
+    with pytest.raises(ValueError, match="^coefficients not divisible by 25$"):
+        inner_product(f, g)
+    assert _outcome(inner_product, f, g) == _outcome(terms_inner_product, f, g)
+
+
+def test_one_subgroup_per_tag():
+    ctx = DihedralContext(5, 2)
+    for tag in _standard_tags(2):
+        assert ctx.subgroup(tag) is ctx.subgroup(tag)
+        assert ctx.subgroup(tag) is ctx.subgroup(SubgroupTag(tag.kind, tag.level))
+    assert ctx.full() is ctx.subgroup(dihedral_p_power(2))
+    assert irreducibles(ctx)[0].group is ctx.full()
+    assert cyclic_characters(ctx, 1)[0].group is ctx.subgroup(cyclic_p_power(1))
+    # another context of the same group has its own, equal subgroups
+    other = DihedralContext(5, 2)
+    assert other.full() is not ctx.full() and other.full() == ctx.full()
+    for _ in range(2):  # a tag that does not fit is never cached
+        with pytest.raises(InvalidSubgroupError):
+            ctx.subgroup(cyclic_p_power(3))

@@ -341,6 +341,17 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     assert "tate" in reduce and not reduce & {"characters", "parity", "regulator"}
 
 
+@pytest.mark.parametrize("argv", [["chars", "--p", "5", "--n", "2", "--verify-reduction"],
+                                  ["verify-local", "--p", "13", "--sweep", "--emit-table"]])
+def test_chars_and_verify_local_load_no_curve_layer_or_dataclasses(argv):
+    # a fresh process compiles each module it imports; these two stay off
+    # the curve layer (tate, weierstrass) and off dataclasses and inspect
+    out = _run_fresh(f"from dihedral_parity.cli import main; main({argv!r})\n"
+                     "import sys; print(sorted(m for m in ('dataclasses', 'inspect', 'fractions',"
+                     " 'dihedral_parity.tate', 'dihedral_parity.weierstrass') if m in sys.modules))")
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_package_resolves_every_public_name_and_submodule(monkeypatch):
     submodules = {path.stem for path in (SRC / "dihedral_parity").glob("*.py")} - {"__init__"}
     names = sorted(submodules) + dihedral_parity.__all__

@@ -117,6 +117,23 @@ def test_cached_terms_stay_out_of_repr_and_equality():
     assert z.terms is z.terms  # built once
     assert z == fresh and hash(z) == hash(fresh)
     assert repr(z) == repr(fresh) == "Cyclotomic(p=5, n=1, coeffs=(0, 3, 0, -1))"
+    lifted = DihedralContext(5, 1)._zetas[4]  # records its lift x^4
+    assert lifted.lift == ((4, 1),) and lifted.terms == ((0, -1), (1, -1), (2, -1), (3, -1))
+    plain = Cyclotomic(5, 1, lifted.coeffs)
+    assert plain.lift == plain.terms
+    assert lifted == plain and hash(lifted) == hash(plain) and repr(lifted) == repr(plain)
+
+
+@pytest.mark.parametrize("record,key", [
+    (Good(), ()),
+    (SplitMult(3), (3,)),
+    (SquareClass(-2), (-2,)),
+    (SubgroupTag("cyclic", 2), ("cyclic", 2)),
+    (WeierstrassCurve(0, -1, 1, -10, -20), (0, -1, 1, -10, -20)),
+])
+def test_the_hash_is_that_of_the_tuple_of_compared_fields(record, key):
+    # one attrgetter reads two or more fields; keys are tuples for any count
+    assert hash(record) == hash(key)
 
 
 def test_weierstrass_curves_compare_by_coefficients():

@@ -183,6 +183,17 @@ def test_non_integral_generators_rejected():
         RationalRep(5, conj(good.s), conj(good.t))
 
 
+def test_generator_entries_that_are_not_ints_still_go_through_fraction():
+    # ints skip Fraction; any other entry is converted and checked as before
+    ident = ((1, 0), (0, 1))
+    with pytest.raises(InvalidRepresentationError, match="integer entries"):
+        RationalRep(3, ident, ((1, Fraction(3, 2)), (0, -1)))
+    rep = RationalRep(3, ident, ((1, Fraction(2, 1)), (0, -1)))  # 1 + eta, conjugated
+    assert rep.t == ((1, 2), (0, -1)) and type(rep.t[0][1]) is int
+    with pytest.raises(TypeError):
+        RationalRep(3, ident, ((1, 1.5j), (0, -1)))
+
+
 def test_matrices_stay_integral():
     # guards against a Fraction matrix layer creeping back in
     rep = faithful_rep(7)
