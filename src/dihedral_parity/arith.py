@@ -138,6 +138,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+# Groups and local settings test the same few p and ell thousands of times.
+# The cache is typed, so 5.0 and True do not hit the entries of 5 and 1.
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
     """Whether the integer n is prime; proven below PSI_13, Baillie-PSW above."""
     if not isinstance(n, int):
@@ -156,11 +159,6 @@ def is_prime(n: int) -> bool:
     if not all(_strong_probable_prime(n, a, d, s) for a in MR_BASES):
         return False
     return n < PSI_13 or _strong_lucas_probable_prime(n)
-
-
-# Groups and local settings test the same few p and ell thousands of times.
-# Callers test isinstance(n, int) first: 5.0 == 5 would share 5's entry.
-cached_is_prime = lru_cache(maxsize=64)(is_prime)
 
 
 # --- factoring ---------------------------------------------------------------

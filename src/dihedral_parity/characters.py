@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import cached_is_prime
+from .arith import is_prime
 from .records import Record
 
 
@@ -249,7 +249,7 @@ class Cyclotomic(Record):
 
 def check_odd_prime(p) -> None:
     """Raise InvalidGroupError unless p is an odd prime."""
-    if not (isinstance(p, int) and p % 2 == 1 and cached_is_prime(p)):
+    if not (isinstance(p, int) and p % 2 == 1 and is_prime(p)):
         raise InvalidGroupError(f"p must be an odd prime, got {p}")
 
 

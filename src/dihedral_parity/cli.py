@@ -129,7 +129,7 @@ def cmd_reduce(args) -> int:
     report = []
     for curve in curves:
         try:
-            ells = [args.ell] if args.ell else bad_primes(curve)
+            ells = [args.ell] if args.ell is not None else bad_primes(curve)
         except FactoringBudgetError as exc:
             exc.args = (f"{curve.coefficients()}: {exc}; pass --ell to reduce "
                         f"at one prime",)
@@ -152,6 +152,9 @@ def cmd_reduce(args) -> int:
 def cmd_chars(args) -> int:
     from .characters import DihedralContext, irreducibles, verify_reduction_identity
     ctx = DihedralContext(args.p, args.n)
+    if args.verify_reduction and ctx.n < 2:
+        print("reduction identity: needs n >= 2", file=sys.stderr)
+        return 2
     irr = irreducibles(ctx)
     G = ctx.full()
     labels = []
@@ -177,9 +180,6 @@ def cmd_chars(args) -> int:
                                 for nm, row in zip(names, rows)]}
     status = 0
     if args.verify_reduction:
-        if ctx.n < 2:
-            print("reduction identity: needs n >= 2", file=sys.stderr)
-            return 2
         ok = verify_reduction_identity(ctx.p, ctx.n, ctx=ctx)
         print(f"reduction identity at (p={ctx.p}, n={ctx.n}): "
               + ("PASS" if ok else "FAIL"))
@@ -384,13 +384,17 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # bad input files and inadmissible or incomplete data are ValueErrors;
         # a path that cannot be read or written is an OSError naming it
-        if isinstance(exc, OSError) and exc.filename is None:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if not (isinstance(exc, OSError) and exc.filename is None):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        fault = exc  # a failed write to a pipe, a full disk: no path to blame
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        fault = exc
+    if isinstance(fault, BrokenPipeError):
+        # stdout is gone; point it at devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"internal error: {fault}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

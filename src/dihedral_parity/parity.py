@@ -31,7 +31,7 @@ import enum
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import FactoringBudgetError, cached_is_prime, jacobi, valuation
+from .arith import FactoringBudgetError, is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult,
                           omega_ordp_parity, tamagawa_over)
@@ -74,9 +74,9 @@ class LocalSetting(Record):
     def __init__(self, p: int, ell: int, r: int, base: ReductionDescriptor,
                  G_v: SubgroupTag, I_v: SubgroupTag,
                  eta_equals_chi: bool | None = None):
-        if not isinstance(p, int) or p < 5 or not cached_is_prime(p):
+        if not isinstance(p, int) or p < 5 or not is_prime(p):
             raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
-        if not isinstance(ell, int) or not cached_is_prime(ell):
+        if not isinstance(ell, int) or not is_prime(ell):
             raise InadmissibleSettingError(f"ell must be prime, got {ell}")
         if not isinstance(r, int) or r < 1:
             raise InadmissibleSettingError(f"r must be a positive integer, got {r}")

@@ -6,10 +6,13 @@ exact arithmetic.  Singular points, and the multiple root of the star
 step's cubic P, come from closed forms for primes >= 5 and exhaustive
 residue-field search at 2 and 3: there t is a multiple root when
 P(t) = P'(t) = 0, and a triple one when the second Hasse derivative 3t + A
-vanishes too.  Rational-root counts of the auxiliary cubic and quadratics
-use gcds with X^l - X over F_l, so there is no floating point and no
-randomness anywhere.  The conductor exponent is read off from the
-valuation of the minimal discriminant and the component count of the
+vanishes too.  Root tests are closed forms as well: a quadratic with unit
+leading coefficient has a root in F_l unless its discriminant is a
+non-residue (at l = 2, unless f(0) and f(1) are odd), and the separable
+cubic P of type I0* has one root when its discriminant is a non-residue,
+else three or none as T^l is or is not T mod P.  There is no floating
+point and no randomness anywhere.  The conductor exponent is read off from
+the valuation of the minimal discriminant and the component count of the
 special fibre.
 """
 
@@ -31,68 +34,46 @@ def _inv(a: int, ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Small exact polynomial arithmetic over F_ell (coefficient lists, low first).
+# Root tests over F_ell in closed form.
 
-def _ptrim(a: list[int], ell: int) -> list[int]:
-    a = [x % ell for x in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = _ptrim(list(a), ell)
-    b = _ptrim(list(b), ell)
-    inv_lead = _inv(b[-1], ell)
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead % ell
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * bc) % ell
-        a = _ptrim(a, ell)
-    return a
+def _quad_has_root(A: int, B: int, C: int, ell: int) -> bool:
+    """Whether A Y^2 + B Y + C, with A a unit mod ell, has a root in F_ell."""
+    if ell == 2:
+        return C % 2 == 0 or (A + B + C) % 2 == 0
+    return jacobi(B * B - 4 * A * C, ell) != -1
 
 
-def _pmulmod(a: list[int], b: list[int], mod: list[int], ell: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % ell
-    return _pmod(out, mod, ell)
+def _cubic_root_count(A: int, B: int, C: int, ell: int) -> int:
+    """Number of roots in F_ell of the separable cubic P = T^3 + A T^2 + B T + C.
 
+    Above 3, Frobenius permutes the three roots, with the sign of the
+    discriminant's Legendre symbol: a transposition fixes one root, and an
+    even permutation fixes all three (T^ell = T mod P) or none.
+    """
+    if ell <= 3:
+        return sum((t ** 3 + A * t * t + B * t + C) % ell == 0 for t in range(ell))
+    disc = A * A * B * B - 4 * B ** 3 - 4 * A ** 3 * C - 27 * C * C + 18 * A * B * C
+    if jacobi(disc, ell) == -1:
+        return 1
 
-def _pgcd(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = _ptrim(list(a), ell)
-    b = _ptrim(list(b), ell)
-    while b:
-        a, b = b, _pmod(a, b, ell)
-    if a:
-        inv_lead = _inv(a[-1], ell)
-        a = [x * inv_lead % ell for x in a]
-    return a
+    def mulmod(u, v):
+        w = [0] * 5
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                w[i + j] += x * y
+        for k in (4, 3):  # T^k = -T^(k-3) (A T^2 + B T + C) mod P
+            top = w[k] % ell
+            w[k - 1] -= A * top
+            w[k - 2] -= B * top
+            w[k - 3] -= C * top
+        return w[0] % ell, w[1] % ell, w[2] % ell
 
-
-def _rational_root_count(coeffs: list[int], ell: int) -> int:
-    """Number of distinct roots in F_ell of the given polynomial."""
-    f = _ptrim(list(coeffs), ell)
-    if len(f) <= 1:
-        return 0
-    # X^ell mod f by square-and-multiply, then gcd(f, X^ell - X).
-    result = [1]
-    base = _pmod([0, 1], f, ell)
-    e = ell
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, ell)
-        base = _pmulmod(base, base, f, ell)
-        e >>= 1
-    # result - X
-    m = max(len(result), 2)
-    diff = list(result) + [0] * (m - len(result))
-    diff[1] = (diff[1] - 1) % ell
-    g = _pgcd(f, diff, ell)
-    return max(len(g) - 1, 0)
+    power = (1, 0, 0)  # T^ell mod P, left to right along the bits of ell
+    for bit in bin(ell)[2:]:
+        power = mulmod(power, power)
+        if bit == "1":
+            power = mulmod(power, (0, 1, 0))
+    return 3 if power == (0, 1, 0) else 0
 
 
 def _quad_double_root(A: int, B: int, C: int, ell: int):
@@ -236,10 +217,7 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
         if E.b2 % ell != 0:
             # Node with independent tangents: type I_n.  Split iff the
             # tangent-cone quadratic T^2 + a1 T - a2 factors over F_ell.
-            if ell == 2:
-                split = any((t * t + E.a1 * t - E.a2) % 2 == 0 for t in range(2))
-            else:
-                split = jacobi(E.b2, ell) == 1
+            split = _quad_has_root(1, E.a1, -E.a2, ell)
             if split:
                 c = n
             else:
@@ -252,7 +230,7 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
             return out("III", n, 2, n - 1, "additive", None, E)
         if valuation(E.b6, ell) < 3:
             a3d, a6d = E.a3 // ell, E.a6 // ell ** 2
-            c = 3 if _rational_root_count([-a6d, a3d, 1], ell) > 0 else 1
+            c = 3 if _quad_has_root(1, a3d, -a6d, ell) else 1
             return out("IV", n, c, n - 2, "additive", None, E)
 
         E = _arrange_for_star(E, ell)
@@ -261,7 +239,7 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
 
         if mult is None:
             # P separable: type I0*, component group from its rational roots.
-            c = 1 + _rational_root_count([C, B, A, 1], ell)
+            c = 1 + _cubic_root_count(A, B, C, ell)
             return out("I0*", n, c, n - 4, "additive", None, E)
 
         root, m = mult
@@ -271,26 +249,20 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
             while True:
                 if k > n:
                     raise RuntimeError(f"runaway I_k* loop at {ell} for {curve}")
-                if k % 2 == 1:
-                    r_ = (k + 3) // 2
-                    b = E.a3 // ell ** r_
-                    cc = E.a6 // ell ** (k + 3)
-                    dr = _quad_double_root(1, b, -cc, ell)
-                    if dr is None:
-                        nroots = _rational_root_count([-cc, b, 1], ell)
-                        c = 4 if nroots > 0 else 2
-                        return out(f"I{k}*", n, c, n - 4 - k, "additive", None, E)
+                # odd k: a quadratic in y (a3, a6); even k: one in x (a2, a4, a6)
+                r_ = (k + 4) // 2
+                cc = E.a6 // ell ** (k + 3)
+                if k % 2:
+                    quad = (1, E.a3 // ell ** r_, -cc)
+                else:
+                    quad = (E.a2 // ell, E.a4 // ell ** r_, cc)
+                dr = _quad_double_root(*quad, ell)
+                if dr is None:
+                    c = 4 if _quad_has_root(*quad, ell) else 2
+                    return out(f"I{k}*", n, c, n - 4 - k, "additive", None, E)
+                if k % 2:
                     E = transform(E, 1, 0, 0, ell ** r_ * dr)
                 else:
-                    r_ = (k + 4) // 2
-                    A2 = E.a2 // ell
-                    b = E.a4 // ell ** r_
-                    cc = E.a6 // ell ** (k + 3)
-                    dr = _quad_double_root(A2, b, cc, ell)
-                    if dr is None:
-                        nroots = _rational_root_count([cc, b, A2], ell)
-                        c = 4 if nroots > 0 else 2
-                        return out(f"I{k}*", n, c, n - 4 - k, "additive", None, E)
                     E = transform(E, 1, ell ** (r_ - 1) * dr, 0, 0)
                 k += 1
 
@@ -299,7 +271,7 @@ def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
         b, cc = E.a3 // ell ** 2, E.a6 // ell ** 4
         dr = _quad_double_root(1, b, -cc, ell)
         if dr is None:
-            c = 3 if _rational_root_count([-cc, b, 1], ell) > 0 else 1
+            c = 3 if _quad_has_root(1, b, -cc, ell) else 1
             return out("IV*", n, c, n - 6, "additive", None, E)
         E = transform(E, 1, 0, 0, ell ** 2 * dr)
         if valuation(E.a4, ell) < 4:

@@ -40,6 +40,15 @@ def test_is_prime_rejects_negative_numbers_and_non_integers():
             is_prime(n)
 
 
+def test_is_prime_cache_keeps_types_apart():
+    assert is_prime(5) and not is_prime(1)
+    # 5.0 == 5 and True == 1, but neither may answer from those entries
+    with pytest.raises(ValueError):
+        is_prime(5.0)
+    assert is_prime(True) is False
+    assert is_prime.cache_parameters() == {"maxsize": 64, "typed": True}
+
+
 def test_strong_lucas_pseudoprimes_below_10_5():
     # OEIS A217255: the odd composites that pass the strong Lucas test with
     # Selfridge's parameters; every odd prime passes it

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -58,6 +59,13 @@ def test_reduce_parse_errors(tmp_path, capsys):
     assert main(["reduce", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_reduce_ell_zero_is_a_usage_error(curves_11a1, capsys):
+    assert main(["reduce", curves_11a1, "--ell", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ell must be prime, got 0" in err
+
+
 # --- chars -----------------------------------------------------------------
 
 def test_chars_table(capsys):
@@ -70,6 +78,13 @@ def test_chars_reduction_identity(capsys):
     assert main(["chars", "--p", "5", "--n", "2", "--verify-reduction"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert main(["chars", "--p", "5", "--verify-reduction"]) == 2
+
+
+def test_chars_reduction_identity_at_n_1_is_rejected_before_any_output(capsys):
+    assert main(["chars", "--p", "5", "--n", "1", "--verify-reduction"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "reduction identity: needs n >= 2" in err
 
 
 def test_chars_bad_group(capsys):
@@ -291,6 +306,29 @@ def test_untyped_internal_fault_exits_3(error, curves_11a1, monkeypatch, capsys)
     monkeypatch.setattr(dihedral_parity.tate, "local_reduction", broken)
     assert main(["reduce", curves_11a1, "--ell", "11"]) == 3
     assert "internal error: " in capsys.readouterr().err
+
+
+def test_write_failure_without_a_path_exits_3(curves_11a1, tmp_path, monkeypatch, capsys):
+    # a full disk fails the write after the file is open: the OSError names no path
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(json, "dump", full_disk)
+    assert main(["reduce", curves_11a1, "--ell", "11",
+                 "--json", str(tmp_path / "out.json")]) == 3
+    assert "internal error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_3():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to standard output now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dihedral_parity.cli", "chars", "--p", "3"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == "internal error: [Errno 32] Broken pipe\n"
 
 
 # --- argparse plumbing -----------------------------------------------------

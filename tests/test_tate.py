@@ -10,7 +10,7 @@ from sympy import factorint
 from corpus import CONDUCTORS, TATE_CORPUS
 from dihedral_parity.arith import jacobi
 from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
-                                  conductor_exponent, kodaira_symbol, local_reduction,
+                                  _cubic_root_count, _quad_has_root, conductor_exponent, kodaira_symbol, local_reduction,
                                   potential_class, split_type, tamagawa_number,
                                   valuation)
 from dihedral_parity.weierstrass import (SingularModelError, WeierstrassCurve,
@@ -205,3 +205,104 @@ def test_cubic_multiple_root_against_synthetic_division(ell):
         assert _cubic_multiple_root(A - ell, B + ell, C + 2 * ell, ell) == want
         outcomes.add(None if want is None else want[1])
     assert outcomes == {None, 2, 3}
+
+
+# --- root tests over F_ell -----------------------------------------------------
+
+def _horner(coeffs, t):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
+
+
+def _root_search(coeffs, ell):
+    """(roots, multiple roots) in F_ell of sum(c_i T^i), coefficients low
+    first, by evaluating the polynomial and its derivative at every t."""
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    roots = multiple = 0
+    for t in range(ell):
+        if _horner(coeffs, t) % ell == 0:
+            roots += 1
+            multiple += _horner(deriv, t) % ell == 0
+    return roots, multiple
+
+
+def _check_quadratic(A, B, C, ell):
+    has_root = _quad_has_root(A, B, C, ell)
+    assert has_root == (_root_search([C, B, A], ell)[0] > 0), (A, B, C, ell)
+    return has_root
+
+
+def _check_cubic(A, B, C, ell):
+    """The cubic rule against search, or None for an inseparable cubic (a
+    multiple root over a perfect field is rational, so search finds it)."""
+    roots, multiple = _root_search([C, B, A, 1], ell)
+    if multiple:
+        return None
+    assert _cubic_root_count(A, B, C, ell) == roots, (A, B, C, ell)
+    return roots
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_quadratic_rule_on_every_quadratic(ell):
+    outcomes = {_check_quadratic(A, B, C, ell)
+                for A in range(1, ell) for B, C in itertools.product(range(ell), repeat=2)}
+    assert outcomes == {False, True}
+    # representatives outside [0, ell) give the same answers
+    for A, B, C in itertools.product(range(1, ell), range(ell), range(ell)):
+        assert _quad_has_root(A - ell, B + 3 * ell, C - 2 * ell, ell) \
+            == _quad_has_root(A, B, C, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_cubic_rule_on_every_separable_cubic(ell):
+    outcomes = {_check_cubic(A, B, C, ell)
+                for A, B, C in itertools.product(range(ell), repeat=3)}
+    # F_2 has too few points for three roots
+    assert outcomes == ({None, 0, 1} if ell == 2 else {None, 0, 1, 3})
+
+
+@pytest.mark.parametrize("ell", [101, 1009, 10007])
+def test_root_rules_on_random_coefficients(ell):
+    rng = random.Random(ell)
+    quadratic, cubic = set(), set()
+    for _ in range(40):
+        A = rng.randrange(1, ell) + ell * rng.randint(-2, 1)  # a unit mod ell
+        B, C = rng.randrange(-5 * ell, 5 * ell), rng.randrange(-5 * ell, 5 * ell)
+        quadratic.add(_check_quadratic(A, B, C, ell))
+        cubic.add(_check_cubic(rng.randrange(-5 * ell, 5 * ell), B, C, ell))
+    # and cubics with three chosen roots, distinct or not
+    for _ in range(10):
+        r1, r2, r3 = (rng.randrange(ell) for _ in range(3))
+        A, B, C = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        cubic.add(_check_cubic(A, B, C, ell))
+    assert quadratic == {False, True}
+    assert cubic >= {0, 1, 3}
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13, 31])
+def test_split_label_against_the_tangent_cone(ell):
+    # models singular at the origin mod ell, moved by a random (r, s, t)
+    rng = random.Random(100 + ell)
+    labels = set()
+    for _ in range(60):
+        coeffs = (rng.randrange(-3 * ell, 3 * ell), rng.randrange(-3 * ell, 3 * ell),
+                  ell * rng.randint(-9, 9), ell * rng.randint(-9, 9), ell * rng.randint(-9, 9))
+        if raw_invariants(coeffs)[6] == 0:
+            continue
+        E = transform(WeierstrassCurve(*coeffs), 1, *(rng.randrange(-3 * ell, 3 * ell)
+                                                      for _ in range(3)))
+        a1, a2, a3, a4, a6 = E.coefficients()
+        x0, y0 = next((x, y) for x in range(ell) for y in range(ell)
+                      if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0
+                      and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell == 0
+                      and (2 * y + a1 * x + a3) % ell == 0)
+        # the tangent cone at (x0, y0) is Y^2 + a1 X Y - (3 x0 + a2) X^2
+        roots, multiple = _root_search([-(3 * x0 + a2), a1, 1], ell)
+        data = local_reduction(E, ell)
+        assert (data.reduction_class == "multiplicative") == (multiple == 0), (E, ell)
+        if not multiple:
+            assert data.split == (roots > 0), (E, ell)
+            labels.add(data.split_label)
+    assert labels == {"split", "nonsplit"}
