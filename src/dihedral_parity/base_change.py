@@ -8,7 +8,9 @@ degrees over the rational base place, `tamagawa_over` the Tamagawa number
 of the curve there (exact whenever group data determines it, otherwise a
 small constrained range whose p-valuation is still pinned for p >= 5),
 and `omega_ordp_parity` the parity of the p-valuation of the local period
-ratio.
+ratio.  Each checks its arguments and then calls its unchecked half
+(`_degrees`, `_tamagawa`, `_omega`), which the parity engine calls
+directly on settings that `LocalSetting` has already checked.
 """
 
 from __future__ import annotations
@@ -68,13 +70,15 @@ ReductionDescriptor = Good | SplitMult | NonsplitMult | AdditivePotMult | Additi
 
 
 class ConstrainedRange(Record):
-    """A Tamagawa number known only up to a small finite set."""
-    __slots__ = ("members",)
+    """A Tamagawa number known only up to a small finite set.  Each pinned
+    `ord_parity` is kept, per q, in _parities."""
+    __slots__ = ("members", "_parities")
 
     def __init__(self, members: tuple[int, ...]):
         if not members or any(m < 1 for m in members):
             raise ValueError("members must be positive")
         self.members = tuple(sorted(set(members)))
+        self._parities = {}
 
     def __contains__(self, x) -> bool:
         return x in self.members
@@ -84,11 +88,14 @@ class ConstrainedRange(Record):
 
     def ord_parity(self, q: int) -> int:
         """Common parity of the q-valuation over all members; raises if the
-        members disagree."""
-        parities = {valuation(m, q) % 2 for m in self.members}
-        if len(parities) != 1:
-            raise ValueError(f"{q}-valuation parity is ambiguous over {self.members}")
-        return parities.pop()
+        members disagree, on every call."""
+        parity = self._parities.get(q)
+        if parity is None:
+            parities = {valuation(m, q) % 2 for m in self.members}
+            if len(parities) != 1:
+                raise ValueError(f"{q}-valuation parity is ambiguous over {self.members}")
+            parity = self._parities[q] = parities.pop()
+        return parity
 
 
 _UNPINNED = ConstrainedRange((1, 2, 3, 4))  # additive, not fixed by group data
@@ -112,9 +119,15 @@ def degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
     for tag in (G_v, I_v, H):
         if tag.level > 1:
             raise InvalidSubgroupError(f"{tag} does not fit inside D_2p")
-    g, i, h = _BITS[G_v.kind], _BITS[I_v.kind], _BITS[H.kind]
-    if i & ~g:
+    if _BITS[I_v.kind] & ~_BITS[G_v.kind]:
         raise ValueError(f"inertia {I_v.label} is not inside decomposition {G_v.label}")
+    return _degrees(p, G_v, I_v, H)
+
+
+def _degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
+             H: SubgroupTag) -> tuple[int, int]:
+    """`degrees` for arguments already checked, as a LocalSetting's are."""
+    g, i, h = _BITS[G_v.kind], _BITS[I_v.kind], _BITS[H.kind]
     order = (1, 2, p, 2 * p)
     return order[i] // order[i & h], order[g] // order[i | (h & g)]
 
@@ -132,6 +145,12 @@ def tamagawa_over(base: ReductionDescriptor, p: int, G_v: SubgroupTag,
     twist dies and lands split (becomes_split, needs ell != 2).
     """
     e, f = degrees(p, G_v, I_v, H)
+    return _tamagawa(base, e, f, ell, becomes_split)
+
+
+def _tamagawa(base: ReductionDescriptor, e: int, f: int, ell: int | None,
+              becomes_split: bool | None) -> int | ConstrainedRange:
+    """`tamagawa_over` from the degrees (e, f) of the place."""
     if isinstance(base, Good):
         return 1
     if isinstance(base, SplitMult):
@@ -167,7 +186,14 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
     if ell != p or isinstance(base, (Good, SplitMult, NonsplitMult, AdditivePotMult)):
         return 1
     if isinstance(base, AdditivePotGood):
-        e, f = degrees(p, G_v, I_v, H)
-        exponent = r * f * ((base.delta * e) // 12)
-        return -1 if exponent % 2 else 1
+        return _omega(base, ell, p, r, *degrees(p, G_v, I_v, H))
     raise TypeError(f"unknown reduction descriptor {base!r}")
+
+
+def _omega(base: ReductionDescriptor, ell: int, p: int, r: int, e: int, f: int) -> int:
+    """`omega_ordp_parity` from the degrees (e, f) of the place, for a
+    descriptor and p >= 5 already checked."""
+    if ell != p or not isinstance(base, AdditivePotGood):
+        return 1
+    exponent = r * f * ((base.delta * e) // 12)
+    return -1 if exponent % 2 else 1

@@ -12,13 +12,24 @@ to the inner product in Z[zeta_m], and an integer is read straight off it.
 Any preimage of each value in Z[x]/(x^m - 1) will do, so the sum runs over
 each value's `lift`: x^k for zeta^k and x^a + x^-a for zeta^a + zeta^-a,
 where the reduced forms have up to p - 1 terms per power.
-Only a sum that is not an integer is reduced modulo Phi_m.  Induction from
-H to G reads a class-fusion table, cached on G: for each class of G, how
-many x in G conjugate its representative into each class of H.  An induced
-value is then an integer combination of the values of chi, divided exactly
-by |H|.  Restriction reads the class map of (G, H), cached on G the same
-way.  Each DihedralContext reduces zeta^k once for each k < m, into one
-table: the irreducible table, built once per context, reads its (m + 1)/2
+Only a sum that is not an integer is reduced modulo Phi_m.  A character
+keeps the tuple of its values' lifts, so an inner product zips two tables.
+
+Induction from H to G reads a class-fusion table, cached on G: for each
+class g of G, the number count_d of x in G that conjugate g into each
+class d of H.  Those x are |d| cosets of C_G(g), and C_H(d) lies in a
+conjugate of C_G(g), so count_d / |H| = |C_G(g)| / |C_H(d)| is an integer;
+a count that |H| does not divide is an error.  An induced value is built
+as a lift, the sum of those integers times the lifts of chi's values, and
+its reduced coefficients are read from that lift through the context's
+table of zeta^k, so no dense form is divided.  Restriction reads the class
+map of (G, H), cached on G the same way, and picks values and lifts
+through it.  Both build their results through `VirtualCharacter._trusted`,
+which skips the public constructor's check that each value lies in the
+group's ring: their values come from that ring by construction.
+
+Each DihedralContext reduces zeta^k once for each k < m, into one table:
+the irreducible table, built once per context, reads its (m + 1)/2
 distinct values zeta^a + zeta^-a from it, the cyclic characters read their
 values from it, and characters so share value objects and their caches.
 A context also keeps one Subgroup per tag, so characters on one subgroup
@@ -432,8 +443,9 @@ class Subgroup:
 
 
 class VirtualCharacter(Record):
-    """Exact class function with integer-combination-of-irreducibles semantics."""
-    __slots__ = ("group", "values")
+    """Exact class function with integer-combination-of-irreducibles semantics.
+    The tuple of its values' lifts is kept, as _lifts, on first use."""
+    __slots__ = ("group", "values", "_lifts")
 
     def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
         if len(values) != len(group.class_reps):
@@ -443,6 +455,24 @@ class VirtualCharacter(Record):
             raise GroupMismatchError("values lie outside Z[zeta_m] of the group")
         self.group = group
         self.values = values
+
+    @classmethod
+    def _trusted(cls, group: Subgroup, values: tuple[Cyclotomic, ...],
+                 lifts: tuple) -> "VirtualCharacter":
+        """A character whose values, one per class of group, the caller took
+        from the ring of group's context, with their lifts: nothing to check."""
+        chi = cls.__new__(cls)
+        chi.group, chi.values, chi._lifts = group, values, lifts
+        return chi
+
+    @property
+    def lifts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The `lift` of each value, class by class."""
+        try:
+            return self._lifts
+        except AttributeError:
+            self._lifts = lifts = tuple([v.lift for v in self.values])
+            return lifts
 
     @property
     def degree(self) -> int:
@@ -512,11 +542,10 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     ctx = H.ctx
     m = ctx.m
     acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
-    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
-        bs = b.lift
-        for i, c in a.lift:
+    for size, a, b in zip(H.class_sizes, f1.lifts, f2.lifts):
+        for i, c in a:
             c *= size
-            for j, d in bs:
+            for j, d in b:
                 acc[i - j] += c * d  # -m < i - j < m: index i - j mod m
     # The multiples of Phi_m in Z[x]/(x^m - 1) are the vectors of period
     # q = m/p, so acc is the rational r exactly when acc - r x^0 has period
@@ -534,25 +563,45 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
     """Restriction to H through the class map of (chi.group, H)."""
-    return VirtualCharacter(H, tuple(chi.values[i] for i in chi.group.class_map(H)))
+    cmap = chi.group.class_map(H)
+    values, lifts = chi.values, chi.lifts
+    return VirtualCharacter._trusted(H, tuple([values[i] for i in cmap]),
+                                     tuple([lifts[i] for i in cmap]))
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
     """Induction from chi.group up to G through the class-fusion table of
-    (G, chi.group)."""
+    (G, chi.group): each value is built as a lift, the sum of the lifts of
+    chi's values weighted by |C_G(g)| / |C_H(d)|, then reduced through the
+    context's table of zeta^k."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
     ctx = G.ctx
-    phi = ctx.m - ctx.m // ctx.p
-    vals = []
+    p, n = ctx.p, ctx.n
+    phi = ctx.m - ctx.m // p
+    zetas = ctx._zetas
+    order = H.order
+    lifts = chi.lifts
+    vals, val_lifts = [], []
     for row in G.fusion(H):
-        acc = [0] * phi
+        acc = {}
         for d, count in row:
-            for i, c in chi.values[d].terms:
-                acc[i] += count * c
-        vals.append(Cyclotomic(ctx.p, ctx.n, tuple(acc)).divide_exact(H.order))
-    return VirtualCharacter(G, tuple(vals))
+            weight, rest = divmod(count, order)
+            if rest:
+                raise ValueError(f"fusion count {count} not divisible by {order}")
+            for i, c in lifts[d]:
+                acc[i] = acc.get(i, 0) + weight * c
+        lift = tuple([(i, c) for i, c in sorted(acc.items()) if c])
+        coeffs = [0] * phi
+        for i, c in lift:
+            for j, z in zetas[i].terms:
+                coeffs[j] += c * z
+        value = Cyclotomic(p, n, tuple(coeffs))
+        value._lift = lift
+        vals.append(value)
+        val_lifts.append(lift)
+    return VirtualCharacter._trusted(G, tuple(vals), tuple(val_lifts))
 
 
 def verify_reduction_identity(p: int, n: int, *,

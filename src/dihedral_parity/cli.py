@@ -39,6 +39,12 @@ if TYPE_CHECKING:
     from .weierstrass import WeierstrassCurve
 
 
+# The largest group order `chars` accepts, checked before any table is
+# built.  D_{2 * 5^4} (order 1250) took 1.7 s; D_{2 * 5^5} did not finish in
+# a minute.
+CHARS_MAX_ORDER = 1000
+
+
 class InputFileError(ValueError):
     """A curve or completion file failed to parse."""
 
@@ -150,7 +156,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    from .characters import DihedralContext, irreducibles, verify_reduction_identity
+    from .characters import (DihedralContext, check_odd_prime, irreducibles,
+                             verify_reduction_identity)
+    check_odd_prime(args.p)
+    # p >= 3, so 2 p^n > CHARS_MAX_ORDER once n reaches its bit length
+    if args.n >= 1 and (args.n >= CHARS_MAX_ORDER.bit_length()
+                        or 2 * args.p ** args.n > CHARS_MAX_ORDER):
+        raise ValueError(f"D_2p^n for p={args.p}, n={args.n} has order above "
+                         f"{CHARS_MAX_ORDER}, the largest chars accepts")
     ctx = DihedralContext(args.p, args.n)
     if args.verify_reduction and ctx.n < 2:
         print("reduction identity: needs n >= 2", file=sys.stderr)
@@ -190,9 +203,11 @@ def cmd_chars(args) -> int:
 
 
 def cmd_regulator(args) -> int:
+    from .characters import check_odd_prime
     from .regulator import (SquareClass, direct_sum, faithful_rep, regulator_constant,
                             sign_rep, trivial_rep)
     p = args.p
+    check_odd_prime(p)
     reps = [("1", trivial_rep(p)), ("eta", sign_rep(p)), ("rho2", faithful_rep(p))]
     reps.append(("1+eta+rho2", direct_sum(*(r for _, r in reps))))
     payload = {"p": p, "seed": args.seed, "reps": {}}

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
-                          NonsplitMult, ReductionDescriptor, SplitMult,
-                          omega_ordp_parity, tamagawa_over)
+                          NonsplitMult, ReductionDescriptor, SplitMult, _degrees,
+                          _omega, _tamagawa)
 from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
 
@@ -67,6 +67,11 @@ _ALLOWED_INERTIA = {G.kind: tuple(I.kind for H, I in _PAIRS if H == G)
                     for G, _ in _PAIRS}
 
 
+def _check_p(p) -> None:
+    if not isinstance(p, int) or p < 5 or not is_prime(p):
+        raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
+
+
 class LocalSetting(Record):
     """One local situation at a place of the dihedral field."""
     __slots__ = ("p", "ell", "r", "base", "G_v", "I_v", "eta_equals_chi")
@@ -74,8 +79,7 @@ class LocalSetting(Record):
     def __init__(self, p: int, ell: int, r: int, base: ReductionDescriptor,
                  G_v: SubgroupTag, I_v: SubgroupTag,
                  eta_equals_chi: bool | None = None):
-        if not isinstance(p, int) or p < 5 or not is_prime(p):
-            raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
+        _check_p(p)
         if not isinstance(ell, int) or not is_prime(ell):
             raise InadmissibleSettingError(f"ell must be prime, got {ell}")
         if not isinstance(r, int) or r < 1:
@@ -120,6 +124,14 @@ class LocalSetting(Record):
         self.I_v = I_v
         self.eta_equals_chi = eta_equals_chi
 
+    @classmethod
+    def _trusted(cls, *fields) -> "LocalSetting":
+        """The setting with these seven fields, in slot order, which the
+        caller has made admissible: nothing to check."""
+        s = cls.__new__(cls)
+        s.p, s.ell, s.r, s.base, s.G_v, s.I_v, s.eta_equals_chi = fields
+        return s
+
     # --- derived character classes ------------------------------------
 
     def chi_class(self) -> QuadCharClass | None:
@@ -150,7 +162,10 @@ class LocalSetting(Record):
         chi = self.chi_class() if self.G_v.kind == "dihedral" else None
         if chi is None:
             return None
-        eta = self.eta_class()
+        return self._agree(chi, self.eta_class())
+
+    def _agree(self, chi: QuadCharClass, eta: QuadCharClass) -> bool:
+        """`eta_chi_agree` from the two classes, chi not None, G_v = D_2p."""
         if chi is QuadCharClass.RAMIFIED and eta is chi:
             return self.eta_equals_chi
         return eta is chi
@@ -177,19 +192,22 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
 
     A cyclic G_v (1, C_2 or C_p) carries no nontrivial Brauer relation, so
     the product is a square.  For G_v = D_2p only the odd-weight terms of
-    Theta, H = 1 and H = C_p, count, each with one place above v.
+    Theta, H = 1 and H = C_p, count, each with one place above v.  The
+    setting has checked p, the descriptor and (G_v, I_v), so the degrees of
+    each place feed `base_change`'s Tamagawa and period rules unchecked.
     """
     s = setting
     if s.G_v.kind != "dihedral":
         return 1, {"branch": "small-decomposition"}
-    trace: dict = {"branch": _BRANCHES[type(s.base)]}
+    base, p = s.base, s.p
+    trace: dict = {"branch": _BRANCHES[type(base)]}
     total = 0
     for H in _ODD_THETA:
-        tam = tamagawa_over(s.base, s.p, s.G_v, s.I_v, H, ell=s.ell,
-                            becomes_split=s.eta_equals_chi)
-        par = tam.ord_parity(s.p) if isinstance(tam, ConstrainedRange) \
-            else valuation(tam, s.p) % 2
-        if omega_ordp_parity(s.base, s.ell, s.p, s.r, s.G_v, s.I_v, H) == -1:
+        e, f = _degrees(p, s.G_v, s.I_v, H)
+        tam = _tamagawa(base, e, f, s.ell, s.eta_equals_chi)
+        par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
+            else valuation(tam, p) % 2
+        if _omega(base, s.ell, p, s.r, e, f) == -1:
             par ^= 1
         trace[H.label] = par
         total += par
@@ -210,9 +228,10 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     if chi is not None:
         # potentially multiplicative: -1 exactly when chi is trivial or eta_v
         trace["branch"] = "pot-multiplicative"
+        eta = s.eta_class()
+        agree = s._agree(chi, eta)
         trace["chi_class"] = chi.value
-        trace["eta_class"] = s.eta_class().value
-        agree = s.eta_chi_agree()
+        trace["eta_class"] = eta.value
         trace["eta_equals_chi"] = agree
         sign = -1 if (chi is QuadCharClass.TRIVIAL or agree) else 1
         return sign, trace
@@ -265,7 +284,9 @@ SWEEP_RS = (1, 2)
 def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     """All admissible local settings at ell in SWEEP_ELLS and p, r in
     SWEEP_RS, valuations n up to n_max and every delta in POT_GOOD_DELTAS,
-    in a fixed deterministic order."""
+    in a fixed deterministic order.  Each setting is admissible by
+    construction, so only p is checked, once."""
+    _check_p(p)
     ns = range(1, n_max + 1)
     # each descriptor is built once and shared by the settings that use it
     unflagged = [Good()] + [cls(n) for n in ns for cls in (SplitMult, NonsplitMult)]
@@ -286,7 +307,7 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
             for G_v, I_v in _PAIRS:
                 if I_v.kind == "dihedral" and ell != p:
                     continue
-                out += [LocalSetting(p, ell, r, base, G_v, I_v, flag)
+                out += [LocalSetting._trusted(p, ell, r, base, G_v, I_v, flag)
                         for base, flag in (flagged if I_v.kind == "dihedral" else plain)]
     return out
 

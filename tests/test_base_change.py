@@ -118,6 +118,20 @@ def test_constrained_range():
         ConstrainedRange((0, 1))
 
 
+def test_constrained_range_keeps_only_pinned_parities():
+    ambiguous = ConstrainedRange((1, 2))
+    for _ in range(2):  # an ambiguous parity raises on every call
+        with pytest.raises(ValueError, match=r"^2-valuation parity is ambiguous over \(1, 2\)$"):
+            ambiguous.ord_parity(2)
+    assert ambiguous.ord_parity(3) == ambiguous.ord_parity(3) == 0
+    a, b = ConstrainedRange((5, 20, 5)), ConstrainedRange((20, 5))
+    assert a.ord_parity(5) == 1 and a.ord_parity(5) == 1
+    # a cached parity is not a field: a still equals b and hashes alike
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == "ConstrainedRange(members=(5, 20))"
+    assert b.ord_parity(5) == 1 and b.ord_parity(2) == 0
+
+
 # --- tamagawa numbers ------------------------------------------------------
 
 def test_tamagawa_good_and_split():

@@ -573,3 +573,108 @@ def test_one_subgroup_per_tag():
     for _ in range(2):  # a tag that does not fit is never cached
         with pytest.raises(InvalidSubgroupError):
             ctx.subgroup(cyclic_p_power(3))
+
+
+# --- induction on lifts ----------------------------------------------------
+
+# every (p, n) with p^n <= 125, one context each, shared across examples
+SMALL_GROUPS = [(p, n) for p in range(3, 126, 2)
+                if all(p % q for q in range(3, p, 2))
+                for n in range(1, 5) if p ** n <= 125]
+_CONTEXTS = {}
+
+
+def _context(p, n):
+    if (p, n) not in _CONTEXTS:
+        _CONTEXTS[p, n] = DihedralContext(p, n)
+    return _CONTEXTS[p, n]
+
+
+@st.composite
+def _cyclic_combination(draw):
+    """A context, a level and a random integer combination of a few cyclic
+    characters of C_{p^level}."""
+    ctx = _context(*draw(st.sampled_from(SMALL_GROUPS)))
+    level = draw(st.integers(1, ctx.n))
+    chars = cyclic_characters(ctx, level)
+    picks = draw(st.dictionaries(st.integers(0, len(chars) - 1),
+                                 st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    f = None
+    for t, c in picks.items():
+        f = chars[t] * c if f is None else f + chars[t] * c
+    return ctx, level, f
+
+
+def _without_lifts(chi):
+    """chi with every value rebuilt from its coefficients alone."""
+    return VirtualCharacter(chi.group, tuple(Cyclotomic(v.p, v.n, v.coeffs)
+                                             for v in chi.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cyclic_combination())
+def test_induced_values_reduce_from_their_recorded_lifts(case):
+    ctx, _, f = case
+    induced = induce(f, ctx.full())
+    assert induced == reference_induce(f, ctx.full())
+    assert induced.lifts == tuple(v.lift for v in induced.values)
+    for v in induced.values:
+        dense = [0] * ctx.m
+        for i, c in v._lift:
+            assert 0 <= i < ctx.m and c != 0
+            dense[i] += c
+        assert Cyclotomic.make(ctx.p, ctx.n, dense).coeffs == v.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclic_combination())
+def test_frobenius_reciprocity_on_combinations(case):
+    ctx, level, f = case
+    G, H = ctx.full(), ctx.subgroup(cyclic_p_power(level))
+    induced = induce(f, G)
+    for g in irreducibles(ctx):
+        assert inner_product(induced, g) == inner_product(f, restrict(g, H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inner_products_do_not_read_recorded_lifts(data):
+    ctx, level, f = data.draw(_cyclic_combination())
+    H = ctx.subgroup(cyclic_p_power(level))
+    induced = induce(f, ctx.full())
+    irr = irreducibles(ctx)
+    for index in data.draw(st.lists(st.integers(0, len(irr) - 1), min_size=1, max_size=3)):
+        g = irr[index]
+        res = restrict(g, H)
+        assert inner_product(induced, g) == inner_product(_without_lifts(induced),
+                                                          _without_lifts(g))
+        assert inner_product(f, res) == inner_product(_without_lifts(f), _without_lifts(res))
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p, n in SMALL_GROUPS if n in (2, 3)])
+def test_reduction_identity_for_every_small_tower(p, n):
+    assert verify_reduction_identity(p, n, ctx=_context(p, n)) is True
+
+
+def test_restrict_and_induce_match_the_checked_constructor():
+    ctx = DihedralContext(5, 2)
+    G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
+    chi = two_dim(ctx, 3)
+    res = restrict(chi, C5)
+    assert res == VirtualCharacter(C5, res.values)
+    assert res.lifts == tuple(v.lift for v in res.values)
+    induced = induce(res, G)
+    assert induced == VirtualCharacter(G, induced.values) == reference_induce(res, G)
+    # a Subgroup of another context of the same group is the same group
+    other = DihedralContext(5, 2).subgroup(cyclic_p_power(1))
+    assert restrict(chi, other) == res
+
+
+def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
+    ctx = DihedralContext(5, 1)
+    G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
+    f = cyclic_characters(ctx, 1)[1]
+    table = G.fusion(C5)
+    G._fusion[C5] = (((0, 7),),) + table[1:]
+    with pytest.raises(ValueError, match="^fusion count 7 not divisible by 5$"):
+        induce(f, G)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_parity
-from dihedral_parity.cli import main
+from dihedral_parity.cli import CHARS_MAX_ORDER, main
 
 
 def put(tmp_path, name, text):
@@ -92,6 +92,24 @@ def test_chars_bad_group(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _no_context(*args, **kwargs):
+    raise AssertionError("a DihedralContext was built")
+
+
+@pytest.mark.parametrize("n", ["1", "10", str(10 ** 12)])
+def test_chars_past_the_order_limit_is_a_usage_error(n, monkeypatch, capsys):
+    # D_{2 * 499} is the largest D_2p inside the limit and D_{2 * 503} the
+    # smallest past it; the limit is checked before any group is built
+    assert 2 * 499 <= CHARS_MAX_ORDER < 2 * 503
+    monkeypatch.setattr("dihedral_parity.characters.DihedralContext", _no_context)
+    p = "503" if n == "1" else "3"
+    assert main(["chars", "--p", p, "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: D_2p^n for p={p}, n={n} has order above "
+                   f"{CHARS_MAX_ORDER}, the largest chars accepts\n")
+
+
 # --- regulator -------------------------------------------------------------
 
 def test_regulator_output(tmp_path, capsys):
@@ -103,6 +121,18 @@ def test_regulator_output(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["reps"]["eta"]["square_class"] == 5
     assert payload["reps"]["rho2"]["ord_p_parity"] == 1
+
+
+@pytest.mark.parametrize("p", ["-1", "0", "1", "2", "4", "9"])
+def test_regulator_rejects_p_that_is_not_an_odd_prime(p):
+    # p is checked before any representation is built, so p <= 1 is a usage
+    # error too, not an internal one; run fresh to see the whole stderr
+    proc = subprocess.run([sys.executable, "-m", "dihedral_parity.cli", "regulator", "--p", p],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: p must be an odd prime, got {p}\n"
 
 
 # --- verify-local ----------------------------------------------------------

@@ -220,6 +220,24 @@ def test_enumeration_shape(p):
         assert (s.eta_equals_chi is not None) == needs
 
 
+@pytest.mark.parametrize("p", [11, 13])
+def test_enumerated_settings_pass_the_checked_constructor(p):
+    """enumerate_settings skips LocalSetting's checks; each setting it lists
+    is one the checked constructor builds equal, field for field."""
+    for s in enumerate_settings(p):
+        fields = {name: getattr(s, name) for name in LocalSetting._fields}
+        assert LocalSetting(**fields) == s
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 25, 5.0, None])
+def test_enumeration_checks_p_as_a_setting_does(p):
+    with pytest.raises(InadmissibleSettingError) as want:
+        LocalSetting(p=p, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC)
+    with pytest.raises(InadmissibleSettingError) as got:
+        enumerate_settings(p)
+    assert str(got.value) == str(want.value) == f"p must be a prime >= 5, got {p}"
+
+
 @pytest.mark.parametrize("p", [5, 17])
 def test_local_setting_admits_exactly_the_enumerated_pairs(p):
     """Of the 16 pairs of D_2p subgroup tags, LocalSetting accepts (G_v, I_v)
