@@ -370,16 +370,14 @@ class GlobalVerdict(Record):
 
 def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
     """Reduction descriptor of the curve at ell, from Tate's algorithm."""
-    from .tate import local_reduction, potential_class
+    from .tate import j_pole_order, local_reduction
     data = local_reduction(curve, ell)
     if data.conductor_exp == 0:
         return Good()
     if data.reduction_class == "multiplicative":
         return SplitMult(data.delta) if data.split else NonsplitMult(data.delta)
-    if potential_class(curve, ell) == "potentially multiplicative":
-        n = valuation(curve.j_invariant.denominator, ell)
-        return AdditivePotMult(n)
-    return AdditivePotGood(data.delta)
+    n = j_pole_order(curve, ell)
+    return AdditivePotMult(n) if n else AdditivePotGood(data.delta)
 
 
 def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,

@@ -192,7 +192,10 @@ def certify(plan: SurgeryPlan) -> SurgeryCertificate:
 
     Verifies the p0 data matched, the v fibre is multiplicative, and that
     gcd(c4, Delta) of the result is a pure p0 power, which rules out
-    additive reduction anywhere else without factoring Delta.
+    additive reduction anywhere else without factoring Delta.  The criteria
+    are its own; the reductions it reads are the ones the plan's curves
+    keep (`tate.local_reduction`), so the p0 data that `closeness_check`
+    computed is read again, not recomputed.
     """
     before = _p0_data(plan.original, plan.p0)
     after = _p0_data(plan.final, plan.p0)

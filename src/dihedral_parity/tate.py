@@ -14,6 +14,12 @@ else three or none as T^l is or is not T mod P.  There is no floating
 point and no randomness anywhere.  The conductor exponent is read off from
 the valuation of the minimal discriminant and the component count of the
 special fibre.
+
+A curve keeps its reductions: `local_reduction` runs the algorithm once per
+curve object and prime and hands the same frozen `LocalReductionData` to
+every later call, through the curve's `_reductions` slot.  The memo lives
+and dies with the curve; equal curves built apart reduce apart, and the
+intermediate models of the algorithm are never memoized.
 """
 
 from __future__ import annotations
@@ -196,9 +202,23 @@ def _arrange_for_star(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
 
 
 def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
-    """Full reduction data of curve at the prime ell."""
+    """Full reduction data of curve at the prime ell, computed on the first
+    call for this curve object and ell and kept in its `_reductions`."""
     if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
+    try:
+        memo = curve._reductions
+    except AttributeError:
+        memo = curve._reductions = {}
+    try:
+        return memo[ell]
+    except KeyError:
+        data = memo[ell] = _reduce(curve, ell)
+        return data
+
+
+def _reduce(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
+    """Tate's algorithm on curve at the prime ell."""
     E = curve
 
     def out(kodaira, delta, tamagawa, conductor, cls, split, model):
@@ -302,17 +322,21 @@ def split_type(curve: WeierstrassCurve, ell: int) -> str:
     return data.split_label
 
 
-def potential_class(curve: WeierstrassCurve, ell: int) -> str:
-    """"potentially good" or "potentially multiplicative" at ell.
-
-    Decided by the sign of v_ell(j); invariant under rescaling, so no
-    minimality is required of the input model.
-    """
+def j_pole_order(curve: WeierstrassCurve, ell: int) -> int:
+    """The valuation at ell of the denominator of j = c4^3 / Delta:
+    v(Delta) - 3 v(c4) when that is positive, else 0.  Invariant under
+    rescaling, so no minimality is required of the input model."""
     c4 = curve.c4
     if c4 == 0:
-        return "potentially good"
-    vj = 3 * valuation(c4, ell) - valuation(curve.discriminant, ell)
-    return "potentially multiplicative" if vj < 0 else "potentially good"
+        return 0
+    return max(0, valuation(curve.discriminant, ell) - 3 * valuation(c4, ell))
+
+
+def potential_class(curve: WeierstrassCurve, ell: int) -> str:
+    """"potentially good" or "potentially multiplicative" at ell, as j is
+    integral at ell or not."""
+    return ("potentially multiplicative" if j_pole_order(curve, ell)
+            else "potentially good")
 
 
 def bad_primes(curve: WeierstrassCurve, known: Iterable[int] = ()) -> list[int]:

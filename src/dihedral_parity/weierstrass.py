@@ -42,9 +42,13 @@ def raw_invariants(coeffs) -> tuple[int, int, int, int, int, int, int]:
 
 
 class WeierstrassCurve(Record):
-    """An integral nonsingular model; equality and hash read a1 ... a6 only."""
+    """An integral nonsingular model; equality and hash read a1 ... a6 only.
+
+    `_reductions` is `tate.local_reduction`'s memo, ell -> reduction data,
+    made on the first reduction of this object.
+    """
     __slots__ = ("a1", "a2", "a3", "a4", "a6",
-                 "b2", "b4", "b6", "b8", "c4", "c6", "discriminant")
+                 "b2", "b4", "b6", "b8", "c4", "c6", "discriminant", "_reductions")
     _uncompared = ("b2", "b4", "b6", "b8", "c4", "c6", "discriminant")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):

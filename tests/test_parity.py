@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from dihedral_parity.parity import (_PAIRS, CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TA
                                     enumerate_settings, global_parity,
                                     pot_good_table, ramification_degree_e,
                                     verify_local, w_ratio)
-from dihedral_parity.tate import bad_primes, valuation
+from dihedral_parity.tate import bad_primes, local_reduction, valuation
 from dihedral_parity.weierstrass import WeierstrassCurve, raw_invariants, transform
 
 
@@ -375,6 +376,30 @@ def test_base_descriptor_against_corpus():
             assert isinstance(base, AdditivePotMult)
         else:
             assert base == AdditivePotGood(delta)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_base_descriptor_against_the_rational_j(ell):
+    # the additive descriptors as they read from j = c4^3 / Delta, a
+    # Fraction: AdditivePotMult of v(denominator) when j is not integral
+    rng = random.Random(ell)
+    kinds = set()
+    for _ in range(200):
+        coeffs = tuple(ell ** rng.randint(0, 3) * rng.randint(-9, 9) for _ in range(5))
+        *_, c4, c6, delta = raw_invariants(coeffs)
+        if delta == 0:
+            continue
+        if rng.random() < 0.5:  # the twist by ell of the c4/c6 model
+            coeffs = (0, 0, 0, -27 * ell ** 2 * c4, -54 * ell ** 3 * c6)
+        E = curve(coeffs)
+        data = local_reduction(E, ell)
+        if data.reduction_class != "additive":
+            continue
+        pole = valuation(E.j_invariant.denominator, ell)
+        want = AdditivePotMult(pole) if pole else AdditivePotGood(data.delta)
+        assert base_descriptor(E, ell) == want, (coeffs, ell)
+        kinds.add(type(want))
+    assert kinds == {AdditivePotMult, AdditivePotGood}
 
 
 def test_global_parity_split_curve():

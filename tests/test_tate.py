@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ from sympy import factorint
 from corpus import CONDUCTORS, TATE_CORPUS
 from dihedral_parity.arith import jacobi
 from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
-                                  _cubic_root_count, _quad_has_root, conductor_exponent, kodaira_symbol, local_reduction,
+                                  _cubic_root_count, _quad_has_root, _reduce, conductor_exponent,
+                                  j_pole_order, kodaira_symbol, local_reduction,
                                   potential_class, split_type, tamagawa_number,
                                   valuation)
 from dihedral_parity.weierstrass import (SingularModelError, WeierstrassCurve,
@@ -148,11 +150,11 @@ def _local_data(curve, ell):
 
 
 @st.composite
-def _curve_at(draw):
-    """A prime ell in {2, 3, 5, 7} and a nonsingular model whose
-    coefficients carry random powers of ell, so that every Kodaira family,
-    the starred ones included, comes up."""
-    ell = draw(st.sampled_from((2, 3, 5, 7)))
+def _curve_at(draw, ells=(2, 3, 5, 7)):
+    """A prime ell in ells and a nonsingular model whose coefficients carry
+    random powers of ell, so that every Kodaira family, the starred ones
+    included, comes up."""
+    ell = draw(st.sampled_from(ells))
     coeffs = tuple(ell ** draw(st.integers(0, 4)) * draw(st.integers(-9, 9))
                    for _ in range(5))
     assume(raw_invariants(coeffs)[6] != 0)
@@ -306,3 +308,146 @@ def test_split_label_against_the_tangent_cone(ell):
             assert data.split == (roots > 0), (E, ell)
             labels.add(data.split_label)
     assert labels == {"split", "nonsplit"}
+
+
+# --- the per-curve memo ----------------------------------------------------------
+
+def test_a_curve_keeps_its_reductions():
+    E = WeierstrassCurve(0, 0, 0, -16, 0)
+    data = local_reduction(E, 2)
+    assert local_reduction(E, 2) is data
+    # an equal curve built apart reduces apart, to equal data
+    twin = WeierstrassCurve(0, 0, 0, -16, 0)
+    assert local_reduction(twin, 2) is not data
+    assert local_reduction(twin, 2) == data
+
+
+def test_a_bad_ell_raises_on_every_call():
+    E = WeierstrassCurve(0, 0, 0, -1, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            local_reduction(E, 4)
+    local_reduction(E, 2)
+    for bad in (4, 1, 0, -2, 2.0):
+        with pytest.raises(ValueError):
+            local_reduction(E, bad)
+
+
+def test_reductions_leave_equality_hash_and_repr_alone():
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    before = (repr(E), hash(E))
+    for ell in (2, 3, 5, 11):
+        local_reduction(E, ell)
+    twin = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert (repr(E), hash(E)) == before == (repr(twin), hash(twin))
+    assert E == twin and not E != twin
+    assert repr(E) == "WeierstrassCurve(0, -1, 1, -10, -20)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curve_at(), st.integers(0, 2))
+def test_memoized_reduction_equals_a_fresh_one(curve_ell, k):
+    E, ell = curve_ell
+    # u = ell^-k multiplies a_i by ell^(i k): non-minimal when k > 0
+    E = transform(E, Fraction(1, ell ** k), 0, 0, 0)
+    first = local_reduction(E, ell)
+    fresh = _reduce(WeierstrassCurve(*E.coefficients()), ell)
+    assert local_reduction(E, ell) is first
+    for field in dataclasses.fields(first):
+        assert getattr(first, field.name) == getattr(fresh, field.name), field.name
+
+
+# --- referees independent of the algorithm -------------------------------------
+
+
+def _is_square_unit_part(x, ell):
+    """Whether x / ell^v(x) is a square in Z_ell (x != 0)."""
+    x //= ell ** valuation(x, ell)
+    return x % 8 == 1 if ell == 2 else jacobi(x, ell) == 1
+
+
+def _non_residue(ell):
+    """A unit d at ell with Q_ell(sqrt d) / Q_ell unramified of degree 2."""
+    if ell == 2:
+        return 5
+    return next(d for d in range(2, ell) if jacobi(d, ell) == -1)
+
+
+def _twist(E, d):
+    """The quadratic twist by d of the model y^2 = x^3 - 27 c4 x - 54 c6."""
+    return WeierstrassCurve(0, 0, 0, -27 * d ** 2 * E.c4, -54 * d ** 3 * E.c6)
+
+
+@st.composite
+def _referee_curve_at(draw, ells):
+    """A model from `_curve_at`, or, half of the time, its twist by -1 or
+    by +-ell, which makes multiplicative fibres I_n* and reaches the deep
+    fibres at 2 and 3."""
+    E, ell = draw(_curve_at(ells))
+    d = draw(st.sampled_from((None, None, None, -1, ell, -ell)))
+    return (E if d is None else _twist(E, d)), ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(_referee_curve_at((2, 3, 5, 7, 11, 13)))
+def test_unramified_quadratic_twist(curve_ell):
+    # E and its twist by a non-square unit d become isomorphic over the
+    # unramified Q_ell(sqrt d), and Neron models commute with etale base
+    # change: the Kodaira symbol, v(Delta_min) and f agree, while the
+    # twist swaps split and nonsplit (Tamagawa numbers may differ).
+    E, ell = curve_ell
+    data = local_reduction(E, ell)
+    tdata = local_reduction(_twist(E, _non_residue(ell)), ell)
+    assert (tdata.kodaira, tdata.delta, tdata.conductor_exp) \
+        == (data.kodaira, data.delta, data.conductor_exp), (E, ell)
+    assert tdata.reduction_class == data.reduction_class
+    if data.reduction_class == "multiplicative":
+        assert tdata.split is not data.split
+        # and the Tate curve fixes which is which: split exactly when -c6
+        # is a square in Q_ell, on any model (c6 scales by u^6)
+        assert data.split == _is_square_unit_part(-E.c6, ell), (E, ell)
+
+
+def _components(kodaira):
+    """Number of irreducible components of the special fibre, over the
+    algebraic closure of F_ell, read off from the Kodaira symbol."""
+    fixed = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5,
+             "IV*": 7, "III*": 8, "II*": 9}
+    if kodaira in fixed:
+        return fixed[kodaira]
+    if kodaira.endswith("*"):
+        return 5 + int(kodaira[1:-1])
+    return int(kodaira[1:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_referee_curve_at((2, 3, 5, 7, 11)), st.integers(0, 1))
+def test_conductor_bounds(curve_ell, k):
+    # f <= 2 + 6 v_ell(2) + 3 v_ell(3) (Brumer-Kramer, Compositio Math. 92,
+    # 1994): 8 at 2, 5 at 3, 2 above.  Additive reduction has f >= 2, and
+    # above 3 it is tame, so f = 2 and Ogg's formula makes v(Delta_min) one
+    # more than the number of components.
+    E, ell = curve_ell
+    data = local_reduction(transform(E, Fraction(1, ell ** k), 0, 0, 0), ell)
+    f = data.conductor_exp
+    assert f <= {2: 8, 3: 5}.get(ell, 2), (E, ell)
+    want_class = {0: "good", 1: "multiplicative"}.get(f, "additive")
+    assert data.reduction_class == want_class, (E, ell)
+    if ell >= 5 and f == 2:
+        assert data.delta == _components(data.kodaira) + 1, (E, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_j_pole_order_is_the_valuation_of_js_denominator(ell):
+    rng = random.Random(ell)
+    classes = set()
+    for _ in range(300):
+        coeffs = tuple(ell ** rng.randint(0, 3) * rng.randint(-9, 9) for _ in range(5))
+        if raw_invariants(coeffs)[6] == 0:
+            continue
+        E = WeierstrassCurve(*coeffs)
+        n = j_pole_order(E, ell)
+        assert n == valuation(E.j_invariant.denominator, ell)
+        classes.add(potential_class(E, ell))
+        assert (potential_class(E, ell) == "potentially multiplicative") == (n > 0)
+    assert classes == {"potentially good", "potentially multiplicative"}
