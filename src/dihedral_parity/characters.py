@@ -15,16 +15,16 @@ where the reduced forms have up to p - 1 terms per power.
 Only a sum that is not an integer is reduced modulo Phi_m.  A character
 keeps the tuple of its values' lifts, so an inner product zips two tables.
 
-Induction from H to G reads a class-fusion table, cached on G: for each
-class g of G, the number count_d of x in G that conjugate g into each
-class d of H.  Those x are |d| cosets of C_G(g), and C_H(d) lies in a
-conjugate of C_G(g), so count_d / |H| = |C_G(g)| / |C_H(d)| is an integer;
-a count that |H| does not divide is an error.  An induced value is built
-as a lift, the sum of those integers times the lifts of chi's values, and
-its reduced coefficients are read from that lift through the context's
-table of zeta^k, so no dense form is divided.  Restriction reads the class
-map of (G, H), cached on G the same way, and picks values and lifts
-through it.  Both build their results through `VirtualCharacter._trusted`,
+Induction from H to G reads a class-fusion table, cached on G and read
+off the shapes of G and H: for each class g of G, the number count_d of x
+in G that conjugate g into each class d of H.  Those x are |d| cosets of
+C_G(g), and C_H(d) lies in a conjugate of C_G(g), so count_d / |H| =
+|C_G(g)| / |C_H(d)| is an integer; a count that |H| does not divide is an
+error.  An induced value is built as a lift, the sum of those integers
+times the lifts of chi's values, and its reduced coefficients are read
+from that lift through the context's table of zeta^k, so no dense form is
+divided.  Restriction reads the class map of (G, H), cached on G the same
+way, and picks values and lifts through it.  Both build their results through `VirtualCharacter._trusted`,
 which skips the public constructor's check that each value lies in the
 group's ring: their values come from that ring by construction.
 
@@ -42,8 +42,9 @@ canonically: identity, then the rotation pairs {s^j, s^-j} for
 
 This module is the one description of the subgroup lattice.  A standard
 subgroup (SubgroupTag) is 1, D_2 (the reflection t), C_{p^k} or D_{2p^k};
-Subgroup derives its elements and classes from one shape formula over
-(step, count, reflects), the same for all four kinds.  THETA is the Brauer
+Subgroup derives its elements, classes, membership, containment and class
+fusion from one shape formula over (step, count, reflects), the same for
+all four kinds, so no lattice question walks the group.  THETA is the Brauer
 relation [1] - 2[D_2] - [C_p] + 2[D_{2p}] of D_2p that the regulator
 constants, the parity engine and the completion-file tokens read.
 """
@@ -348,20 +349,41 @@ class DihedralContext:
 
 
 class Subgroup:
-    """A standard subgroup with its own canonical conjugacy classes."""
+    """A standard subgroup with its own canonical conjugacy classes, read
+    off its shape (step, count, reflects).
+
+    C_{p^k} or D_{2p^k}, k = tag.level (k = 0 for 1 and D_2), is the
+    rotations (j step, 0) for 0 <= j < count, with step = p^(n-k) and
+    count = p^k, and, when it reflects, the reflections (j step, 1).  A
+    reflection conjugates (i, 0) to (-i, 0), so then the rotation classes
+    are 0 <= j <= (count - 1) / 2, and the reflections form one class
+    after them.  Every lattice question is a closed form in the shape, and
+    none walks the elements (`elements` and `element_set` are kept for
+    callers that want them):
+
+    * (i, e) lies in H iff 0 <= i < m, step_H divides i, and e = 0, or
+      e = 1 and H reflects;
+    * H lies in K iff step_K divides step_H, and K reflects or H does not;
+    * class fusion (Serre, Linear Representations of Finite Groups, 7.2):
+      the count_K rotations of K fix a rotation g = (a, 0) and each
+      reflection of K sends it to (-a, 0), so the row of g in
+      K.fusion(H) is empty unless step_H divides a, and is otherwise
+      (d(a), count_K), then (d(-a), count_K) when K reflects, the two
+      merged into (d(a), 2 count_K) when d(a) = d(-a), where d(i) is the
+      class of (i, 0) in H.  Both (i, 0) and (i, 1) conjugate the
+      reflection (0, 1) to (2i, 1), so its row is ((the reflection class
+      of H, 2 min(count_K, count_H)),) when H reflects, else empty.
+    """
 
     def __init__(self, ctx: DihedralContext, tag: SubgroupTag):
         self.ctx = ctx
         self.tag = tag
-        # The subgroup is C_{p^k} or D_{2p^k}, k = tag.level (k = 0 for 1
-        # and D_2): the rotations (j step, 0) for 0 <= j < count and, when
-        # it reflects, the reflections (j step, 1).  A reflection conjugates
-        # (i, 0) to (-i, 0), so then the rotation classes are 0 <= j <=
-        # (count - 1) / 2, and the reflections form one class after them.
-        self._step = ctx.p ** (ctx.n - tag.level)
-        self._count = ctx.p ** tag.level
-        self._reflects = tag.kind in ("order2", "dihedral")
-        self._rotation_classes = (self._count + 1) // 2 if self._reflects else self._count
+        self.step = ctx.p ** (ctx.n - tag.level)
+        self.count = ctx.p ** tag.level
+        self.reflects = tag.kind in ("order2", "dihedral")
+        self.order = 2 * self.count if self.reflects else self.count
+        self._rotation_classes = (self.count + 1) // 2 if self.reflects else self.count
+        self._hash = hash((ctx, tag))
         self._fusion = {}
         self._class_maps = {}
 
@@ -370,65 +392,72 @@ class Subgroup:
                                  and self.ctx == other.ctx and self.tag == other.tag)
 
     def __hash__(self):
-        return hash((self.ctx, self.tag))
+        return self._hash
 
     def __repr__(self):
         return f"Subgroup({self.ctx!r}, {self.tag.label})"
 
+    def __contains__(self, g) -> bool:
+        i, e = g
+        return (0 <= i < self.ctx.m and i % self.step == 0
+                and (e == 0 or (e == 1 and self.reflects)))
+
     @cached_property
     def elements(self) -> tuple:
-        rot = [(j * self._step, 0) for j in range(self._count)]
-        return tuple(rot + [(i, 1) for i, _ in rot] if self._reflects else rot)
+        rot = [(j * self.step, 0) for j in range(self.count)]
+        return tuple(rot + [(i, 1) for i, _ in rot] if self.reflects else rot)
 
     @cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def class_reps(self) -> tuple:
-        reps = tuple((j * self._step, 0) for j in range(self._rotation_classes))
-        return reps + ((0, 1),) if self._reflects else reps
+        reps = tuple((j * self.step, 0) for j in range(self._rotation_classes))
+        return reps + ((0, 1),) if self.reflects else reps
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
-        if not self._reflects:
-            return (1,) * self._count
-        return (1,) + (2,) * (self._rotation_classes - 1) + (self._count,)
+        if not self.reflects:
+            return (1,) * self.count
+        return (1,) + (2,) * (self._rotation_classes - 1) + (self.count,)
+
+    def _rotation_class(self, i: int) -> int:
+        """The class of the rotation (i, 0), which lies in self."""
+        j = i // self.step
+        return min(j, self.count - j) if self.reflects else j
 
     def class_index(self, g) -> int:
-        i, e = g
-        if g not in self.element_set:
+        if g not in self:
             raise GroupMismatchError(f"{g} not in subgroup {self.tag.label}")
-        if e == 1:
-            return self._rotation_classes
-        j = i // self._step
-        return min(j, self._count - j) if self._reflects else j
+        return self._rotation_classes if g[1] == 1 else self._rotation_class(g[0])
 
     def contains(self, other: "Subgroup") -> bool:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise GroupMismatchError(f"{other!r} and {self!r} lie in different groups")
-        return other.element_set <= self.element_set
+        return other.step % self.step == 0 and (self.reflects or not other.reflects)
 
     def fusion(self, H: "Subgroup") -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each class rep g of self, the pairs (class index d in H,
-        number of x in self with x g x^-1 in class d of H), count > 0."""
+        number of x in self with x g x^-1 in class d of H), count > 0, in
+        the order a walk over `elements` meets them: the closed form in
+        the class docstring."""
         table = self._fusion.get(H)
         if table is None:
-            ctx = self.ctx
-            hset = H.element_set
+            count, m = self.count, self.ctx.m
             rows = []
-            for g in self.class_reps:
-                counts = {}
-                for x in self.elements:
-                    y = ctx.mul(ctx.mul(x, g), ctx.inv(x))
-                    if y in hset:
-                        d = H.class_index(y)
-                        counts[d] = counts.get(d, 0) + 1
-                rows.append(tuple(counts.items()))
+            for a, e in self.class_reps:
+                if e:
+                    row = (((H._rotation_classes, 2 * min(count, H.count)),)
+                           if H.reflects else ())
+                elif a % H.step:
+                    row = ()
+                elif not self.reflects:
+                    row = ((H._rotation_class(a), count),)
+                else:
+                    d, d_neg = H._rotation_class(a), H._rotation_class(-a % m)
+                    row = ((d, 2 * count),) if d == d_neg else ((d, count), (d_neg, count))
+                rows.append(row)
             table = self._fusion[H] = tuple(rows)
         return table
 

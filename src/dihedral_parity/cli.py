@@ -44,6 +44,12 @@ if TYPE_CHECKING:
 # a minute.
 CHARS_MAX_ORDER = 1000
 
+# The widest a `chars` column is padded.  A wider cell is printed whole and
+# unpadded, so the table grows with its summed cell lengths, not with the
+# rows times the widest cell; every cell of D_50 (30 characters at most)
+# fits.
+CHARS_CELL_WIDTH = 32
+
 
 class InputFileError(ValueError):
     """A curve or completion file failed to parse."""
@@ -180,7 +186,7 @@ def cmd_chars(args) -> int:
             labels.append(f"s^{i}" if i != 1 else "s")
     names = ["1", "eta"] + [f"I(chi_{k})" for k in range(1, len(irr) - 1)]
     rows = [[str(v) for v in chi.values] for chi in irr]
-    widths = [max(len(labels[j]), *(len(r[j]) for r in rows))
+    widths = [min(CHARS_CELL_WIDTH, max(len(labels[j]), *(len(r[j]) for r in rows)))
               for j in range(len(labels))]
     name_w = max(len(n) for n in names)
     print(f"D_{2 * ctx.m} (p={ctx.p}, n={ctx.n}): {len(irr)} irreducible characters")

@@ -13,8 +13,9 @@ throughout is
 
 over the four subgroups up to conjugacy (trivial, a reflection pair, the
 rotation subgroup, the whole group).  It is characters.THETA, and each
-subgroup's elements come from characters.Subgroup.  For a rational representation rho
-and a nondegenerate invariant pairing B,
+subgroup's shape and order come from characters.Subgroup, so a projector
+is built from the powers of s and t with no walk over the elements.  For a
+rational representation rho and a nondegenerate invariant pairing B,
 
     C_Theta(rho) = prod_H det( (1/|H|) B restricted to rho^H )^{m_H}
 
@@ -261,17 +262,23 @@ def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fractio
         scale = lcm(*(x.denominator for row in rows for x in row))
         pairing = tuple(tuple(int(x * scale) for x in row) for row in rows)
     ctx = DihedralContext(rep.p)
+    ident, t = rep._powers[0], rep.t
+    rotations = _matsum(rep._powers)
     result = Fraction(1)
     for tag, weight in THETA:
-        elems = ctx.subgroup(tag).elements
-        proj = _matsum(rep.image(g) for g in elems)
+        H = ctx.subgroup(tag)
+        # sum_{h in H} rho(h): its rotations sum to I or to R = sum_i s^i,
+        # and its reflections s^i t to R t = t R (t s^i t = s^-i)
+        proj = rotations if H.count > 1 else ident
+        if H.reflects:
+            proj = _matsum((proj, _matmul(t, proj)))
         cols = _independent_columns(proj)  # none: the empty determinant is 1
         basis = tuple(tuple(row[j] for j in cols) for row in proj)
         d = _det(_gram(pairing, basis))
         if d == 0:
             raise DegeneratePairingError(
                 f"pairing is singular on the vectors fixed by {tag.label}")
-        result *= Fraction(d, len(elems) ** (3 * len(cols))) ** weight
+        result *= Fraction(d, H.order ** (3 * len(cols))) ** weight
     return result
 
 

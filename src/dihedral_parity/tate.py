@@ -19,7 +19,10 @@ A curve keeps its reductions: `local_reduction` runs the algorithm once per
 curve object and prime and hands the same frozen `LocalReductionData` to
 every later call, through the curve's `_reductions` slot.  The memo lives
 and dies with the curve; equal curves built apart reduce apart, and the
-intermediate models of the algorithm are never memoized.
+intermediate models of the algorithm are never memoized.  No reduction
+returns its input curve as `minimal_model` (at a good prime it is an equal
+copy), so a curve and its memo form no reference cycle and are freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -229,7 +232,10 @@ def _reduce(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
         disc = E.discriminant
         n = valuation(disc, ell)
         if n == 0:
-            return out("I0", 0, 1, 0, "good", None, E)
+            # a copy when curve is its own minimal model: the memo entry
+            # would otherwise hold curve, and curve the memo, in a cycle
+            model = E if E is not curve else WeierstrassCurve(*E.coefficients())
+            return out("I0", 0, 1, 0, "good", None, model)
 
         x0, y0 = _singular_point(E, ell)
         E = transform(E, 1, x0, 0, y0)

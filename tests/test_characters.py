@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 from dihedral_parity.characters import (Cyclotomic, DihedralContext,
                                         GroupMismatchError, InvalidGroupError,
                                         InvalidSubgroupError, ORDER2,
-                                        SubgroupTag, TRIVIAL, VirtualCharacter,
+                                        Subgroup, SubgroupTag, TRIVIAL,
+                                        VirtualCharacter,
                                         cyclic_characters, cyclic_p_power,
                                         dihedral_p_power, eta, induce,
                                         inner_product, irreducibles, restrict,
                                         two_dim, verify_reduction_identity)
+from dihedral_parity.regulator import (direct_sum, faithful_rep, regulator_constant,
+                                       sign_rep, trivial_rep)
 
 
 # --- cyclotomic ring -------------------------------------------------------
@@ -678,3 +681,75 @@ def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
     G._fusion[C5] = (((0, 7),),) + table[1:]
     with pytest.raises(ValueError, match="^fusion count 7 not divisible by 5$"):
         induce(f, G)
+
+
+# --- the lattice from its shape --------------------------------------------
+
+def _conjugate(ctx, x, g):
+    return ctx.mul(ctx.mul(x, g), ctx.inv(x))
+
+
+def brute_fusion(K, H):
+    """K.fusion(H) by conjugating each class rep of K by every element of
+    K, each image's class in H read off the orbits of H's class reps."""
+    ctx = K.ctx
+    class_of = {y: d for d, r in enumerate(H.class_reps)
+                for y in {_conjugate(ctx, x, r) for x in H.elements}}
+    rows = []
+    for g in K.class_reps:
+        counts = {}
+        for x in K.elements:
+            y = _conjugate(ctx, x, g)
+            if y in H.element_set:
+                counts[class_of[y]] = counts.get(class_of[y], 0) + 1
+        rows.append(tuple(counts.items()))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("p,n", GROUPS)
+def test_lattice_closed_forms_match_the_element_sets(p, n):
+    ctx = DihedralContext(p, n)
+    m = ctx.m
+    subgroups = [ctx.subgroup(tag) for tag in _standard_tags(n)]
+    outside = [(m, 0), (-1, 0), (m, 1), (-ctx.p, 1), (0, 2), (1, -1)]
+    for H in subgroups:
+        assert H.order == len(H.elements)
+        for g in ctx.full().elements + tuple(outside):
+            assert (g in H) == (g in H.element_set), (H, g)
+    for K in subgroups:
+        for H in subgroups:
+            assert K.contains(H) == (H.element_set <= K.element_set), (K, H)
+            # tuple for tuple, in the order a walk over K meets them
+            assert K.fusion(H) == brute_fusion(K, H), (K, H)
+
+
+def test_no_lattice_question_walks_the_group(monkeypatch):
+    """One round of character theory, one tower identity and one regulator
+    constant multiply no group elements and build no element set."""
+    calls = []
+    for name in ("mul", "inv"):
+        def counted(self, *args, _real=getattr(DihedralContext, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(DihedralContext, name, counted)
+    built = []
+    real_init = Subgroup.__init__
+
+    def init(self, ctx, tag):
+        real_init(self, ctx, tag)
+        built.append(self)
+
+    monkeypatch.setattr(Subgroup, "__init__", init)
+    ctx = DihedralContext(5, 2)
+    G, irr = ctx.full(), irreducibles(ctx)
+    for level in (1, 2):
+        H = ctx.subgroup(cyclic_p_power(level))
+        for f in cyclic_characters(ctx, level):
+            induced = induce(f, G)
+            for g in irr:
+                assert inner_product(induced, g) == inner_product(f, restrict(g, H))
+    assert verify_reduction_identity(7, 2)
+    regulator_constant(direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5)), seed=1)
+    assert calls == []
+    assert len(built) == 3 + 2 + 4  # G, C_5, C_25; D_98, D_14; the four of THETA
+    assert not any("element_set" in vars(H) or "elements" in vars(H) for H in built)

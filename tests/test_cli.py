@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_parity
-from dihedral_parity.cli import CHARS_MAX_ORDER, main
+from dihedral_parity.cli import CHARS_CELL_WIDTH, CHARS_MAX_ORDER, main
 
 
 def put(tmp_path, name, text):
@@ -90,6 +90,20 @@ def test_chars_reduction_identity_at_n_1_is_rejected_before_any_output(capsys):
 def test_chars_bad_group(capsys):
     assert main(["chars", "--p", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_chars_pads_columns_to_a_capped_width(capsys):
+    # every cell of D_50 fits under the cap, so its table is aligned as before
+    assert main(["chars", "--p", "5", "--n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 1 + 14 and len({len(line) for line in lines}) == 1
+    # at p = 241 one value in each row has 239 terms; padding every cell of
+    # its column to it printed 26.6 MB.  That value is still printed whole.
+    assert main(["chars", "--p", "241"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(len(line) + 1 for line in lines) < 10 ** 6
+    assert len(lines) == 2 + 122
+    assert all(len(row) > 122 * (CHARS_CELL_WIDTH + 2) for row in lines[4:])  # the I(chi_k)
 
 
 def _no_context(*args, **kwargs):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dihedral_parity.characters import THETA, DihedralContext
 from dihedral_parity.regulator import (DegeneratePairingError,
                                        InvalidRepresentationError, RationalRep,
                                        SquareClass, direct_sum, faithful_rep,
@@ -309,3 +310,54 @@ def test_invariant_pairing_matches_the_group_sum(p):
     for rep in reps:
         for seed in (0, 3, 23, 2024):
             assert invariant_pairing(rep, seed) == reference_invariant_pairing(rep, seed)
+
+
+# --- the projectors against the literal subgroup sums ----------------------
+
+def reference_regulator_constant(rep, seed):
+    """C_Theta with each projector summed as image(h) over the elements of
+    H, the basis of rho^H its independent columns (by Fraction rank)."""
+    pairing = invariant_pairing(rep, seed)
+    ctx = DihedralContext(rep.p)
+    d = rep.dimension
+    result = Fraction(1)
+    for tag, weight in THETA:
+        elements = ctx.subgroup(tag).elements
+        proj = [[0] * d for _ in range(d)]
+        for h in elements:
+            proj = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(proj, rep.image(h))]
+        cols, rank = [], 0
+        for j in range(d):
+            trial = [[row[c] for c in cols + [j]] for row in proj]
+            if fraction_rank(trial) > rank:
+                cols, rank = cols + [j], rank + 1
+        basis = [[row[c] for c in cols] for row in proj]
+        k = len(cols)
+        gram = loop_product(loop_product(_transpose(basis, d, k), pairing, d, d), basis, d, k)
+        result *= Fraction(fraction_det(gram), len(elements) ** (3 * k)) ** weight
+    return result
+
+
+def fraction_rank(a):
+    m = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_constant_matches_the_elementwise_projectors(p):
+    reps = [trivial_rep(p), sign_rep(p), faithful_rep(p)]
+    reps.append(direct_sum(*reps))
+    for rep in reps:
+        for seed in (0, 3, 23):
+            assert regulator_constant(rep, seed=seed) == reference_regulator_constant(rep, seed)

@@ -1,12 +1,16 @@
 import dataclasses
+import gc
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, prevprime
 
 from corpus import CONDUCTORS, TATE_CORPUS
 from dihedral_parity.arith import jacobi
@@ -322,6 +326,26 @@ def test_a_curve_keeps_its_reductions():
     assert local_reduction(twin, 2) == data
 
 
+def test_a_good_prime_leaves_no_reference_cycle():
+    # at a good prime the minimal model is an equal copy, not the curve, so
+    # a dropped curve and its memo are freed without the cyclic collector
+    E = WeierstrassCurve(0, 0, 1, -1, 0)
+    data = local_reduction(E, 5)
+    assert data.reduction_class == "good" and local_reduction(E, 5) is data
+    assert data.minimal_model == E and data.minimal_model is not E
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        good = sum(local_reduction(WeierstrassCurve(0, 0, 1, a4, 1), 10007).reduction_class
+                   == "good" for a4 in range(2000))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert good > 1990
+
+
 def test_a_bad_ell_raises_on_every_call():
     E = WeierstrassCurve(0, 0, 0, -1, 0)
     for _ in range(2):
@@ -435,6 +459,43 @@ def test_conductor_bounds(curve_ell, k):
     assert data.reduction_class == want_class, (E, ell)
     if ell >= 5 and f == 2:
         assert data.delta == _components(data.kodaira) + 1, (E, ell)
+
+
+@cache
+def _bench_oracle():
+    """bench/oracle.py, Papadopoulos' valuation table written apart from the
+    library (it imports nothing from it)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def _oracle_case(draw):
+    """A prime 5 <= ell <= 10^5 and a model from `_referee_curve_at`'s
+    recipe at ell, moved by u = ell^-k and an integral shift, so that it is
+    non-minimal when k > 0."""
+    ell = draw(st.one_of(st.sampled_from((5, 7, 11, 13)),
+                         st.integers(5, 10 ** 5).map(lambda x: prevprime(x + 1))))
+    E, _ = draw(_referee_curve_at((ell,)))
+    k = draw(st.integers(0, 2))
+    return transform(E, Fraction(1, ell ** k), draw(_shift), draw(_shift), draw(_shift)), ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_case())
+def test_against_the_valuation_table(curve_ell):
+    # Above 3 the reduction type is read off v(c4), v(c6) and v(Delta) of a
+    # minimal model (Papadopoulos, Math. Comp. 1993), as bench/oracle.py
+    # does; the table leaves the Tamagawa number of I_n* at 2 or 4.
+    E, ell = curve_ell
+    data = local_reduction(E, ell)
+    want = _bench_oracle().reduction_at(E.coefficients(), ell)
+    got = (data.kodaira, data.delta, data.conductor_exp, data.split)
+    assert got == (want["kodaira"], want["delta"], want["conductor"], want["split"]), (E, ell)
+    assert data.tamagawa in want["tamagawa"], (E, ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
