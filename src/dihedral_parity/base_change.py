@@ -22,6 +22,17 @@ from .records import Record
 
 # --- reduction descriptors over the base field -----------------------------
 
+class InvalidDescriptorError(ValueError):
+    """A descriptor's valuation is not a positive integer."""
+
+
+def _check_valuation(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidDescriptorError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidDescriptorError(f"{name} must be >= 1, got {value}")
+
+
 class Good(Record):
     """Good reduction."""
     __slots__ = ()
@@ -33,8 +44,7 @@ class _PositiveN(Record):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        _check_valuation("n", n)
         self.n = n
 
 
@@ -61,8 +71,7 @@ class AdditivePotGood(Record):
     __slots__ = ("delta",)
 
     def __init__(self, delta: int):
-        if delta < 1:
-            raise ValueError(f"delta must be >= 1, got {delta}")
+        _check_valuation("delta", delta)
         self.delta = delta
 
 

@@ -24,9 +24,10 @@ error.  An induced value is built as a lift, the sum of those integers
 times the lifts of chi's values, and its reduced coefficients are read
 from that lift through the context's table of zeta^k, so no dense form is
 divided.  Restriction reads the class map of (G, H), cached on G the same
-way, and picks values and lifts through it.  Both build their results through `VirtualCharacter._trusted`,
-which skips the public constructor's check that each value lies in the
-group's ring: their values come from that ring by construction.
+way, and picks values and lifts through it; chi keeps each restriction
+to a subgroup of its own context.  Both build their results through
+`VirtualCharacter._trusted`, which skips the public constructor's check
+that each value lies in the group's ring: by construction they do.
 
 Each DihedralContext reduces zeta^k once for each k < m, into one table:
 the irreducible table, built once per context, reads its (m + 1)/2
@@ -270,7 +271,7 @@ class DihedralContext:
 
     def __init__(self, p: int, n: int = 1):
         check_odd_prime(p)
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidGroupError(f"n must be a positive integer, got {n}")
         self.p = p
         self.n = n
@@ -473,8 +474,8 @@ class Subgroup:
 
 class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles semantics.
-    The tuple of its values' lifts is kept, as _lifts, on first use."""
-    __slots__ = ("group", "values", "_lifts")
+    Its values' lifts (_lifts) and its restrictions (_restrictions) are kept."""
+    __slots__ = ("group", "values", "_lifts", "_restrictions")
 
     def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
         if len(values) != len(group.class_reps):
@@ -591,11 +592,20 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
 
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
-    """Restriction to H through the class map of (chi.group, H)."""
-    cmap = chi.group.class_map(H)
-    values, lifts = chi.values, chi.lifts
-    return VirtualCharacter._trusted(H, tuple([values[i] for i in cmap]),
-                                     tuple([lifts[i] for i in cmap]))
+    """Restriction to H through the class map of (chi.group, H); built on
+    first use and kept on chi when H is of chi's own context, so that chi
+    holds no other context."""
+    if H.ctx is not chi.group.ctx:
+        kept = {}
+    elif (kept := getattr(chi, "_restrictions", None)) is None:
+        kept = chi._restrictions = {}
+    res = kept.get(H)
+    if res is None:
+        cmap = chi.group.class_map(H)
+        values, lifts = chi.values, chi.lifts
+        res = kept[H] = VirtualCharacter._trusted(H, tuple([values[i] for i in cmap]),
+                                                  tuple([lifts[i] for i in cmap]))
+    return res
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
@@ -637,9 +647,10 @@ def verify_reduction_identity(p: int, n: int, *,
                               ctx: DihedralContext | None = None) -> bool:
     """Check Ind_{D_{2p^{n-1}}}^{D_{2p^n}} Res I(chi) = sum of the I(chi0)
     over the p characters chi0 of C_{p^n} restricting to chi on C_{p^{n-1}},
-    for every injective chi (index coprime to p).  Needs n >= 2.  A caller
-    that holds DihedralContext(p, n) passes it as ctx, so its irreducible
-    table is reused."""
+    for every injective chi (index coprime to p).  Needs n >= 2.  The sides
+    are compared as lifts only, not as the reduced values `induce` reads
+    from its lifts.  A caller that holds DihedralContext(p, n) passes it as
+    ctx, so its irreducible table is reused."""
     if n < 2:
         raise InvalidGroupError("the reduction identity needs n >= 2")
     if ctx is None:
@@ -651,8 +662,7 @@ def verify_reduction_identity(p: int, n: int, *,
     irr = irreducibles(ctx)  # I(chi_k) is irr[1 + k], as in two_dim
     m = ctx.m
     half = (m - 1) // 2
-    step = p ** (n - 1)
-    phi = m - step
+    step = m // p
 
     def fold(k):
         k %= m
@@ -662,13 +672,17 @@ def verify_reduction_identity(p: int, n: int, *,
         if k % p == 0:
             continue
         lhs = induce(restrict(irr[1 + k], H), G)
-        # the right-hand side, summed class by class on coefficient vectors
-        terms = [irr[1 + fold(k + t * step)].values for t in range(p)]
-        for j, value in enumerate(lhs.values):
-            acc = [0] * phi
+        # class by class, the lift of the left side minus the lifts of the p
+        # terms on the right: the sides agree exactly when it is a multiple
+        # of Phi_m in Z[x]/(x^m - 1), a vector of period step (inner_product)
+        terms = [irr[1 + fold(k + t * step)].lifts for t in range(p)]
+        for j, lift in enumerate(lhs.lifts):
+            acc = [0] * m
+            for i, c in lift:
+                acc[i] += c
             for term in terms:
-                for i, c in term[j].terms:
-                    acc[i] += c
-            if value.coeffs != tuple(acc):
+                for i, c in term[j]:
+                    acc[i] -= c
+            if acc[:m - step] != acc[step:]:
                 return False
     return True

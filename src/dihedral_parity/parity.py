@@ -82,7 +82,7 @@ class LocalSetting(Record):
         _check_p(p)
         if not isinstance(ell, int) or not is_prime(ell):
             raise InadmissibleSettingError(f"ell must be prime, got {ell}")
-        if not isinstance(r, int) or r < 1:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
             raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
         for tag in (G_v, I_v):
             if not isinstance(tag, SubgroupTag):
@@ -178,7 +178,8 @@ def ramification_degree_e(delta: int) -> int:
 
 # --- the two closed forms --------------------------------------------------
 
-_ODD_THETA = tuple(H for H, weight in THETA if weight % 2)
+# the odd-weight H of Theta, each with its label
+_ODD_THETA = tuple((H, H.label) for H, weight in THETA if weight % 2)
 
 _BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
              NonsplitMult: "nonsplit-multiplicative",
@@ -202,14 +203,14 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     base, p = s.base, s.p
     trace: dict = {"branch": _BRANCHES[type(base)]}
     total = 0
-    for H in _ODD_THETA:
+    for H, label in _ODD_THETA:
         e, f = _degrees(p, s.G_v, s.I_v, H)
         tam = _tamagawa(base, e, f, s.ell, s.eta_equals_chi)
         par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
             else valuation(tam, p) % 2
         if _omega(base, s.ell, p, s.r, e, f) == -1:
             par ^= 1
-        trace[H.label] = par
+        trace[label] = par
         total += par
     return (-1 if total % 2 else 1), trace
 

@@ -165,17 +165,16 @@ class RationalRep(Record):
         self.t = t
         self._powers = powers
 
+    @classmethod
+    def _trusted(cls, p: int, s: Matrix, t: Matrix, powers: list) -> "RationalRep":
+        """A representation built from checked ones, so with nothing to check."""
+        rep = cls.__new__(cls)
+        rep.p, rep.s, rep.t, rep._powers = p, s, t, powers
+        return rep
+
     @property
     def dimension(self) -> int:
         return len(self.s)
-
-    def image(self, g: tuple[int, int]) -> Matrix:
-        i, e = g
-        m = self._powers[i % self.p]
-        return _matmul(m, self.t) if e else m
-
-    def elements(self):
-        return [(i, e) for e in (0, 1) for i in range(self.p)]
 
 
 def trivial_rep(p: int) -> RationalRep:
@@ -206,27 +205,43 @@ def faithful_rep(p: int) -> RationalRep:
     return RationalRep(p, s, t)
 
 
+def _block(mats) -> Matrix:
+    """The block-diagonal matrix with the given square integer blocks."""
+    total, off, out = sum(len(m) for m in mats), 0, []
+    for m in mats:
+        left, right = (0,) * off, (0,) * (total - off - len(m))
+        out += [left + row + right for row in m]
+        off += len(m)
+    return tuple(out)
+
+
 def direct_sum(*reps: RationalRep) -> RationalRep:
+    """The direct sum, with s, t and each power of s assembled block by block
+    from the summands' own, which their constructors have checked."""
     if not reps:
         raise ValueError("need at least one summand")
     p = reps[0].p
     if any(r.p != p for r in reps):
         raise InvalidRepresentationError("summands belong to different groups")
-
-    def block(mats):
-        total = sum(len(m) for m in mats)
-        out = [[0] * total for _ in range(total)]
-        off = 0
-        for m in mats:
-            for i, row in enumerate(m):
-                out[off + i][off:off + len(m)] = row
-            off += len(m)
-        return out
-
-    return RationalRep(p, block([r.s for r in reps]), block([r.t for r in reps]))
+    return RationalRep._trusted(p, _block([r.s for r in reps]), _block([r.t for r in reps]),
+                                [_block(ms) for ms in zip(*(r._powers for r in reps))])
 
 
 # --- pairings and the constant ---------------------------------------------
+
+def _rotation_sum(sym: Matrix, powers) -> Matrix:
+    """sum_{i<k} (s^i)^T S s^i, k = len(powers), over the bits of k: with T_j
+    the sum over i < j, T_2j = T_j + (s^j)^T T_j s^j and T_(j+1) = S + s^T T_j s,
+    so about 2 log2(k) Gram products, not k.  Each T_j is symmetric with S."""
+    total, j = sym, 1
+    for bit in bin(len(powers))[3:]:
+        total = _matsum((total, _gram(total, powers[j])))
+        j *= 2
+        if bit == "1":
+            total = _matsum((sym, _gram(total, powers[1])))
+            j += 1
+    return total
+
 
 def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     """Symmetric invariant nondegenerate integer pairing: a seeded random
@@ -240,7 +255,7 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     for _ in range(64):
         raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         sym = [[raw[i][j] + raw[j][i] for j in range(d)] for i in range(d)]
-        rotations = _matsum(_gram(sym, m) for m in rep._powers)
+        rotations = _rotation_sum(sym, rep._powers)
         pairing = _matsum((rotations, _gram(rotations, rep.t)))
         if _det(pairing) != 0:
             return pairing

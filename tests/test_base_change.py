@@ -1,7 +1,8 @@
 import pytest
 
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
-                                         ConstrainedRange, Good, NonsplitMult,
+                                         ConstrainedRange, Good,
+                                         InvalidDescriptorError, NonsplitMult,
                                          SplitMult, degrees, omega_ordp_parity,
                                          tamagawa_over)
 from dihedral_parity.characters import (DihedralContext, InvalidGroupError,
@@ -91,6 +92,16 @@ def test_descriptor_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             AdditivePotGood(bad)
+
+
+@pytest.mark.parametrize("cls", [SplitMult, NonsplitMult, AdditivePotMult, AdditivePotGood])
+@pytest.mark.parametrize("bad", [2.5, 6.0, True, False, "3", None])
+def test_descriptor_valuations_must_be_ints(cls, bad):
+    # a float or a bool used to pass (2.5 >= 1, True >= 1) and yield a verdict
+    # or fail later in the engine with a TypeError
+    name = "delta" if cls is AdditivePotGood else "n"
+    with pytest.raises(InvalidDescriptorError, match=f"^{name} must be an integer, got {bad!r}$"):
+        cls(bad)
 
 
 def test_descriptors_of_different_types_differ():

@@ -11,8 +11,9 @@ from dihedral_parity.characters import (Cyclotomic, DihedralContext,
                                         dihedral_p_power, eta, induce,
                                         inner_product, irreducibles, restrict,
                                         two_dim, verify_reduction_identity)
-from dihedral_parity.regulator import (direct_sum, faithful_rep, regulator_constant,
-                                       sign_rep, trivial_rep)
+from dihedral_parity import regulator
+from dihedral_parity.regulator import (direct_sum, faithful_rep, invariant_pairing,
+                                       regulator_constant, sign_rep, trivial_rep)
 
 
 # --- cyclotomic ring -------------------------------------------------------
@@ -57,6 +58,9 @@ def test_group_validation():
     for p, n in [(4, 1), (2, 1), (9, 1), (15, 1), (5, 0), (7, -1)]:
         with pytest.raises(InvalidGroupError):
             DihedralContext(p, n)
+    for n in (True, 1.0, 2.0):
+        with pytest.raises(InvalidGroupError, match=f"^n must be a positive integer, got {n}$"):
+            DihedralContext(5, n)
     ctx = DihedralContext(3, 1)  # odd primes below 5 are fine as groups
     assert ctx.m == 3
 
@@ -185,6 +189,18 @@ def test_reduction_identity():
     # negative control: a table with I(chi_1) and I(chi_2) swapped fails
     table = irreducibles(ctx)
     table[2], table[3] = table[3], table[2]
+    ctx.__dict__["_irreducibles"] = tuple(table)
+    assert verify_reduction_identity(5, 2, ctx=ctx) is False
+
+
+def test_reduction_identity_rejects_one_wrong_right_hand_term():
+    # For k = 1 the right-hand side is I(chi_j) over j = 1, 6, 11, 16 -> 9
+    # and 21 -> 4.  Put I(chi_5) where I(chi_6) stands: the left side of
+    # k = 1 is untouched, one term on its right is another irreducible, and
+    # the difference of lifts is no longer of period 5.
+    ctx = DihedralContext(5, 2)
+    table = irreducibles(ctx)
+    table[1 + 6] = table[1 + 5]
     ctx.__dict__["_irreducibles"] = tuple(table)
     assert verify_reduction_identity(5, 2, ctx=ctx) is False
 
@@ -668,9 +684,19 @@ def test_restrict_and_induce_match_the_checked_constructor():
     assert res.lifts == tuple(v.lift for v in res.values)
     induced = induce(res, G)
     assert induced == VirtualCharacter(G, induced.values) == reference_induce(res, G)
-    # a Subgroup of another context of the same group is the same group
-    other = DihedralContext(5, 2).subgroup(cyclic_p_power(1))
-    assert restrict(chi, other) == res
+    # a restriction is kept on chi: one object, equal to a fresh one
+    fresh = VirtualCharacter(C5, tuple(chi.value_at(h) for h in C5.class_reps))
+    assert restrict(chi, C5) is res == fresh
+    assert restrict(two_dim(DihedralContext(5, 2), 3), C5) == res
+    # a Subgroup of another context of the same group is the same group; a
+    # restriction to it is built afresh on it and not kept, so chi holds no
+    # other context
+    other_ctx = DihedralContext(5, 2)
+    other = other_ctx.subgroup(cyclic_p_power(1))
+    again = restrict(chi, other)
+    assert again.group is other and restrict(chi, other) is not again
+    assert again == res == fresh == restrict(two_dim(other_ctx, 3), other)
+    assert all(K.ctx is ctx for K in chi._restrictions)
 
 
 def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
@@ -753,3 +779,23 @@ def test_no_lattice_question_walks_the_group(monkeypatch):
     assert calls == []
     assert len(built) == 3 + 2 + 4  # G, C_5, C_25; D_98, D_14; the four of THETA
     assert not any("element_set" in vars(H) or "elements" in vars(H) for H in built)
+
+
+def test_no_regulator_kernel_goes_term_by_term(monkeypatch):
+    """A direct sum of built summands multiplies no matrices, and one draw
+    of invariant_pairing at p = 11 makes about 2 log2(p) Gram products,
+    not one per power of s."""
+    calls = []
+    for name in ("_matmul", "_gram", "_det"):
+        def counted(*args, _real=getattr(regulator, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(regulator, name, counted)
+    p = 11
+    parts = (trivial_rep(p), sign_rep(p), faithful_rep(p))
+    calls.clear()
+    whole = direct_sum(*parts)
+    assert calls == []
+    invariant_pairing(whole, seed=1)
+    assert calls.count("_det") == 1  # one draw: the first is nonsingular
+    assert calls.count("_gram") <= 2 * (p - 1).bit_length() + 1  # 2 ceil(log2 p) + 1

@@ -65,6 +65,12 @@ def test_inadmissible_settings_rejected():
             mk(**kwargs)
 
 
+@pytest.mark.parametrize("r", [True, False, 1.0, 2.5])
+def test_multiplicity_must_be_an_int(r):
+    with pytest.raises(InadmissibleSettingError, match=f"^r must be a positive integer, got {r}$"):
+        setting(Good(), r=r)
+
+
 def test_admissible_deltas_depend_on_ell():
     # delta = 7 never occurs for a minimal model at ell = p >= 5, but is
     # a perfectly good discriminant valuation at a different prime

@@ -10,10 +10,25 @@ from dihedral_parity.regulator import (DegeneratePairingError,
                                        SquareClass, direct_sum, faithful_rep,
                                        invariant_pairing, regulator_constant,
                                        sign_rep, t_theta_member, trivial_rep)
-from dihedral_parity.regulator import _det, _gram, _matmul
+from dihedral_parity.regulator import _det, _gram, _matmul, _rotation_sum
 
 
 # --- representations -------------------------------------------------------
+
+def image(rep, g):
+    """rho(s^i t^e) for g = (i, e), from the kept powers of s and t, with
+    the product by the triple loop."""
+    i, e = g
+    d = rep.dimension
+    m = rep._powers[i % rep.p]
+    return loop_product(m, rep.t, d, d) if e else m
+
+
+def group_images(rep):
+    """rho(g) for the 2p elements g of D_2p: the rotations s^i, then the
+    reflections s^i t."""
+    return [image(rep, (i, e)) for e in (0, 1) for i in range(rep.p)]
+
 
 def test_rep_relation_validation():
     with pytest.raises(InvalidRepresentationError):
@@ -32,7 +47,8 @@ def test_faithful_rep_shape():
     for p in (3, 5, 7):
         rep = faithful_rep(p)
         assert rep.dimension == p - 1
-        assert len(rep.elements()) == 2 * p
+        assert len(rep._powers) == p
+        assert len(set(group_images(rep))) == 2 * p  # faithful
 
 
 def test_direct_sum():
@@ -44,15 +60,64 @@ def test_direct_sum():
         direct_sum()
 
 
+def block_diagonal(mats):
+    """The block-diagonal matrix of square blocks, entry by entry."""
+    n = sum(len(m) for m in mats)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                out[off + i][off + j] = x
+        off += len(m)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_direct_sum_matches_the_validating_constructor(p):
+    parts = [trivial_rep(p), sign_rep(p), faithful_rep(p)]
+    for summands in (parts, parts[::-1], parts[1:], [parts[2], parts[2]], parts[:1],
+                     [direct_sum(*parts), parts[1]]):
+        built = direct_sum(*summands)
+        checked = RationalRep(p, block_diagonal([r.s for r in summands]),
+                              block_diagonal([r.t for r in summands]))
+        for name in RationalRep.__slots__:
+            assert getattr(built, name) == getattr(checked, name), name
+        assert all(type(x) is int for m in built._powers for row in m for x in row)
+
+
 # --- pairings --------------------------------------------------------------
+
+def _symmetric(d):
+    return _matrix(d, d).map(lambda a: tuple(tuple(x + y for x, y in zip(row, col))
+                                             for row, col in zip(a, zip(*a))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("p", range(1, 14, 2))
+def test_rotation_sum_by_doubling_matches_the_term_by_term_sum(p, data):
+    # the doubling steps are identities for the powers of any matrix s, so
+    # s need not have order p here
+    d = data.draw(st.integers(1, 4))
+    S = data.draw(_symmetric(d))
+    s = data.draw(_matrix(d, d))
+    powers = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    for _ in range(p - 1):
+        powers.append(loop_product(powers[-1], s, d, d))
+    want = [[0] * d for _ in range(d)]
+    for m in powers:
+        term = loop_product(loop_product(_transpose(m, d, d), S, d, d), m, d, d)
+        want = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(want, term)]
+    assert _rotation_sum(S, powers) == tuple(map(tuple, want))
+
 
 def test_pairing_is_symmetric_invariant_deterministic():
     rep = faithful_rep(5)
     B = invariant_pairing(rep, seed=3)
     assert B == invariant_pairing(rep, seed=3)
     assert B == tuple(zip(*B))
-    for g in rep.elements():
-        m = rep.image(g)
+    for m in group_images(rep):
         mt = tuple(zip(*m))
         lhs = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*B))
                     for row in mt)
@@ -294,8 +359,7 @@ def reference_invariant_pairing(rep, seed):
         raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         S = tuple(tuple(raw[i][j] + raw[j][i] for j in range(d)) for i in range(d))
         total = [[0] * d for _ in range(d)]
-        for g in rep.elements():
-            m = rep.image(g)
+        for m in group_images(rep):
             term = loop_product(loop_product(_transpose(m, d, d), S, d, d), m, d, d)
             total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, term)]
         if fraction_det(total) != 0:
@@ -325,7 +389,7 @@ def reference_regulator_constant(rep, seed):
         elements = ctx.subgroup(tag).elements
         proj = [[0] * d for _ in range(d)]
         for h in elements:
-            proj = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(proj, rep.image(h))]
+            proj = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(proj, image(rep, h))]
         cols, rank = [], 0
         for j in range(d):
             trial = [[row[c] for c in cols + [j]] for row in proj]
