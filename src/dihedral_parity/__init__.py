@@ -32,7 +32,7 @@ _HOMES = {
     "WeierstrassCurve": "weierstrass", "invariants": "weierstrass",
     "transform": "weierstrass",
 }
-_SUBMODULES = frozenset(_HOMES.values()) | {"arith", "base_change", "cli", "records"}
+_SUBMODULES = frozenset(_HOMES.values()) | {"arith", "base_change", "cli", "lattice", "records"}
 
 __all__ = sorted(_HOMES) + ["__version__"]
 

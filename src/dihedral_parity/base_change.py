@@ -16,7 +16,7 @@ directly on settings that `LocalSetting` has already checked.
 from __future__ import annotations
 
 from .arith import valuation
-from .characters import InvalidSubgroupError, SubgroupTag, check_odd_prime
+from .lattice import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .records import Record
 
 

@@ -41,83 +41,25 @@ Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 canonically: identity, then the rotation pairs {s^j, s^-j} for
 1 <= j <= (p^n - 1)/2, then the single class of all reflections.
 
-This module is the one description of the subgroup lattice.  A standard
-subgroup (SubgroupTag) is 1, D_2 (the reflection t), C_{p^k} or D_{2p^k};
-Subgroup derives its elements, classes, membership, containment and class
-fusion from one shape formula over (step, count, reflects), the same for
-all four kinds, so no lattice question walks the group.  THETA is the Brauer
-relation [1] - 2[D_2] - [C_p] + 2[D_{2p}] of D_2p that the regulator
-constants, the parity engine and the completion-file tokens read.
+The standard subgroup tags (1, D_2, C_{p^k}, D_{2p^k}) and THETA live in
+`lattice` and are re-exported here.  Subgroup derives a tag's elements,
+classes, membership, containment and class fusion from one shape formula
+over (step, count, reflects), the same for all four kinds, so no lattice
+question walks the group; `reflects` and the order come from the tag.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import is_prime
+from .lattice import (CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL,  # noqa: F401 (re-exported)
+                      InvalidGroupError, InvalidSubgroupError, SubgroupTag,
+                      check_odd_prime, cyclic_p_power, dihedral_p_power)
 from .records import Record
-
-
-class InvalidGroupError(ValueError):
-    """p is not an odd prime, or n < 1."""
-
-
-class InvalidSubgroupError(ValueError):
-    """Subgroup tag outside the lattice of D_{2p^n}."""
 
 
 class GroupMismatchError(ValueError):
     """Operation mixing characters of unrelated groups."""
-
-
-class SubgroupTag(Record):
-    """One of the standard subgroups of D_{2p^n}, up to the fixed embedding.
-
-    kind "trivial" or "order2" (the chosen reflection), or "cyclic" /
-    "dihedral" with level k meaning C_{p^k} / D_{2p^k}.
-    """
-    __slots__ = ("kind", "level")
-
-    def __init__(self, kind: str, level: int = 0):
-        if kind in ("trivial", "order2"):
-            if level != 0:
-                raise InvalidSubgroupError(f"{kind} takes no level")
-        elif kind in ("cyclic", "dihedral"):
-            if level < 1:
-                raise InvalidSubgroupError(f"{kind} needs level >= 1")
-        else:
-            raise InvalidSubgroupError(f"unknown subgroup kind {kind!r}")
-        self.kind = kind
-        self.level = level
-
-    @property
-    def label(self) -> str:
-        if self.kind == "trivial":
-            return "1"
-        if self.kind == "order2":
-            return "D2"
-        base = "C" if self.kind == "cyclic" else "D2*"
-        return f"{base}p^{self.level}" if self.level != 1 else ("Cp" if self.kind == "cyclic" else "D2p")
-
-
-TRIVIAL = SubgroupTag("trivial")
-ORDER2 = SubgroupTag("order2")
-
-
-def cyclic_p_power(k: int) -> SubgroupTag:
-    return SubgroupTag("cyclic", k)
-
-
-def dihedral_p_power(k: int) -> SubgroupTag:
-    return SubgroupTag("dihedral", k)
-
-
-CYCLIC = cyclic_p_power(1)
-DIHEDRAL = dihedral_p_power(1)
-
-# The Brauer relation Theta = [1] - 2[D_2] - [C_p] + 2[D_2p] over the four
-# subgroups of D_2p up to conjugacy, as (subgroup, weight) pairs.
-THETA = ((TRIVIAL, 1), (ORDER2, -2), (CYCLIC, -1), (DIHEDRAL, 2))
 
 
 class Cyclotomic(Record):
@@ -260,12 +202,6 @@ class Cyclotomic(Record):
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def check_odd_prime(p) -> None:
-    """Raise InvalidGroupError unless p is an odd prime."""
-    if not (isinstance(p, int) and p % 2 == 1 and is_prime(p)):
-        raise InvalidGroupError(f"p must be an odd prime, got {p}")
-
-
 class DihedralContext:
     """The group D_{2p^n} together with its cyclotomic value ring."""
 
@@ -381,8 +317,8 @@ class Subgroup:
         self.tag = tag
         self.step = ctx.p ** (ctx.n - tag.level)
         self.count = ctx.p ** tag.level
-        self.reflects = tag.kind in ("order2", "dihedral")
-        self.order = 2 * self.count if self.reflects else self.count
+        self.reflects = tag.reflects
+        self.order = tag.order(ctx.p)
         self._rotation_classes = (self.count + 1) // 2 if self.reflects else self.count
         self._hash = hash((ctx, tag))
         self._fusion = {}

@@ -23,7 +23,9 @@ cofactor it could not split.
 
 Each subcommand imports the library modules it runs inside its own
 function, so a fresh process loads only those: `chars`, for one, loads
-`characters` and `arith` and no curve code.
+`characters` and `arith` and no curve code, and `regulator`,
+`verify-local` and `verify-global` read the subgroup lattice from
+`lattice` and load no `characters`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .characters import SubgroupTag
+    from .lattice import SubgroupTag
     from .weierstrass import WeierstrassCurve
 
 
@@ -86,7 +88,7 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
-    from .characters import THETA
+    from .lattice import THETA
     tokens = {tag.label: tag for tag, _ in THETA}
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
     for lineno, parts in _data_lines(path):
@@ -209,7 +211,7 @@ def cmd_chars(args) -> int:
 
 
 def cmd_regulator(args) -> int:
-    from .characters import check_odd_prime
+    from .lattice import check_odd_prime
     from .regulator import (SquareClass, direct_sum, faithful_rep, regulator_constant,
                             sign_rep, trivial_rep)
     p = args.p

@@ -35,7 +35,7 @@ from .arith import FactoringBudgetError, is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           NonsplitMult, ReductionDescriptor, SplitMult, _degrees,
                           _omega, _tamagawa)
-from .characters import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
+from .lattice import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
 
 if TYPE_CHECKING:

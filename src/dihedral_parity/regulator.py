@@ -12,9 +12,10 @@ throughout is
     Theta = [1] - 2 [D_2] - [C_p] + 2 [D_{2p}]
 
 over the four subgroups up to conjugacy (trivial, a reflection pair, the
-rotation subgroup, the whole group).  It is characters.THETA, and each
-subgroup's shape and order come from characters.Subgroup, so a projector
-is built from the powers of s and t with no walk over the elements.  For a
+rotation subgroup, the whole group).  It is lattice.THETA, and each
+subgroup's shape and order are read off its tag (`SubgroupTag.reflects`,
+`SubgroupTag.order`), so a projector is built from the powers of s and t
+with no group and no walk over the elements.  For a
 rational representation rho and a nondegenerate invariant pairing B,
 
     C_Theta(rho) = prod_H det( (1/|H|) B restricted to rho^H )^{m_H}
@@ -45,7 +46,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .arith import factor, trial_divide
-from .characters import THETA, DihedralContext
+from .lattice import THETA, check_odd_prime
 from .records import Record
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -137,10 +138,12 @@ def _independent_columns(a: Matrix) -> list[int]:
 class RationalRep(Record):
     """Rational representation of D_{2p} given by integer images of the
     rotation generator s (order p) and a reflection t; _powers holds
-    s^0, ..., s^(p-1)."""
+    s^0, ..., s^(p-1).  p is checked first: one that is not an odd prime
+    raises InvalidGroupError."""
     __slots__ = ("p", "s", "t", "_powers")
 
     def __init__(self, p: int, s: Matrix, t: Matrix):
+        check_odd_prime(p)
         s, t = _rationals(s), _rationals(t)
         if any(x.denominator != 1 for row in s + t for x in row):
             raise InvalidRepresentationError(
@@ -276,16 +279,15 @@ def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fractio
         rows = _rationals(pairing)
         scale = lcm(*(x.denominator for row in rows for x in row))
         pairing = tuple(tuple(int(x * scale) for x in row) for row in rows)
-    ctx = DihedralContext(rep.p)
+    p = rep.p
     ident, t = rep._powers[0], rep.t
     rotations = _matsum(rep._powers)
     result = Fraction(1)
     for tag, weight in THETA:
-        H = ctx.subgroup(tag)
         # sum_{h in H} rho(h): its rotations sum to I or to R = sum_i s^i,
         # and its reflections s^i t to R t = t R (t s^i t = s^-i)
-        proj = rotations if H.count > 1 else ident
-        if H.reflects:
+        proj = rotations if tag.level else ident
+        if tag.reflects:
             proj = _matsum((proj, _matmul(t, proj)))
         cols = _independent_columns(proj)  # none: the empty determinant is 1
         basis = tuple(tuple(row[j] for j in cols) for row in proj)
@@ -293,7 +295,7 @@ def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fractio
         if d == 0:
             raise DegeneratePairingError(
                 f"pairing is singular on the vectors fixed by {tag.label}")
-        result *= Fraction(d, H.order ** (3 * len(cols))) ** weight
+        result *= Fraction(d, tag.order(p) ** (3 * len(cols))) ** weight
     return result
 
 

@@ -26,10 +26,10 @@ without factoring c4 or the (typically enormous) new discriminant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import is_prime
+from .records import Record
 from .tate import local_reduction, valuation
 from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve, raw_invariants
 
@@ -62,21 +62,19 @@ def crt(congruences) -> tuple[int, int]:
     return x % modulus, modulus
 
 
-@dataclass(frozen=True)
-class SurgeryPlan:
+class SurgeryPlan(Record):
     """Full trace of one surgery run."""
-    original: WeierstrassCurve
-    p0: int
-    v: int
-    n: int
-    d1: int
-    d2: int
-    d3: int
-    d4: int
-    c: int
-    after_step1: tuple[int, int, int, int, int]
-    after_step2: tuple[int, int, int, int, int]
-    final: WeierstrassCurve
+    __slots__ = ("original", "p0", "v", "n", "d1", "d2", "d3", "d4", "c",
+                 "after_step1", "after_step2", "final")
+
+    def __init__(self, *, original: WeierstrassCurve, p0: int, v: int, n: int,
+                 d1: int, d2: int, d3: int, d4: int, c: int,
+                 after_step1: tuple[int, int, int, int, int],
+                 after_step2: tuple[int, int, int, int, int],
+                 final: WeierstrassCurve):
+        self.original, self.p0, self.v, self.n = original, p0, v, n
+        self.d1, self.d2, self.d3, self.d4, self.c = d1, d2, d3, d4, c
+        self.after_step1, self.after_step2, self.final = after_step1, after_step2, final
 
 
 def residual_gcd(c4: int, delta: int, p0: int) -> int:
@@ -176,15 +174,16 @@ def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
     raise SurgeryFailedError(failure)
 
 
-@dataclass(frozen=True)
-class SurgeryCertificate:
-    ok: bool
-    p0_match: bool
-    p0_before: tuple[str, int, int, int]
-    p0_after: tuple[str, int, int, int]
-    v_class: str
-    v_split: str
-    residual_gcd: int
+class SurgeryCertificate(Record):
+    """The outcome of `certify`, with the data it read."""
+    __slots__ = ("ok", "p0_match", "p0_before", "p0_after", "v_class", "v_split",
+                 "residual_gcd")
+
+    def __init__(self, *, ok: bool, p0_match: bool, p0_before: tuple[str, int, int, int],
+                 p0_after: tuple[str, int, int, int], v_class: str, v_split: str,
+                 residual_gcd: int):
+        self.ok, self.p0_match, self.p0_before, self.p0_after = ok, p0_match, p0_before, p0_after
+        self.v_class, self.v_split, self.residual_gcd = v_class, v_split, residual_gcd
 
 
 def certify(plan: SurgeryPlan) -> SurgeryCertificate:

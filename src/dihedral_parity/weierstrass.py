@@ -7,7 +7,6 @@ from raw_invariants when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .records import Record
@@ -73,22 +72,20 @@ class WeierstrassCurve(Record):
         return f"WeierstrassCurve{self.coefficients()}"
 
 
-@dataclass(frozen=True)
-class InvariantSet:
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    discriminant: int
-    j: Fraction
+class InvariantSet(Record):
+    """The b/c-invariants, the discriminant and j of one model."""
+    __slots__ = ("b2", "b4", "b6", "b8", "c4", "c6", "discriminant", "j")
+
+    def __init__(self, *, b2: int, b4: int, b6: int, b8: int, c4: int, c6: int,
+                 discriminant: int, j: Fraction):
+        self.b2, self.b4, self.b6, self.b8 = b2, b4, b6, b8
+        self.c4, self.c6, self.discriminant, self.j = c4, c6, discriminant, j
 
 
 def invariants(curve: WeierstrassCurve) -> InvariantSet:
     """All standard b/c-invariants, the discriminant, and j, exactly."""
-    return InvariantSet(curve.b2, curve.b4, curve.b6, curve.b8, curve.c4, curve.c6,
-                        curve.discriminant, curve.j_invariant)
+    return InvariantSet(b2=curve.b2, b4=curve.b4, b6=curve.b6, b8=curve.b8, c4=curve.c4,
+                        c6=curve.c6, discriminant=curve.discriminant, j=curve.j_invariant)
 
 
 def transform(curve: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:

@@ -95,6 +95,27 @@ def test_subgroup_orders_and_classes():
         ctx.subgroup(cyclic_p_power(1)).class_index((1, 0))  # not in C_5 <= D_50
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 2), (3, 3)])
+def test_tag_shape_matches_the_elements(p, n):
+    """A tag's reflects and order, read off the tag alone, are those of the
+    elements of its Subgroup."""
+    ctx = DihedralContext(p, n)
+    tags = [TRIVIAL, ORDER2] + [f(k) for k in range(1, n + 1)
+                                for f in (cyclic_p_power, dihedral_p_power)]
+    for tag in tags:
+        elements = ctx.subgroup(tag).elements
+        assert tag.order(p) == len(elements) == ctx.subgroup(tag).order
+        assert tag.reflects == any(e for _, e in elements)
+
+
+def test_characters_reexports_the_lattice():
+    from dihedral_parity import characters, lattice
+    for name in ("InvalidGroupError", "InvalidSubgroupError", "SubgroupTag", "TRIVIAL",
+                 "ORDER2", "cyclic_p_power", "dihedral_p_power", "CYCLIC", "DIHEDRAL",
+                 "THETA", "check_odd_prime"):
+        assert getattr(characters, name) is getattr(lattice, name)
+
+
 def test_counts_degrees_sum_of_squares():
     for (p, n), want in [((5, 1), 4), ((7, 1), 5), ((5, 2), 14), ((3, 1), 3)]:
         ctx = DihedralContext(p, n)
@@ -777,7 +798,7 @@ def test_no_lattice_question_walks_the_group(monkeypatch):
     assert verify_reduction_identity(7, 2)
     regulator_constant(direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5)), seed=1)
     assert calls == []
-    assert len(built) == 3 + 2 + 4  # G, C_5, C_25; D_98, D_14; the four of THETA
+    assert len(built) == 3 + 2  # G, C_5, C_25; D_98, D_14; THETA is read off its tags
     assert not any("element_set" in vars(H) or "elements" in vars(H) for H in built)
 
 

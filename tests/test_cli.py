@@ -434,6 +434,22 @@ def test_chars_and_verify_local_load_no_curve_layer_or_dataclasses(argv):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_lattice_readers_load_no_character_table(tmp_path):
+    # the local identity and the regulator constants read only the subgroup
+    # lattice, so a fresh process of each compiles no characters module
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    completion = put(tmp_path, "comp.txt", "11 D2p Cp\n")
+    run = "from dihedral_parity.cli import main; main({!r})"
+    loaded = {argv[0]: _loaded_submodules(run.format(argv)) for argv in (
+        ["verify-local", "--p", "13", "--sweep", "--emit-table"],
+        ["verify-global", curves, "--p", "5", "--completion", completion],
+        ["regulator", "--p", "7"])}
+    for command, modules in loaded.items():
+        assert "lattice" in modules and "characters" not in modules, command
+    assert not loaded["regulator"] & {"tate", "weierstrass", "parity", "surgery"}
+    assert _loaded_submodules("import dihedral_parity.lattice") == {"lattice", "arith", "records"}
+
+
 def test_package_resolves_every_public_name_and_submodule(monkeypatch):
     submodules = {path.stem for path in (SRC / "dihedral_parity").glob("*.py")} - {"__init__"}
     names = sorted(submodules) + dihedral_parity.__all__

@@ -12,7 +12,8 @@ from dihedral_parity.characters import (CYCLIC, DIHEDRAL, Cyclotomic, DihedralCo
 from dihedral_parity.parity import (GlobalVerdict, LocalSetting, LocalVerdict,
                                     verify_local)
 from dihedral_parity.regulator import RationalRep, SquareClass, faithful_rep, trivial_rep
-from dihedral_parity.weierstrass import WeierstrassCurve
+from dihedral_parity.surgery import SurgeryCertificate, certify, make_semistable
+from dihedral_parity.weierstrass import InvariantSet, WeierstrassCurve, invariants
 
 
 def _setting(**changes):
@@ -150,6 +151,38 @@ def test_weierstrass_curves_compare_by_coefficients():
         WeierstrassCurve(0, 0, True, 0, 1)
     with pytest.raises(TypeError, match="coefficient a1 must be an int, got 1.0"):
         WeierstrassCurve(1.0, 0, 0, 0, 1)
+
+
+def test_curve_layer_records_compare_hash_and_print_as_before():
+    # the reprs are those the frozen dataclasses printed; the hash is that of
+    # the tuple of all fields, as theirs was
+    def build():
+        curve = WeierstrassCurve(0, -1, 1, -10, -20)
+        plan = make_semistable(curve, 11, 5)
+        return invariants(curve), plan, certify(plan)
+
+    first, second = build(), build()
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, name) for name in a._fields))
+    inv, plan, cert = first
+    assert repr(inv) == ("InvariantSet(b2=-4, b4=-20, b6=-79, b8=-21, c4=496, c6=20008, "
+                         "discriminant=-161051, j=Fraction(-122023936, 161051))")
+    assert repr(plan) == (
+        "SurgeryPlan(original=WeierstrassCurve(0, -1, 1, -10, -20), p0=11, v=5, n=8, "
+        "d1=1071794405, d2=1500512167, d3=857435524, d4=0, c=0, "
+        "after_step1=(1071794405, -1, 1, -10, -20), "
+        "after_step2=(1071794405, 1500512166, 857435525, -10, -20), "
+        "final=WeierstrassCurve(1071794405, 1500512166, 857435525, -10, -20))")
+    assert repr(cert) == (
+        "SurgeryCertificate(ok=True, p0_match=True, p0_before=('I5', 5, 5, 1), "
+        "p0_after=('I5', 5, 5, 1), v_class='multiplicative', v_split='split', "
+        "residual_gcd=1)")
+    assert plan != make_semistable(plan.original, 11, 7)
+    with pytest.raises(TypeError):
+        InvariantSet(-4, -20, -79, -21, 496, 20008, -161051, inv.j)  # keywords only
+    with pytest.raises(TypeError):
+        SurgeryCertificate(True, True, (), (), "multiplicative", "split", 1)
 
 
 def test_validation_messages_are_kept():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dihedral_parity.characters import THETA, DihedralContext
+from dihedral_parity.lattice import InvalidGroupError
 from dihedral_parity.regulator import (DegeneratePairingError,
                                        InvalidRepresentationError, RationalRep,
                                        SquareClass, direct_sum, faithful_rep,
@@ -41,6 +42,13 @@ def test_rep_relation_validation():
         RationalRep(5, good.s, ident)  # t s t = s, not s^-1
     with pytest.raises(InvalidRepresentationError):
         RationalRep(5, ((1, 0), (0, 1)), ((1,),))  # size mismatch
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, True, 9])
+def test_rep_rejects_a_p_that_is_not_an_odd_prime(p):
+    # the 1 x 1 identity satisfies every relation, so only p can be wrong
+    with pytest.raises(InvalidGroupError, match="p must be an odd prime"):
+        RationalRep(p, ((1,),), ((1,),))
 
 
 def test_faithful_rep_shape():
