@@ -29,6 +29,20 @@ to a subgroup of its own context.  Both build their results through
 `VirtualCharacter._trusted`, which skips the public constructor's check
 that each value lies in the group's ring: by construction they do.
 
+A character the library builds (an irreducible, a cyclic character, and
+their restrictions and inductions) also carries its spectrum: the
+multiplicities (m_0, ..., m_{c-1}) in it of the linear characters
+(i step, 0) -> zeta_c^(t i) of its group's rotation subgroup, c = count,
+and its one reflection value, None when the group has no reflections.
+Those two fix a character (Serre, 5.3 and 7.3), so an inner product of
+two such characters is sum m1_t m2_t on a cyclic group and half of that
+plus v1 v2 on a reflecting one, with no class loop.  Restriction folds
+the multiplicities modulo the smaller count; induction repeats them, and
+when only the larger group reflects adds those of the conjugate
+character (the two double cosets of Mackey's formula), with reflection
+value 0.  A class function from the public constructor or from + - *
+carries none and takes the lift sum above.
+
 Each DihedralContext reduces zeta^k once for each k < m, into one table:
 the irreducible table, built once per context, reads its (m + 1)/2
 distinct values zeta^a + zeta^-a from it, the cyclic characters read their
@@ -51,6 +65,7 @@ question walks the group; `reflects` and the order come from the tag.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, mul
 
 from .lattice import (CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL,  # noqa: F401 (re-exported)
                       InvalidGroupError, InvalidSubgroupError, SubgroupTag,
@@ -278,11 +293,22 @@ class DihedralContext:
         cosines = half + half[:0:-1]  # zeta^a + zeta^-a for 0 <= a < m
         out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
                VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
+        out[0]._spectrum, out[1]._spectrum = (_unit(m, 0), 1), (_unit(m, 0), -1)
         for k in range(1, nrot + 1):
             vals = [cosines[k * j % m] for j in range(nrot + 1)]
             vals.append(zero)
-            out.append(VirtualCharacter(G, tuple(vals)))
+            chi = VirtualCharacter(G, tuple(vals))
+            chi._spectrum = (_unit(m, k, m - k), 0)
+            out.append(chi)
         return tuple(out)
+
+
+def _unit(count: int, *indices: int) -> tuple[int, ...]:
+    """The multiplicities (m_0, ..., m_{count-1}) with a 1 at each index."""
+    ms = [0] * count
+    for i in indices:
+        ms[i] = 1
+    return tuple(ms)
 
 
 class Subgroup:
@@ -410,8 +436,9 @@ class Subgroup:
 
 class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles semantics.
-    Its values' lifts (_lifts) and its restrictions (_restrictions) are kept."""
-    __slots__ = ("group", "values", "_lifts", "_restrictions")
+    Its values' lifts (_lifts) and its restrictions (_restrictions) are kept;
+    a character the library builds carries its _spectrum (module docstring)."""
+    __slots__ = ("group", "values", "_lifts", "_restrictions", "_spectrum")
 
     def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
         if len(values) != len(group.class_reps):
@@ -424,11 +451,12 @@ class VirtualCharacter(Record):
 
     @classmethod
     def _trusted(cls, group: Subgroup, values: tuple[Cyclotomic, ...],
-                 lifts: tuple) -> "VirtualCharacter":
+                 lifts: tuple, spectrum: tuple | None) -> "VirtualCharacter":
         """A character whose values, one per class of group, the caller took
-        from the ring of group's context, with their lifts: nothing to check."""
+        from the ring of group's context, with their lifts and its spectrum
+        (None when it has none): nothing to check."""
         chi = cls.__new__(cls)
-        chi.group, chi.values, chi._lifts = group, values, lifts
+        chi.group, chi.values, chi._lifts, chi._spectrum = group, values, lifts, spectrum
         return chi
 
     @property
@@ -496,15 +524,30 @@ def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter
     lift = ctx.p ** (ctx.n - level)  # zeta_{p^level} = zeta_{p^n}^lift
     m = ctx.m
     zetas = ctx._zetas
-    return [VirtualCharacter(H, tuple(zetas[t * i * lift % m] for i in range(mk)))
-            for t in range(mk)]
+    out = []
+    for t in range(mk):
+        chi = VirtualCharacter(H, tuple(zetas[t * i * lift % m] for i in range(mk)))
+        chi._spectrum = (_unit(mk, t), None)
+        out.append(chi)
+    return out
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)); exact, and an integer for
-    virtual characters."""
+    virtual characters.  When both carry a spectrum it is the dot product
+    S of their multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
+    S + v1 v2 raises ValueError); else the lifts are summed class by class."""
     f1._check(f2)
     H = f1.group
+    s1, s2 = getattr(f1, "_spectrum", None), getattr(f2, "_spectrum", None)
+    if s1 is not None and s2 is not None:
+        total = sum(map(mul, s1[0], s2[0]))
+        if not H.reflects:
+            return total
+        twice = total + s1[1] * s2[1]
+        if twice % 2:
+            raise ValueError(f"{twice} / 2 is not an integer")
+        return twice // 2
     ctx = H.ctx
     m = ctx.m
     acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
@@ -539,8 +582,13 @@ def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
     if res is None:
         cmap = chi.group.class_map(H)
         values, lifts = chi.values, chi.lifts
+        spectrum = getattr(chi, "_spectrum", None)
+        if spectrum is not None:  # m_u = sum of the m_s with s = u mod count
+            ms, v = spectrum
+            c = H.count
+            spectrum = (tuple([sum(ms[u::c]) for u in range(c)]), v if H.reflects else None)
         res = kept[H] = VirtualCharacter._trusted(H, tuple([values[i] for i in cmap]),
-                                                  tuple([lifts[i] for i in cmap]))
+                                                  tuple([lifts[i] for i in cmap]), spectrum)
     return res
 
 
@@ -576,7 +624,13 @@ def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
         value._lift = lift
         vals.append(value)
         val_lifts.append(lift)
-    return VirtualCharacter._trusted(G, tuple(vals), tuple(val_lifts))
+    spectrum = getattr(chi, "_spectrum", None)
+    if spectrum is not None:  # m_s = m_(s mod count), plus m_(-s) from t
+        ms, v = spectrum
+        if G.reflects and not H.reflects:
+            ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
+        spectrum = (ms * (G.count // H.count), v)
+    return VirtualCharacter._trusted(G, tuple(vals), tuple(val_lifts), spectrum)
 
 
 def verify_reduction_identity(p: int, n: int, *,

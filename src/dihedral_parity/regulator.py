@@ -190,7 +190,9 @@ def sign_rep(p: int) -> RationalRep:
 
 def faithful_rep(p: int) -> RationalRep:
     """The (p-1)-dimensional irreducible over Q: the action on Q[x]/Phi_p
-    with s = multiplication by x and t the inversion x^i -> x^(p-i)."""
+    with s = multiplication by x and t the inversion x^i -> x^(p-i).  p is
+    checked before any matrix is built."""
+    check_odd_prime(p)
     d = p - 1
     s = [[0] * d for _ in range(d)]
     for i in range(1, d):

@@ -730,6 +730,88 @@ def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
         induce(f, G)
 
 
+# --- multiplicities --------------------------------------------------------
+
+@st.composite
+def _library_character(draw, ctx, tag):
+    """A character of the subgroup of tag that the library builds: an
+    irreducible or a cyclic character, restricted to a standard subgroup K
+    below tag's (1 and D_2 included) and, when K is smaller, induced up."""
+    H = ctx.subgroup(tag)
+    K = ctx.subgroup(draw(st.sampled_from([t for t in _standard_tags(ctx.n)
+                                           if H.contains(ctx.subgroup(t))])))
+    sources = [irreducibles(ctx)] + [cyclic_characters(ctx, level)
+                                     for level in range(1, ctx.n + 1)]
+    chi = draw(st.sampled_from([chi for chars in sources if chars[0].group.contains(K)
+                                for chi in chars]))
+    f = chi if chi.group is K else restrict(chi, K)
+    return f if K is H else induce(f, H)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inner_product_from_multiplicities_matches_the_lift_sum(data):
+    ctx, tag, _ = data.draw(_tower())
+    f1, f2 = (data.draw(_library_character(ctx, tag)) for _ in range(2))
+    assert f1._spectrum is not None and f2._spectrum is not None
+    assert (inner_product(f1, f2)
+            == inner_product(_without_lifts(f1), _without_lifts(f2))
+            == reference_inner_product(f1, f2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiplicities_are_those_of_the_character(data):
+    """The multiplicities are nonnegative, sum to the degree and give back
+    every rotation value as sum m_t zeta_c^(t j); the reflection value is
+    the value on the reflection class."""
+    ctx, tag, _ = data.draw(_tower())
+    f = data.draw(_library_character(ctx, tag))
+    H, (ms, v) = f.group, f._spectrum
+    assert len(ms) == H.count and min(ms) >= 0 and sum(ms) == f.degree
+    for j, value in enumerate(f.values[:H._rotation_classes]):
+        total = ctx.integer(0)
+        for t, c in enumerate(ms):
+            total = total + ctx.zeta(t * j * H.step) * c
+        assert total == value
+    assert v == (f.values[-1].rational_value() if H.reflects else None)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in GROUPS if n >= 2])
+def test_multiplicities_of_the_tower_identity(p, n):
+    """Ind Res I(chi_k) has the multiplicities of the sum of the p terms on
+    the right of the tower identity."""
+    ctx = DihedralContext(p, n)
+    G, H, m = ctx.full(), ctx.subgroup(dihedral_p_power(n - 1)), ctx.m
+    for k in range(1, (m - 1) // 2 + 1):
+        if k % p:
+            ms, v = induce(restrict(two_dim(ctx, k), H), G)._spectrum
+            want = [0] * m
+            for t in range(p):
+                j = (k + t * m // p) % m
+                for i, c in enumerate(two_dim(ctx, min(j, m - j))._spectrum[0]):
+                    want[i] += c
+            assert (list(ms), v) == (want, 0)
+
+
+def test_only_library_characters_carry_multiplicities():
+    ctx = DihedralContext(5, 1)
+    G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
+    chi = two_dim(ctx, 1)
+    assert chi._spectrum == ((0, 1, 0, 0, 1), 0)
+    assert restrict(chi, C5)._spectrum == ((0, 1, 0, 0, 1), None)
+    assert cyclic_characters(ctx, 1)[2]._spectrum == ((0, 0, 1, 0, 0), None)
+    for f in (chi + chi, chi - chi, -chi, chi * 2, VirtualCharacter(G, chi.values)):
+        assert getattr(f, "_spectrum", None) is None
+        assert getattr(restrict(f, C5), "_spectrum", None) is None
+        assert getattr(induce(restrict(f, C5), G), "_spectrum", None) is None
+    # an odd S + v1 v2 is no inner product of virtual characters
+    one = irreducibles(ctx)[0]
+    odd = VirtualCharacter._trusted(G, one.values, one.lifts, (one._spectrum[0], 0))
+    with pytest.raises(ValueError, match="^1 / 2 is not an integer$"):
+        inner_product(odd, one)
+
+
 # --- the lattice from its shape --------------------------------------------
 
 def _conjugate(ctx, x, g):

@@ -51,6 +51,12 @@ def test_rep_rejects_a_p_that_is_not_an_odd_prime(p):
         RationalRep(p, ((1,),), ((1,),))
 
 
+@pytest.mark.parametrize("p", [1, 0, -3, True, 2, 9])
+def test_faithful_rep_rejects_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(InvalidGroupError, match=f"^p must be an odd prime, got {p}$"):
+        faithful_rep(p)
+
+
 def test_faithful_rep_shape():
     for p in (3, 5, 7):
         rep = faithful_rep(p)

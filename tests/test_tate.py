@@ -461,6 +461,59 @@ def test_conductor_bounds(curve_ell, k):
         assert data.delta == _components(data.kodaira) + 1, (E, ell)
 
 
+# Isogenous curves over Q_ell have isomorphic ell'-adic Tate modules for
+# ell' != ell, so the same conductor exponent, reduction class and split
+# label at every prime, 2 and 3 included (Serre-Tate), while their Kodaira
+# symbols and Tamagawa numbers may differ.
+
+def _two_isogenous(a, b):
+    """y^2 = x^3 + a x^2 + b x and its quotient by the 2-torsion point (0, 0)."""
+    return (0, a, 0, b, 0), (0, -2 * a, 0, a * a - 4 * b, 0)
+
+
+def _three_isogenous(a1, a3):
+    """y^2 + a1 xy + a3 y = x^3 and its quotient by the 3-torsion points
+    (0, 0) and (0, -a3) (Velu)."""
+    E = (a1, 0, a3, 0, 0)
+    F = (a1, 0, a3, -5 * a1 * a3, -a1 ** 3 * a3 - 7 * a3 ** 2)
+    # a guard on the formula: the discriminants Velu's quotient must have
+    assert raw_invariants(E)[6] == a3 ** 3 * (a1 ** 3 - 27 * a3)
+    assert raw_invariants(F)[6] == a3 * (a1 ** 3 - 27 * a3) ** 3
+    return E, F
+
+
+@st.composite
+def _isogenous_pair_at(draw, ells):
+    """A prime ell in ells and a 2- or 3-isogenous pair of curves, each
+    moved by its own integral change of model and, sometimes, rescaled by
+    ell to a non-minimal model; the coefficients carry random powers of
+    ell, so that the deep fibres at 2 and 3 come up."""
+    ell = draw(st.sampled_from(ells))
+
+    def coefficient():
+        return ell ** draw(st.integers(0, 4)) * draw(st.integers(-12, 12))
+
+    pair = draw(st.sampled_from((_two_isogenous, _three_isogenous)))(coefficient(),
+                                                                      coefficient())
+    assume(all(raw_invariants(c)[6] for c in pair))
+    models = []
+    for coeffs in pair:
+        E = transform(WeierstrassCurve(*coeffs), 1, *(draw(_shift) for _ in range(3)))
+        if draw(st.integers(0, 3)) == 0:
+            E = transform(E, Fraction(1, ell), 0, 0, 0)
+        models.append(E)
+    return models, ell
+
+
+@settings(max_examples=600, deadline=None)
+@given(_isogenous_pair_at((2, 3, 5, 7, 11, 13)))
+def test_isogenous_curves_share_conductor_class_and_split(case):
+    (E, F), ell = case
+    d, e = local_reduction(E, ell), local_reduction(F, ell)
+    assert ((d.conductor_exp, d.reduction_class, d.split_label)
+            == (e.conductor_exp, e.reduction_class, e.split_label)), (E, F, ell)
+
+
 @cache
 def _bench_oracle():
     """bench/oracle.py, Papadopoulos' valuation table written apart from the
