@@ -19,15 +19,19 @@ Induction from H to G reads a class-fusion table, cached on G and read
 off the shapes of G and H: for each class g of G, the number count_d of x
 in G that conjugate g into each class d of H.  Those x are |d| cosets of
 C_G(g), and C_H(d) lies in a conjugate of C_G(g), so count_d / |H| =
-|C_G(g)| / |C_H(d)| is an integer; a count that |H| does not divide is an
-error.  An induced value is built as a lift, the sum of those integers
-times the lifts of chi's values, and its reduced coefficients are read
-from that lift through the context's table of zeta^k, so no dense form is
-divided.  Restriction reads the class map of (G, H), cached on G the same
-way, and picks values and lifts through it; chi keeps each restriction
-to a subgroup of its own context.  Both build their results through
-`VirtualCharacter._trusted`, which skips the public constructor's check
-that each value lies in the group's ring: by construction they do.
+|C_G(g)| / |C_H(d)| is an integer; `induce` checks every count at the
+call, and a count that |H| does not divide is an error.  The induced
+character's values are deferred: its lifts, each the sum of those
+integers times the lifts of chi's values, are built on first read, and
+its values on first read of them, their coefficients reduced from the
+lifts through the context's table of zeta^k, so no dense form is
+divided.  A caller that only takes inner products of the result, or
+compares lifts as the tower identity does, never pays for the values.
+Restriction reads the class map of (G, H), cached on G the same way, and
+picks values and lifts through it (forcing a deferred chi's); chi keeps
+each restriction to a subgroup of its own context.  Both build their
+results without the public constructor's check that each value lies in
+the group's ring: by construction they do.
 
 A character the library builds (an irreducible, a cyclic character, and
 their restrictions and inductions) also carries its spectrum: the
@@ -36,17 +40,21 @@ multiplicities (m_0, ..., m_{c-1}) in it of the linear characters
 and its one reflection value, None when the group has no reflections.
 Those two fix a character (Serre, 5.3 and 7.3), so an inner product of
 two such characters is sum m1_t m2_t on a cyclic group and half of that
-plus v1 v2 on a reflecting one, with no class loop.  Restriction folds
-the multiplicities modulo the smaller count; induction repeats them, and
-when only the larger group reflects adds those of the conjugate
-character (the two double cosets of Mackey's formula), with reflection
-value 0.  A class function from the public constructor or from + - *
+plus v1 v2 on a reflecting one, with no class loop and no value read.
+Restriction folds the multiplicities modulo the smaller count; induction
+repeats them, and when only the larger group reflects adds those of the
+conjugate character (the two double cosets of Mackey's formula), with
+reflection value 0.  The spectrum is set when `induce` or
+`cyclic_characters` returns, while the values wait for a reader, so a
+Frobenius check <Ind f, g> = <f, Res g> builds no induced or cyclic
+value.  A class function from the public constructor or from + - *
 carries none and takes the lift sum above.
 
 Each DihedralContext reduces zeta^k once for each k < m, into one table:
 the irreducible table, built once per context, reads its (m + 1)/2
 distinct values zeta^a + zeta^-a from it, the cyclic characters read their
-values from it, and characters so share value objects and their caches.
+values from it when first asked, and characters so share value objects
+and their caches.
 A context also keeps one Subgroup per tag, so characters on one subgroup
 share one group object, with its fusion tables and class maps.
 
@@ -437,8 +445,12 @@ class Subgroup:
 class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles semantics.
     Its values' lifts (_lifts) and its restrictions (_restrictions) are kept;
-    a character the library builds carries its _spectrum (module docstring)."""
-    __slots__ = ("group", "values", "_lifts", "_restrictions", "_spectrum")
+    a character the library builds carries its _spectrum (module docstring),
+    one from the public constructor None.
+    A character from `induce` or `cyclic_characters` holds, as _recipe, a
+    pair (build, arg) and leaves `values` and _lifts unset: the first read of
+    either calls build(chi, arg, name), and the result is kept."""
+    __slots__ = ("group", "values", "_lifts", "_restrictions", "_spectrum", "_recipe")
 
     def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
         if len(values) != len(group.class_reps):
@@ -448,6 +460,7 @@ class VirtualCharacter(Record):
             raise GroupMismatchError("values lie outside Z[zeta_m] of the group")
         self.group = group
         self.values = values
+        self._spectrum = None
 
     @classmethod
     def _trusted(cls, group: Subgroup, values: tuple[Cyclotomic, ...],
@@ -458,6 +471,28 @@ class VirtualCharacter(Record):
         chi = cls.__new__(cls)
         chi.group, chi.values, chi._lifts, chi._spectrum = group, values, lifts, spectrum
         return chi
+
+    @classmethod
+    def _deferred(cls, group: Subgroup, spectrum: tuple | None,
+                  build, arg) -> "VirtualCharacter":
+        """A character of group with its spectrum whose `values` and _lifts
+        build(chi, arg, name) makes on first read, as _trusted's would be."""
+        chi = cls.__new__(cls)
+        chi.group, chi._spectrum, chi._recipe = group, spectrum, (build, arg)
+        return chi
+
+    def __getattr__(self, name):
+        # only a read of an unset slot (or of a name that no slot has) gets here
+        if name == "values" or name == "_lifts":
+            try:
+                build, arg = self._recipe
+            except AttributeError:
+                pass
+            else:
+                built = build(self, arg, name)
+                setattr(self, name, built)
+                return built
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def lifts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -512,24 +547,31 @@ def eta(ctx: DihedralContext) -> VirtualCharacter:
 
 def two_dim(ctx: DihedralContext, k: int) -> VirtualCharacter:
     """I(chi_k) for 1 <= k <= (p^n - 1)/2."""
-    if not 1 <= k <= (ctx.m - 1) // 2:
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= (ctx.m - 1) // 2:
         raise ValueError(f"k must lie in 1..{(ctx.m - 1) // 2}, got {k}")
     return ctx._irreducibles[1 + k]
 
 
 def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter]:
-    """The p^level characters of the cyclic subgroup C_{p^level}."""
+    """The p^level characters of the cyclic subgroup C_{p^level}, the t-th
+    sending the i-th rotation to zeta_{p^level}^(t i).  Each carries its
+    spectrum; its values, read from the context's table of zeta^k, and their
+    lifts are built on first read."""
     H = ctx.subgroup(cyclic_p_power(level))
-    mk = ctx.p ** level
-    lift = ctx.p ** (ctx.n - level)  # zeta_{p^level} = zeta_{p^n}^lift
-    m = ctx.m
-    zetas = ctx._zetas
-    out = []
-    for t in range(mk):
-        chi = VirtualCharacter(H, tuple(zetas[t * i * lift % m] for i in range(mk)))
-        chi._spectrum = (_unit(mk, t), None)
-        out.append(chi)
-    return out
+    mk = H.count
+    return [VirtualCharacter._deferred(H, (_unit(mk, t), None), _cyclic_values, t)
+            for t in range(mk)]
+
+
+def _cyclic_values(chi: VirtualCharacter, t: int, name: str) -> tuple:
+    """The values of the t-th cyclic character chi, or their lifts, x^k for
+    zeta^k.  zeta_{p^level} = zeta_m^step, so the i-th value is
+    zeta_m^(t i step)."""
+    if name == "_lifts":
+        return tuple([v.lift for v in chi.values])
+    H = chi.group
+    zetas, m, step = H.ctx._zetas, H.ctx.m, t * H.step
+    return tuple([zetas[step * i % m] for i in range(H.count)])
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
@@ -539,7 +581,7 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     S + v1 v2 raises ValueError); else the lifts are summed class by class."""
     f1._check(f2)
     H = f1.group
-    s1, s2 = getattr(f1, "_spectrum", None), getattr(f2, "_spectrum", None)
+    s1, s2 = f1._spectrum, f2._spectrum
     if s1 is not None and s2 is not None:
         total = sum(map(mul, s1[0], s2[0]))
         if not H.reflects:
@@ -582,7 +624,7 @@ def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
     if res is None:
         cmap = chi.group.class_map(H)
         values, lifts = chi.values, chi.lifts
-        spectrum = getattr(chi, "_spectrum", None)
+        spectrum = chi._spectrum
         if spectrum is not None:  # m_u = sum of the m_s with s = u mod count
             ms, v = spectrum
             c = H.count
@@ -594,43 +636,57 @@ def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
     """Induction from chi.group up to G through the class-fusion table of
-    (G, chi.group): each value is built as a lift, the sum of the lifts of
-    chi's values weighted by |C_G(g)| / |C_H(d)|, then reduced through the
-    context's table of zeta^k."""
+    (G, chi.group).  Every fusion count is checked here, and the result
+    carries its spectrum; its lifts, the sums of the lifts of chi's values
+    weighted by |C_G(g)| / |C_H(d)|, and its values, reduced from them
+    through the context's table of zeta^k, are built on first read."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
+    order = H.order
+    for row in G.fusion(H):
+        for _, count in row:
+            if count % order:
+                raise ValueError(f"fusion count {count} not divisible by {order}")
+    spectrum = chi._spectrum
+    if spectrum is not None:  # m_s = m_(s mod count), plus m_(-s) from t
+        ms, v = spectrum
+        if G.reflects and not H.reflects:
+            ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
+        spectrum = (ms * (G.count // H.count), v)
+    return VirtualCharacter._deferred(G, spectrum, _induced_values, chi)
+
+
+def _induced_values(induced: VirtualCharacter, chi: VirtualCharacter, name: str) -> tuple:
+    """The lifts of Ind chi, class by class, or its values reduced from
+    them, each value recording its lift."""
+    G = induced.group
     ctx = G.ctx
+    if name == "_lifts":
+        H = chi.group
+        order, lifts = H.order, chi.lifts
+        out = []
+        for row in G.fusion(H):
+            acc = {}
+            for d, count in row:
+                weight = count // order  # exact: `induce` checked it
+                for i, c in lifts[d]:
+                    acc[i] = acc.get(i, 0) + weight * c
+            out.append(tuple([(i, c) for i, c in sorted(acc.items()) if c]))
+        return tuple(out)
     p, n = ctx.p, ctx.n
     phi = ctx.m - ctx.m // p
     zetas = ctx._zetas
-    order = H.order
-    lifts = chi.lifts
-    vals, val_lifts = [], []
-    for row in G.fusion(H):
-        acc = {}
-        for d, count in row:
-            weight, rest = divmod(count, order)
-            if rest:
-                raise ValueError(f"fusion count {count} not divisible by {order}")
-            for i, c in lifts[d]:
-                acc[i] = acc.get(i, 0) + weight * c
-        lift = tuple([(i, c) for i, c in sorted(acc.items()) if c])
+    values = []
+    for lift in induced.lifts:
         coeffs = [0] * phi
         for i, c in lift:
             for j, z in zetas[i].terms:
                 coeffs[j] += c * z
         value = Cyclotomic(p, n, tuple(coeffs))
         value._lift = lift
-        vals.append(value)
-        val_lifts.append(lift)
-    spectrum = getattr(chi, "_spectrum", None)
-    if spectrum is not None:  # m_s = m_(s mod count), plus m_(-s) from t
-        ms, v = spectrum
-        if G.reflects and not H.reflects:
-            ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
-        spectrum = (ms * (G.count // H.count), v)
-    return VirtualCharacter._trusted(G, tuple(vals), tuple(val_lifts), spectrum)
+        values.append(value)
+    return tuple(values)
 
 
 def verify_reduction_identity(p: int, n: int, *,
@@ -638,9 +694,9 @@ def verify_reduction_identity(p: int, n: int, *,
     """Check Ind_{D_{2p^{n-1}}}^{D_{2p^n}} Res I(chi) = sum of the I(chi0)
     over the p characters chi0 of C_{p^n} restricting to chi on C_{p^{n-1}},
     for every injective chi (index coprime to p).  Needs n >= 2.  The sides
-    are compared as lifts only, not as the reduced values `induce` reads
-    from its lifts.  A caller that holds DihedralContext(p, n) passes it as
-    ctx, so its irreducible table is reused."""
+    are compared as lifts only, so each left side builds its lifts and
+    never its reduced values.  A caller that holds DihedralContext(p, n)
+    passes it as ctx, so its irreducible table is reused."""
     if n < 2:
         raise InvalidGroupError("the reduction identity needs n >= 2")
     if ctx is None:

@@ -32,11 +32,14 @@ class SubgroupTag(Record):
     """One of the standard subgroups of D_{2p^n}, up to the fixed embedding.
 
     kind "trivial" or "order2" (the chosen reflection), or "cyclic" /
-    "dihedral" with level k meaning C_{p^k} / D_{2p^k}.
+    "dihedral" with level k meaning C_{p^k} / D_{2p^k}; a level is an int,
+    not a bool, and 0 for the first two kinds.
     """
     __slots__ = ("kind", "level")
 
     def __init__(self, kind: str, level: int = 0):
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise InvalidSubgroupError(f"level must be an integer, got {level!r}")
         if kind in ("trivial", "order2"):
             if level != 0:
                 raise InvalidSubgroupError(f"{kind} takes no level")

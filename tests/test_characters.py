@@ -730,6 +730,128 @@ def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
         induce(f, G)
 
 
+# --- deferred values -------------------------------------------------------
+
+def _built(chi, name):
+    """Whether chi's slot name is set, read through the slot descriptor, so
+    that the read builds nothing."""
+    try:
+        VirtualCharacter.__dict__[name].__get__(chi, VirtualCharacter)
+    except AttributeError:
+        return False
+    return True
+
+
+def _frobenius_loop(ctx):
+    """The Frobenius checks of the `chars` workload item, returning every
+    cyclic character with its induction."""
+    G, irr, pairs = ctx.full(), irreducibles(ctx), []
+    for level in range(1, ctx.n + 1):
+        H = ctx.subgroup(cyclic_p_power(level))
+        for f in cyclic_characters(ctx, level):
+            induced = induce(f, G)
+            for g in irr:
+                assert inner_product(induced, g) == inner_product(f, restrict(g, H))
+            pairs.append((level, f, induced))
+    return pairs
+
+
+@pytest.mark.parametrize("p, n", SMALL_GROUPS)
+def test_frobenius_checks_build_no_induced_or_cyclic_value(p, n):
+    ctx = DihedralContext(p, n)
+    G, m = ctx.full(), ctx.m
+    pairs = _frobenius_loop(ctx)
+    for _, f, induced in pairs:
+        for chi in (f, induced):
+            assert not _built(chi, "values") and not _built(chi, "_lifts")
+    for level, f, induced in pairs:
+        t = f._spectrum[0].index(1)
+        step = p ** (n - level)
+        # values read later: the cyclic ones are the reference powers of zeta
+        assert f.values == tuple(ctx.zeta(t * i * step) for i in range(p ** level))
+        assert f.lifts == tuple(((t * i * step % m, 1),) for i in range(p ** level))
+        # the induced lifts reduce to the induced values
+        for v, lift in zip(induced.values, induced.lifts):
+            dense = [0] * m
+            for i, c in lift:
+                dense[i] += c
+            assert v._lift is lift and Cyclotomic.make(p, n, dense).coeffs == v.coeffs
+    # the elementwise reference, and checked construction, on a few per level
+    for level, f, induced in pairs:
+        t = f._spectrum[0].index(1)
+        if t not in (0, 1, p ** level - 1):
+            continue
+        want = reference_induce(f, G)
+        assert induced.values == want.values
+        checked = VirtualCharacter(G, want.values)
+        again = [induce(f, G) for _ in range(3)]
+        assert again[0] == checked and hash(again[1]) == hash(checked)
+        assert repr(again[2]) == repr(checked)
+        assert all(_built(chi, "values") for chi in again)
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p, n in SMALL_GROUPS if n in (2, 3)])
+def test_tower_identity_builds_lifts_only(monkeypatch, p, n):
+    left = []
+
+    def recording_induce(chi, G):
+        left.append(induce(chi, G))
+        return left[-1]
+
+    monkeypatch.setattr("dihedral_parity.characters.induce", recording_induce)
+    assert verify_reduction_identity(p, n) is True
+    assert len(left) == sum(1 for k in range(1, (p ** n - 1) // 2 + 1) if k % p)
+    assert all(_built(chi, "_lifts") and not _built(chi, "values") for chi in left)
+    ctx = left[0].group.ctx
+    H = ctx.subgroup(dihedral_p_power(n - 1))
+    for chi in left[:3]:
+        assert chi.values == reference_induce(chi._recipe[1], ctx.full()).values
+        assert chi._recipe[1].group is H
+
+
+def test_restriction_and_arithmetic_force_deferred_values():
+    ctx = DihedralContext(5, 2)
+    G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
+    f = cyclic_characters(ctx, 2)[7]
+    checked_f = VirtualCharacter(f.group, cyclic_characters(ctx, 2)[7].values)
+    induced = induce(f, G)
+    checked = VirtualCharacter(G, reference_induce(checked_f, G).values)
+    res = restrict(induced, C5)
+    assert res == restrict(checked, C5) and res._spectrum is not None
+    assert _built(induced, "values") and _built(induced, "_lifts")
+    for op in (lambda a: a + a, lambda a: a - a, lambda a: -a, lambda a: a * 3):
+        assert op(induce(f, G)) == op(checked)
+        assert op(cyclic_characters(ctx, 2)[7]) == op(checked_f)
+    assert induce(f, G).degree == 2 and induce(f, G).value_at((5, 0)) == checked.value_at((5, 0))
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        induced.missing
+    plain = VirtualCharacter(G, checked.values)
+    with pytest.raises(AttributeError):
+        plain._recipe
+    assert plain.lifts == checked.lifts and not _built(plain, "_recipe")
+
+
+def test_levels_and_indices_are_integers():
+    ctx = DihedralContext(5, 2)
+    for bad in (True, False, 1.0, 2.0, "1", None):
+        with pytest.raises(InvalidSubgroupError):
+            SubgroupTag("cyclic", bad)
+        with pytest.raises(InvalidSubgroupError):
+            SubgroupTag("dihedral", bad)
+    for kind in ("trivial", "order2"):
+        with pytest.raises(InvalidSubgroupError):
+            SubgroupTag(kind, False)
+        assert SubgroupTag(kind, 0) == SubgroupTag(kind)
+    with pytest.raises(InvalidSubgroupError):
+        dihedral_p_power(1.0)
+    with pytest.raises(InvalidSubgroupError):
+        cyclic_characters(ctx, True)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="^k must lie in 1..12, got "):
+            two_dim(ctx, bad)
+    assert len(cyclic_characters(ctx, 1)) == 5 and two_dim(ctx, 1) is irreducibles(ctx)[2]
+
+
 # --- multiplicities --------------------------------------------------------
 
 @st.composite

@@ -14,6 +14,8 @@ from sympy import factorint, prevprime
 
 from corpus import CONDUCTORS, TATE_CORPUS
 from dihedral_parity.arith import jacobi
+from dihedral_parity.parity import (_PAIRS, InadmissibleSettingError, LocalSetting,
+                                    base_descriptor, verify_local)
 from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
                                   _cubic_root_count, _quad_has_root, _reduce, conductor_exponent,
                                   j_pole_order, kodaira_symbol, local_reduction,
@@ -512,6 +514,36 @@ def test_isogenous_curves_share_conductor_class_and_split(case):
     d, e = local_reduction(E, ell), local_reduction(F, ell)
     assert ((d.conductor_exp, d.reduction_class, d.split_label)
             == (e.conductor_exp, e.reduction_class, e.split_label)), (E, F, ell)
+
+
+def _place_verdicts(curve, ell, p):
+    """verify_local's (c side, w side) at ell for every admissible (G_v, I_v)
+    of D_2p, every flag and r in (1, 2), or None where the setting is
+    inadmissible."""
+    base = base_descriptor(curve, ell)
+    out = []
+    for (G_v, I_v), flag, r in itertools.product(_PAIRS, (None, False, True), (1, 2)):
+        try:
+            setting = LocalSetting(p, ell, r, base, G_v, I_v, flag)
+        except InadmissibleSettingError:
+            out.append(None)
+            continue
+        verdict = verify_local(setting)
+        out.append((verdict.c_side, verdict.w_side))
+    return out
+
+
+# For p >= 5 the isogeny's degree, 2 or 3, is prime to p, so ord_p of each
+# Tamagawa/period ratio and each root number agree for E and E': every
+# place's verdict is the same, from Tate's algorithm through
+# base_descriptor to both closed forms, although the descriptors may not.
+@settings(max_examples=600, deadline=None)
+@given(_isogenous_pair_at((2, 3, 5, 7, 11, 13)), st.sampled_from((5, 7)))
+def test_isogenous_curves_share_local_parity_verdicts(case, p):
+    (E, F), ell = case
+    verdicts = _place_verdicts(E, ell, p)
+    assert any(verdicts)
+    assert verdicts == _place_verdicts(F, ell, p), (E, F, ell, p)
 
 
 @cache
