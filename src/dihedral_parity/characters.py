@@ -505,6 +505,11 @@ class VirtualCharacter(Record):
 
     @property
     def degree(self) -> int:
+        """chi(1): with a spectrum, the sum of its multiplicities, which
+        builds no value."""
+        spectrum = self._spectrum
+        if spectrum is not None:
+            return sum(spectrum[0])
         return self.values[0].rational_value()
 
     def value_at(self, g) -> Cyclotomic:

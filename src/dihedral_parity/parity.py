@@ -178,8 +178,9 @@ def ramification_degree_e(delta: int) -> int:
 
 # --- the two closed forms --------------------------------------------------
 
-# the odd-weight H of Theta, each with its label
-_ODD_THETA = tuple((H, H.label) for H, weight in THETA if weight % 2)
+# the odd-weight H of Theta, and their labels
+_ODD_THETA = tuple(H for H, weight in THETA if weight % 2)
+_ODD_LABELS = tuple(H.label for H in _ODD_THETA)
 
 _BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
              NonsplitMult: "nonsplit-multiplicative",
@@ -187,77 +188,107 @@ _BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
              AdditivePotGood: "additive-pot-good"}
 
 
+_SMALL_DECOMPOSITION = "small-decomposition"
+
+
+def _cyclic_sign(setting: LocalSetting) -> int | None:
+    """The sign of both sides when G_v is cyclic (1, C_2 or C_p), and None
+    when G_v = D_2p.  A cyclic group carries no nontrivial Brauer relation
+    (T. and V. Dokchitser, "Regulator constants and the parity conjecture",
+    Invent. Math. 178, 2009), so both sides are +1 there and each trace
+    reads only the branch _SMALL_DECOMPOSITION."""
+    return None if setting.G_v.kind == "dihedral" else 1
+
+
+def _theta_parities(s: LocalSetting) -> list[int]:
+    """At G_v = D_2p, the ord_p parity of the Tamagawa/period term of each
+    odd-weight H of Theta, in _ODD_THETA order.  Only H = 1 and H = C_p
+    count, each with one place above v.  The setting has checked p, the
+    descriptor and (G_v, I_v), so the degrees of each place feed
+    `base_change`'s Tamagawa and period rules unchecked."""
+    base, p, ell = s.base, s.p, s.ell
+    parities = []
+    for H in _ODD_THETA:
+        e, f = _degrees(p, s.G_v, s.I_v, H)
+        tam = _tamagawa(base, e, f, ell, s.eta_equals_chi)
+        par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
+            else valuation(tam, p) % 2
+        if _omega(base, ell, p, s.r, e, f) == -1:
+            par ^= 1
+        parities.append(par)
+    return parities
+
+
+def _c_sign(s: LocalSetting) -> int:
+    """`c_parity`'s sign at G_v = D_2p."""
+    return -1 if sum(_theta_parities(s)) % 2 else 1
+
+
 def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     """(-1)^(ord_p of the Theta-weighted local Tamagawa/period product),
     plus a trace of the branch and each subfield's ord_p parity.
 
-    A cyclic G_v (1, C_2 or C_p) carries no nontrivial Brauer relation, so
-    the product is a square.  For G_v = D_2p only the odd-weight terms of
-    Theta, H = 1 and H = C_p, count, each with one place above v.  The
-    setting has checked p, the descriptor and (G_v, I_v), so the degrees of
-    each place feed `base_change`'s Tamagawa and period rules unchecked.
+    A cyclic G_v carries no nontrivial Brauer relation, so the product is
+    a square (`_cyclic_sign`); for G_v = D_2p the parities are those of
+    `_theta_parities`.
     """
     s = setting
-    if s.G_v.kind != "dihedral":
-        return 1, {"branch": "small-decomposition"}
-    base, p = s.base, s.p
-    trace: dict = {"branch": _BRANCHES[type(base)]}
-    total = 0
-    for H, label in _ODD_THETA:
-        e, f = _degrees(p, s.G_v, s.I_v, H)
-        tam = _tamagawa(base, e, f, s.ell, s.eta_equals_chi)
-        par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
-            else valuation(tam, p) % 2
-        if _omega(base, s.ell, p, s.r, e, f) == -1:
-            par ^= 1
-        trace[label] = par
-        total += par
-    return (-1 if total % 2 else 1), trace
+    sign = _cyclic_sign(s)
+    if sign:
+        return sign, {"branch": _SMALL_DECOMPOSITION}
+    parities = _theta_parities(s)
+    trace: dict = {"branch": _BRANCHES[type(s.base)]}
+    trace.update(zip(_ODD_LABELS, parities))
+    return (-1 if sum(parities) % 2 else 1), trace
+
+
+def _w_sign(s: LocalSetting) -> int:
+    """`w_ratio`'s sign at G_v = D_2p."""
+    base = s.base
+    chi = s.chi_class()
+    if chi is not None:
+        # potentially multiplicative: -1 exactly when chi is trivial or eta_v
+        return -1 if chi is QuadCharClass.TRIVIAL or s._agree(chi, s.eta_class()) else 1
+    if isinstance(base, Good) or s.ell != s.p or s.I_v.kind != "dihedral" or s.r % 2 == 0:
+        return 1
+    # additive, potentially good, at ell = p with wild inertia and odd r
+    e = ramification_degree_e(base.delta)
+    if e in (3, 6):
+        return jacobi(-3, s.p)
+    if e == 4:
+        return jacobi(-1, s.p)
+    return 1
 
 
 def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     """Ratio of local root numbers across the dihedral twist, plus a
-    branch trace."""
+    branch trace.  The sign is `_w_sign`'s, or +1 at a cyclic G_v."""
     s = setting
-    if s.G_v.kind != "dihedral":
-        return 1, {"branch": "small-decomposition"}
+    sign = _cyclic_sign(s)
+    if sign:
+        return sign, {"branch": _SMALL_DECOMPOSITION}
+    sign = _w_sign(s)
     base = s.base
     if isinstance(base, Good):
-        return 1, {"branch": "good"}
-    trace: dict = {}
+        return sign, {"branch": "good"}
     chi = s.chi_class()
     if chi is not None:
-        # potentially multiplicative: -1 exactly when chi is trivial or eta_v
-        trace["branch"] = "pot-multiplicative"
-        eta = s.eta_class()
-        agree = s._agree(chi, eta)
-        trace["chi_class"] = chi.value
-        trace["eta_class"] = eta.value
-        trace["eta_equals_chi"] = agree
-        sign = -1 if (chi is QuadCharClass.TRIVIAL or agree) else 1
-        return sign, trace
-    # additive, potentially good
-    trace["branch"] = "additive-pot-good"
-    if s.ell != s.p or s.I_v.kind != "dihedral":
-        return 1, trace
-    e = ramification_degree_e(base.delta)
-    trace["tame_order_e"] = e
-    if s.r % 2 == 0:
-        trace["epsilon"] = 1
-        return 1, trace
-    if e in (3, 6):
-        eps = jacobi(-3, s.p)
-    elif e == 4:
-        eps = jacobi(-1, s.p)
-    else:
-        eps = 1
-    trace["epsilon"] = eps
-    return eps, trace
+        return sign, {"branch": "pot-multiplicative", "chi_class": chi.value,
+                      "eta_class": s.eta_class().value,
+                      "eta_equals_chi": s.eta_chi_agree()}
+    trace: dict = {"branch": "additive-pot-good"}
+    if s.ell == s.p and s.I_v.kind == "dihedral":
+        # epsilon is the sign: +1 at even r, else (-3/p), (-1/p) or 1 by e
+        trace["tame_order_e"] = ramification_degree_e(base.delta)
+        trace["epsilon"] = sign
+    return sign, trace
 
 
 class LocalVerdict(Record):
-    """Both sides of the local identity; the traces are not compared."""
-    __slots__ = ("setting", "c_side", "w_side", "agree", "c_trace", "w_trace")
+    """Both sides of the local identity; the traces are not compared.  A
+    verdict from `verify_local` builds each trace from `c_parity` or
+    `w_ratio` on first read and keeps it."""
+    __slots__ = ("setting", "c_side", "w_side", "agree", "_c_trace", "_w_trace")
     _uncompared = ("c_trace", "w_trace")
 
     def __init__(self, setting: LocalSetting, c_side: int, w_side: int, agree: bool,
@@ -266,14 +297,37 @@ class LocalVerdict(Record):
         self.c_side = c_side
         self.w_side = w_side
         self.agree = agree
-        self.c_trace = c_trace
-        self.w_trace = w_trace
+        self._c_trace = c_trace
+        self._w_trace = w_trace
+
+    @property
+    def c_trace(self) -> dict:
+        trace = self._c_trace
+        if trace is None:
+            trace = self._c_trace = c_parity(self.setting)[1]
+        return trace
+
+    @property
+    def w_trace(self) -> dict:
+        trace = self._w_trace
+        if trace is None:
+            trace = self._w_trace = w_ratio(self.setting)[1]
+        return trace
 
 
 def verify_local(setting: LocalSetting) -> LocalVerdict:
-    c, ct = c_parity(setting)
-    w, wt = w_ratio(setting)
-    return LocalVerdict(setting, c, w, c == w, ct, wt)
+    """Both signs of the local identity at the setting; the traces are
+    built when read.  A cyclic G_v is answered by `_cyclic_sign` alone."""
+    c = w = _cyclic_sign(setting)
+    if c is None:
+        c, w = _c_sign(setting), _w_sign(setting)
+    v = LocalVerdict.__new__(LocalVerdict)
+    v.setting = setting
+    v.c_side = c
+    v.w_side = w
+    v.agree = c == w
+    v._c_trace = v._w_trace = None
+    return v
 
 
 # --- enumeration -----------------------------------------------------------
@@ -286,7 +340,8 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     """All admissible local settings at ell in SWEEP_ELLS and p, r in
     SWEEP_RS, valuations n up to n_max and every delta in POT_GOOD_DELTAS,
     in a fixed deterministic order.  Each setting is admissible by
-    construction, so only p is checked, once."""
+    construction, so only p is checked, once, and each setting's slots are
+    filled directly."""
     _check_p(p)
     ns = range(1, n_max + 1)
     # each descriptor is built once and shared by the settings that use it
@@ -302,14 +357,23 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     # dihedral inertia lies only under G_v = D_2p, where additive
     # potentially multiplicative reduction needs eta_equals_chi
     plain, flagged = cases((None,)), cases((False, True))
+    new = LocalSetting.__new__
     out: list[LocalSetting] = []
     for ell in sorted(set(SWEEP_ELLS) | {p}):
         for r in SWEEP_RS:
             for G_v, I_v in _PAIRS:
                 if I_v.kind == "dihedral" and ell != p:
                     continue
-                out += [LocalSetting._trusted(p, ell, r, base, G_v, I_v, flag)
-                        for base, flag in (flagged if I_v.kind == "dihedral" else plain)]
+                for base, flag in (flagged if I_v.kind == "dihedral" else plain):
+                    s = new(LocalSetting)
+                    s.p = p
+                    s.ell = ell
+                    s.r = r
+                    s.base = base
+                    s.G_v = G_v
+                    s.I_v = I_v
+                    s.eta_equals_chi = flag
+                    out.append(s)
     return out
 
 
@@ -333,16 +397,16 @@ def pot_good_table(side: str) -> dict[tuple[int, int], int]:
     agree, and the generator checks that."""
     if side not in ("c", "w"):
         raise ValueError(f"side must be 'c' or 'w', got {side!r}")
+    sign_of = _c_sign if side == "c" else _w_sign
     table: dict[tuple[int, int], int] = {}
     for e_target in (6, 4, 3, 2):
         deltas = [d for d in POT_GOOD_DELTAS if ramification_degree_e(d) == e_target]
         for residue, p in _RESIDUE_REPS.items():
-            signs = set()
-            for delta in deltas:
-                s = LocalSetting(p=p, ell=p, r=1, base=AdditivePotGood(delta),
-                                 G_v=DIHEDRAL, I_v=DIHEDRAL)
-                sign, _ = c_parity(s) if side == "c" else w_ratio(s)
-                signs.add(sign)
+            # p >= 5 is prime, delta is in POT_GOOD_DELTAS and ell = p:
+            # each setting is admissible by construction
+            signs = {sign_of(LocalSetting._trusted(p, p, 1, AdditivePotGood(delta),
+                                                   DIHEDRAL, DIHEDRAL, None))
+                     for delta in deltas}
             if len(signs) != 1:
                 raise AssertionError(
                     f"deltas of tame order {e_target} disagree at p = {p}: {signs}")

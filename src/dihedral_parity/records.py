@@ -12,7 +12,8 @@ rest from the slots, taken in declaration order from the base class down:
 
 A slot whose name starts with "_" is a cache: it is neither shown nor
 compared.  Fields listed in a class's `_uncompared` are shown but not
-compared.
+compared; such a name that is no slot, a property over a cache slot, is
+shown after the slots.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for klass in reversed(cls.__mro__)
-                            for name in klass.__dict__.get("__slots__", ())
-                            if not name.startswith("_"))
+        slots = tuple(name for klass in reversed(cls.__mro__)
+                      for name in klass.__dict__.get("__slots__", ())
+                      if not name.startswith("_"))
+        cls._fields = slots + tuple(name for name in cls._uncompared if name not in slots)
         compared = cls._compared = tuple(name for name in cls._fields
                                          if name not in cls._uncompared)
         # the tuple of compared fields, read by one attrgetter; for fewer

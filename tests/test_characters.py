@@ -831,6 +831,23 @@ def test_restriction_and_arithmetic_force_deferred_values():
     assert plain.lifts == checked.lifts and not _built(plain, "_recipe")
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (13, 1)])
+def test_degree_reads_the_spectrum(p, n):
+    """Ind f reads its degree [G : H] f(1) off its multiplicities, with no
+    value built, and that is its value at the identity class."""
+    ctx = DihedralContext(p, n)
+    G = ctx.full()
+    for level in range(1, n + 1):
+        for f in cyclic_characters(ctx, level):
+            induced = induce(f, G)
+            degree = induced.degree
+            assert not _built(induced, "values") and not _built(induced, "_lifts")
+            assert degree == induced.values[0].rational_value() == 2 * p ** (n - level)
+    for chi in irreducibles(ctx):
+        plain = VirtualCharacter(G, chi.values)
+        assert chi.degree == plain.degree and plain._spectrum is None
+
+
 def test_levels_and_indices_are_integers():
     ctx = DihedralContext(5, 2)
     for bad in (True, False, 1.0, 2.0, "1", None):

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import w_referee
 from corpus import TATE_CORPUS
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
@@ -13,7 +16,7 @@ from dihedral_parity.characters import (ORDER2, THETA, TRIVIAL, cyclic_p_power,
                                         dihedral_p_power)
 from dihedral_parity.parity import (_PAIRS, CYCLIC, DIHEDRAL, FROZEN_POT_GOOD_TABLE,
                                     POT_GOOD_DELTAS, InadmissibleSettingError,
-                                    LocalSetting,
+                                    LocalSetting, LocalVerdict,
                                     MissingCompletionError, QuadCharClass,
                                     base_descriptor, c_parity,
                                     enumerate_settings, global_parity,
@@ -190,6 +193,39 @@ def test_pot_good_table_both_sides_match_frozen():
         pot_good_table("x")
 
 
+def test_w_referee_agrees_on_every_potentially_good_setting():
+    """The w side from root numbers over the quadratic subfield
+    (tests/w_referee.py) against w_ratio, on every potentially good
+    setting of the sweep for p from 5 to 43."""
+    cases = Counter()
+    for p in [q for q in RESIDUE_PRIMES if 5 <= q <= 43]:
+        for s in enumerate_settings(p):
+            if isinstance(s.base, AdditivePotGood):
+                sign, case = w_referee.w_side(s)
+                assert sign == w_ratio(s)[0], (s, case)
+                cases[case] += 1
+    assert sum(cases.values()) == 6888
+    # e_F = 4 and 6 arise only under I_v = C_p, where f = 2 makes W = 1
+    assert set(cases) == {"cyclic G_v", "tame psi, Deligne congruence"} | {
+        f"ell = p, Rohrlich over F_w, e_F = {e_F}" for e_F in (1, 2, 3, 4, 6)}
+    with pytest.raises(ValueError, match="potentially good"):
+        w_referee.w_side(setting(SplitMult(2)))
+
+
+def test_w_referee_regenerates_the_frozen_table():
+    """Rows: the tame order 12 / gcd(12, delta) over the base; columns: p
+    mod 12, at one prime each; every delta of a row agrees."""
+    table = {}
+    for e in (6, 4, 3, 2):
+        for residue, p in {1: 13, 5: 5, 7: 7, 11: 11}.items():
+            signs = {w_referee.w_side(setting(AdditivePotGood(delta), I_v=DIHEDRAL,
+                                              p=p))[0]
+                     for delta in POT_GOOD_DELTAS if 12 // gcd(12, delta) == e}
+            assert len(signs) == 1, (e, p)
+            table[(e, residue)] = signs.pop()
+    assert table == FROZEN_POT_GOOD_TABLE
+
+
 def test_ramification_degree_e():
     assert [ramification_degree_e(d) for d in (2, 3, 4, 6, 8, 9, 10)] == \
         [6, 4, 3, 2, 3, 4, 6]
@@ -227,13 +263,30 @@ def test_enumeration_shape(p):
         assert (s.eta_equals_chi is not None) == needs
 
 
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_enumerated_settings_pass_the_checked_constructor(p):
     """enumerate_settings skips LocalSetting's checks; each setting it lists
     is one the checked constructor builds equal, field for field."""
     for s in enumerate_settings(p):
         fields = {name: getattr(s, name) for name in LocalSetting._fields}
         assert LocalSetting(**fields) == s
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_verdicts_are_the_two_closed_forms(p):
+    """verify_local computes the two signs alone; each verdict has the signs
+    of c_parity and w_ratio, and its traces, built on first read, are
+    theirs and are kept."""
+    for s in enumerate_settings(p):
+        c, c_trace = c_parity(s)
+        w, w_trace = w_ratio(s)
+        v = verify_local(s)
+        assert (v.setting, v.c_side, v.w_side, v.agree) == (s, c, w, c == w)
+        assert v._c_trace is None and v._w_trace is None
+        assert v.c_trace == c_trace and v.w_trace == w_trace
+        assert v.c_trace is v.c_trace and v.w_trace is v.w_trace
+    kept = LocalVerdict(s, c, w, c == w, {}, {"other": 1})
+    assert (kept.c_trace, kept.w_trace) == ({}, {"other": 1})
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 25, 5.0, None])
