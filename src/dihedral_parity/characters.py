@@ -5,57 +5,34 @@ power basis 1, zeta, ..., zeta^{phi-1} and reduced modulo the p^n-th
 cyclotomic polynomial; inner products, inductions and restrictions are all
 exact, with no floating point anywhere.
 
-An inner product sums |c| f1(c) conj(f2(c)) over the classes c in the group
-ring Z[x]/(x^m - 1), m = p^n, where conjugation negates exponents mod m and
-a product is a cyclic convolution; Phi_m divides x^m - 1, so the sum maps
-to the inner product in Z[zeta_m], and an integer is read straight off it.
-Any preimage of each value in Z[x]/(x^m - 1) will do, so the sum runs over
-each value's `lift`: x^k for zeta^k and x^a + x^-a for zeta^a + zeta^-a,
-where the reduced forms have up to p - 1 terms per power.
-Only a sum that is not an integer is reduced modulo Phi_m.  A character
-keeps the tuple of its values' lifts, so an inner product zips two tables.
-
-Induction from H to G reads a class-fusion table, cached on G and read
-off the shapes of G and H: for each class g of G, the number count_d of x
-in G that conjugate g into each class d of H.  Those x are |d| cosets of
-C_G(g), and C_H(d) lies in a conjugate of C_G(g), so count_d / |H| =
-|C_G(g)| / |C_H(d)| is an integer; `induce` checks every count at the
-call, and a count that |H| does not divide is an error.  The induced
-character's values are deferred: its lifts, each the sum of those
-integers times the lifts of chi's values, are built on first read, and
-its values on first read of them, their coefficients reduced from the
-lifts through the context's table of zeta^k, so no dense form is
-divided.  A caller that only takes inner products of the result, or
-compares lifts as the tower identity does, never pays for the values.
-Restriction reads the class map of (G, H), cached on G the same way, and
-picks values and lifts through it (forcing a deferred chi's); chi keeps
-each restriction to a subgroup of its own context.  Both build their
-results without the public constructor's check that each value lies in
-the group's ring: by construction they do.
-
 A character the library builds (an irreducible, a cyclic character, and
-their restrictions and inductions) also carries its spectrum: the
-multiplicities (m_0, ..., m_{c-1}) in it of the linear characters
-(i step, 0) -> zeta_c^(t i) of its group's rotation subgroup, c = count,
-and its one reflection value, None when the group has no reflections.
-Those two fix a character (Serre, 5.3 and 7.3), so an inner product of
-two such characters is sum m1_t m2_t on a cyclic group and half of that
-plus v1 v2 on a reflecting one, with no class loop and no value read.
-Restriction folds the multiplicities modulo the smaller count; induction
-repeats them, and when only the larger group reflects adds those of the
-conjugate character (the two double cosets of Mackey's formula), with
-reflection value 0.  The spectrum is set when `induce` or
-`cyclic_characters` returns, while the values wait for a reader, so a
-Frobenius check <Ind f, g> = <f, Res g> builds no induced or cyclic
-value.  A class function from the public constructor or from + - *
-carries none and takes the lift sum above.
+their restrictions and inductions) is its spectrum: the multiplicities
+(m_0, ..., m_{c-1}) in it of the linear characters (i step, 0) ->
+zeta_c^(t i) of its group's rotation subgroup, c = count, and its
+reflection value v, None when the group has no reflections (Serre, 5.3
+and 7.3).  One rule gives its values: at the rotation (j step, 0) the
+preimage sum m_t x^(t j step mod m) in Z[x]/(x^m - 1), m = p^n, and at
+the reflections v; each value is reduced from its preimage through the
+context's table of zeta^k on first read of `values`, once per context.
+An inner product of two spectra is sum m1_t m2_t, or half of that plus
+v1 v2 on a reflecting group.  Restriction folds the multiplicities
+modulo the smaller count; induction repeats them, and when only the
+larger group reflects adds those of the conjugate character (Mackey's
+two double cosets), with reflection value 0.  So a Frobenius check
+<Ind f, g> = <f, Res g> builds no value.
 
-Each DihedralContext reduces zeta^k once for each k < m, into one table:
-the irreducible table, built once per context, reads its (m + 1)/2
-distinct values zeta^a + zeta^-a from it, the cyclic characters read their
-values from it when first asked, and characters so share value objects
-and their caches.
-A context also keeps one Subgroup per tag, so characters on one subgroup
+A class function from the public constructor or from + - * has no
+spectrum.  Its inner product sums |c| f1(c) conj(f2(c)) over the classes
+in the group ring Z[x]/(x^m - 1), where conjugation negates exponents;
+Phi_m divides x^m - 1, so an integer is read straight off the sum.  Its
+restriction picks values through the class map of (G, H), and its
+induction sums them through the class-fusion table of (G, H): for each
+class g of G, the number count_d of x in G that conjugate g into each
+class d of H, and count_d / |H| = |C_G(g)| / |C_H(d)| is an integer
+(a count that |H| does not divide is an error).  The tower identity
+restricts and induces the irreducibles' preimages the same way.
+
+A context keeps one Subgroup per tag, so characters on one subgroup
 share one group object, with its fusion tables and class maps.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
@@ -87,9 +64,8 @@ class GroupMismatchError(ValueError):
 
 class Cyclotomic(Record):
     """Element of Z[zeta_{p^n}] in the power basis mod the cyclotomic
-    polynomial.  A value built from powers of zeta may record, as _lift, the
-    sparse preimage in Z[x]/(x^m - 1) it was built from (see `lift`)."""
-    __slots__ = ("p", "n", "coeffs", "_terms", "_lift")
+    polynomial."""
+    __slots__ = ("p", "n", "coeffs", "_terms")
 
     def __init__(self, p: int, n: int, coeffs: tuple[int, ...]):
         self.p = p
@@ -182,18 +158,6 @@ class Cyclotomic(Record):
             return terms
 
     @property
-    def lift(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, c), c != 0, of a preimage sum c x^i in Z[x]/(x^m - 1),
-        0 <= i < m: the one recorded when the value was built, x^k for
-        zeta^k, which has one term where the reduced zeta^k may have p - 1;
-        else `terms`, kept on first use."""
-        try:
-            return self._lift
-        except AttributeError:
-            self._lift = lift = self.terms
-            return lift
-
-    @property
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -236,6 +200,7 @@ class DihedralContext:
         self.n = n
         self.m = p ** n
         self._subgroups = {}
+        self._values = {}
 
     def __eq__(self, other):
         return isinstance(other, DihedralContext) and (self.p, self.n) == (other.p, other.n)
@@ -279,36 +244,31 @@ class DihedralContext:
 
     @cached_property
     def _zetas(self) -> tuple[Cyclotomic, ...]:
-        """zeta^k for 0 <= k < m, each reduced once, with lift x^k."""
-        zetas = tuple(self.zeta(k) for k in range(self.m))
-        for k, z in enumerate(zetas):
-            z._lift = ((k, 1),)
-        return zetas
+        """zeta^k for 0 <= k < m, each reduced once."""
+        return tuple(self.zeta(k) for k in range(self.m))
+
+    def _value(self, preimage: tuple[tuple[int, int], ...]) -> Cyclotomic:
+        """The value of the preimage sum c x^i, 0 <= i < m, reduced through
+        _zetas once per context and shared by every value it gives: the
+        irreducible table of D_998 has 63001 values, 253 of them distinct,
+        and `chars --p 499` peaks at 27 MB so, at 273 MB without."""
+        value = self._values.get(preimage)
+        if value is None:
+            coeffs = [0] * (self.m - self.m // self.p)
+            zetas = self._zetas
+            for i, c in preimage:
+                for j, z in zetas[i].terms:
+                    coeffs[j] += c * z
+            value = self._values[preimage] = Cyclotomic(self.p, self.n, tuple(coeffs))
+        return value
 
     @cached_property
     def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
         G = self.full()
-        one = self.integer(1)
-        zero = self.integer(0)
         m = self.m
-        nrot = (m - 1) // 2
-        # I(chi_k) at s^j is cosines[kj mod m]; of the m values, nrot + 1
-        # are distinct and built once
-        zetas = self._zetas
-        half = [zetas[a] + zetas[-a] for a in range(nrot + 1)]
-        for a in range(1, nrot + 1):
-            half[a]._lift = ((a, 1), (m - a, 1))
-        cosines = half + half[:0:-1]  # zeta^a + zeta^-a for 0 <= a < m
-        out = [VirtualCharacter(G, tuple([one] * (nrot + 1) + [one])),
-               VirtualCharacter(G, tuple([one] * (nrot + 1) + [-one]))]
-        out[0]._spectrum, out[1]._spectrum = (_unit(m, 0), 1), (_unit(m, 0), -1)
-        for k in range(1, nrot + 1):
-            vals = [cosines[k * j % m] for j in range(nrot + 1)]
-            vals.append(zero)
-            chi = VirtualCharacter(G, tuple(vals))
-            chi._spectrum = (_unit(m, k, m - k), 0)
-            out.append(chi)
-        return tuple(out)
+        spectra = [(_unit(m, 0), 1), (_unit(m, 0), -1)]
+        spectra += [(_unit(m, k, m - k), 0) for k in range(1, (m + 1) // 2)]
+        return tuple([VirtualCharacter._of(G, spectrum) for spectrum in spectra])
 
 
 def _unit(count: int, *indices: int) -> tuple[int, ...]:
@@ -444,13 +404,11 @@ class Subgroup:
 
 class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles semantics.
-    Its values' lifts (_lifts) and its restrictions (_restrictions) are kept;
-    a character the library builds carries its _spectrum (module docstring),
-    one from the public constructor None.
-    A character from `induce` or `cyclic_characters` holds, as _recipe, a
-    pair (build, arg) and leaves `values` and _lifts unset: the first read of
-    either calls build(chi, arg, name), and the result is kept."""
-    __slots__ = ("group", "values", "_lifts", "_restrictions", "_spectrum", "_recipe")
+    A character the library builds is its _spectrum (module docstring), and
+    its `values` are built on first read; one from the public constructor
+    has values and the _spectrum None.  Its restrictions (_restrictions)
+    are kept."""
+    __slots__ = ("group", "values", "_restrictions", "_spectrum")
 
     def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
         if len(values) != len(group.class_reps):
@@ -463,45 +421,20 @@ class VirtualCharacter(Record):
         self._spectrum = None
 
     @classmethod
-    def _trusted(cls, group: Subgroup, values: tuple[Cyclotomic, ...],
-                 lifts: tuple, spectrum: tuple | None) -> "VirtualCharacter":
-        """A character whose values, one per class of group, the caller took
-        from the ring of group's context, with their lifts and its spectrum
-        (None when it has none): nothing to check."""
+    def _of(cls, group: Subgroup, spectrum: tuple) -> "VirtualCharacter":
+        """The character of group with this spectrum."""
         chi = cls.__new__(cls)
-        chi.group, chi.values, chi._lifts, chi._spectrum = group, values, lifts, spectrum
-        return chi
-
-    @classmethod
-    def _deferred(cls, group: Subgroup, spectrum: tuple | None,
-                  build, arg) -> "VirtualCharacter":
-        """A character of group with its spectrum whose `values` and _lifts
-        build(chi, arg, name) makes on first read, as _trusted's would be."""
-        chi = cls.__new__(cls)
-        chi.group, chi._spectrum, chi._recipe = group, spectrum, (build, arg)
+        chi.group, chi._spectrum = group, spectrum
         return chi
 
     def __getattr__(self, name):
-        # only a read of an unset slot (or of a name that no slot has) gets here
-        if name == "values" or name == "_lifts":
-            try:
-                build, arg = self._recipe
-            except AttributeError:
-                pass
-            else:
-                built = build(self, arg, name)
-                setattr(self, name, built)
-                return built
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @property
-    def lifts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The `lift` of each value, class by class."""
-        try:
-            return self._lifts
-        except AttributeError:
-            self._lifts = lifts = tuple([v.lift for v in self.values])
-            return lifts
+        # only a read of an unset slot (or of a name that no slot has) gets
+        # here, and `values` is unset only on a character built by _of
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.group.ctx._value
+        self.values = values = tuple([value(pre) for pre in _preimages(self)])
+        return values
 
     @property
     def degree(self) -> int:
@@ -559,31 +492,60 @@ def two_dim(ctx: DihedralContext, k: int) -> VirtualCharacter:
 
 def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter]:
     """The p^level characters of the cyclic subgroup C_{p^level}, the t-th
-    sending the i-th rotation to zeta_{p^level}^(t i).  Each carries its
-    spectrum; its values, read from the context's table of zeta^k, and their
-    lifts are built on first read."""
+    sending the i-th rotation to zeta_{p^level}^(t i): the t-th has the
+    one multiplicity m_t = 1."""
     H = ctx.subgroup(cyclic_p_power(level))
-    mk = H.count
-    return [VirtualCharacter._deferred(H, (_unit(mk, t), None), _cyclic_values, t)
-            for t in range(mk)]
+    return [VirtualCharacter._of(H, (_unit(H.count, t), None)) for t in range(H.count)]
 
 
-def _cyclic_values(chi: VirtualCharacter, t: int, name: str) -> tuple:
-    """The values of the t-th cyclic character chi, or their lifts, x^k for
-    zeta^k.  zeta_{p^level} = zeta_m^step, so the i-th value is
-    zeta_m^(t i step)."""
-    if name == "_lifts":
-        return tuple([v.lift for v in chi.values])
-    H = chi.group
-    zetas, m, step = H.ctx._zetas, H.ctx.m, t * H.step
-    return tuple([zetas[step * i % m] for i in range(H.count)])
+def _preimages(chi: VirtualCharacter) -> list[tuple[tuple[int, int], ...]]:
+    """For each class of chi's group, a preimage in Z[x]/(x^m - 1) of chi's
+    value there, as pairs (i, c): the value rule of the module docstring
+    when chi has a spectrum, else the `terms` of its values."""
+    spectrum = chi._spectrum
+    if spectrum is None:
+        return [v.terms for v in chi.values]
+    G = chi.group
+    m = G.ctx.m
+    ms, v = spectrum
+    shifts = [(t * G.step, c) for t, c in enumerate(ms) if c]
+    out = []
+    for j in range(G._rotation_classes):
+        acc = {}
+        for shift, c in shifts:
+            i = shift * j % m
+            acc[i] = acc.get(i, 0) + c
+        out.append(tuple(sorted(acc.items())))
+    if G.reflects:
+        out.append(((0, v),) if v else ())
+    return out
+
+
+def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], ...]]:
+    """Induction from H up to G on preimages, one per class of H: for each
+    class of G, the sum over its row of G.fusion(H) of count / |H| times
+    the preimage of class d.  A count that |H| does not divide raises
+    ValueError."""
+    order = H.order
+    out = []
+    for row in G.fusion(H):
+        acc = {}
+        for d, count in row:
+            weight, rest = divmod(count, order)
+            if rest:
+                raise ValueError(f"fusion count {count} not divisible by {order}")
+            for i, c in preimages[d]:
+                acc[i] = acc.get(i, 0) + weight * c
+        out.append(tuple([(i, c) for i, c in sorted(acc.items()) if c]))
+    return out
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)); exact, and an integer for
     virtual characters.  When both carry a spectrum it is the dot product
     S of their multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
-    S + v1 v2 raises ValueError); else the lifts are summed class by class."""
+    S + v1 v2 raises ValueError); else the values' terms are summed class
+    by class."""
     f1._check(f2)
     H = f1.group
     s1, s2 = f1._spectrum, f2._spectrum
@@ -598,15 +560,15 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     ctx = H.ctx
     m = ctx.m
     acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
-    for size, a, b in zip(H.class_sizes, f1.lifts, f2.lifts):
-        for i, c in a:
+    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
+        bs = b.terms
+        for i, c in a.terms:
             c *= size
-            for j, d in b:
+            for j, d in bs:
                 acc[i - j] += c * d  # -m < i - j < m: index i - j mod m
     # The multiples of Phi_m in Z[x]/(x^m - 1) are the vectors of period
     # q = m/p, so acc is the rational r exactly when acc - r x^0 has period
-    # q, and then r = acc[0] - acc[q].  Neither test nor r depends on which
-    # lift of each value was summed.
+    # q, and then r = acc[0] - acc[q].
     q = m // ctx.p
     if acc[1:m - q] == acc[1 + q:]:
         r = acc[0] - acc[q]
@@ -618,90 +580,57 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
 
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
-    """Restriction to H through the class map of (chi.group, H); built on
-    first use and kept on chi when H is of chi's own context, so that chi
-    holds no other context."""
+    """Restriction to H: the spectrum folded, m_u = sum of the m_s with
+    s = u mod count_H, else the values picked through the class map of
+    (chi.group, H).  Built on first use and kept on chi when H is of chi's
+    own context, so that chi holds no other context."""
     if H.ctx is not chi.group.ctx:
         kept = {}
     elif (kept := getattr(chi, "_restrictions", None)) is None:
         kept = chi._restrictions = {}
     res = kept.get(H)
     if res is None:
-        cmap = chi.group.class_map(H)
-        values, lifts = chi.values, chi.lifts
+        cmap = chi.group.class_map(H)  # raises unless H lies in chi.group
         spectrum = chi._spectrum
-        if spectrum is not None:  # m_u = sum of the m_s with s = u mod count
+        if spectrum is None:
+            values = chi.values
+            res = VirtualCharacter(H, tuple([values[i] for i in cmap]))
+        else:
             ms, v = spectrum
             c = H.count
-            spectrum = (tuple([sum(ms[u::c]) for u in range(c)]), v if H.reflects else None)
-        res = kept[H] = VirtualCharacter._trusted(H, tuple([values[i] for i in cmap]),
-                                                  tuple([lifts[i] for i in cmap]), spectrum)
+            res = VirtualCharacter._of(H, (tuple([sum(ms[u::c]) for u in range(c)]),
+                                           v if H.reflects else None))
+        kept[H] = res
     return res
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
-    """Induction from chi.group up to G through the class-fusion table of
-    (G, chi.group).  Every fusion count is checked here, and the result
-    carries its spectrum; its lifts, the sums of the lifts of chi's values
-    weighted by |C_G(g)| / |C_H(d)|, and its values, reduced from them
-    through the context's table of zeta^k, are built on first read."""
+    """Induction from chi.group up to G: the spectrum repeated up to G's
+    count, m_s = m_(s mod count_H), plus m_(-s) when only G reflects;
+    else the values summed through `_fused`."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
-    order = H.order
-    for row in G.fusion(H):
-        for _, count in row:
-            if count % order:
-                raise ValueError(f"fusion count {count} not divisible by {order}")
     spectrum = chi._spectrum
-    if spectrum is not None:  # m_s = m_(s mod count), plus m_(-s) from t
-        ms, v = spectrum
-        if G.reflects and not H.reflects:
-            ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
-        spectrum = (ms * (G.count // H.count), v)
-    return VirtualCharacter._deferred(G, spectrum, _induced_values, chi)
-
-
-def _induced_values(induced: VirtualCharacter, chi: VirtualCharacter, name: str) -> tuple:
-    """The lifts of Ind chi, class by class, or its values reduced from
-    them, each value recording its lift."""
-    G = induced.group
-    ctx = G.ctx
-    if name == "_lifts":
-        H = chi.group
-        order, lifts = H.order, chi.lifts
-        out = []
-        for row in G.fusion(H):
-            acc = {}
-            for d, count in row:
-                weight = count // order  # exact: `induce` checked it
-                for i, c in lifts[d]:
-                    acc[i] = acc.get(i, 0) + weight * c
-            out.append(tuple([(i, c) for i, c in sorted(acc.items()) if c]))
-        return tuple(out)
-    p, n = ctx.p, ctx.n
-    phi = ctx.m - ctx.m // p
-    zetas = ctx._zetas
-    values = []
-    for lift in induced.lifts:
-        coeffs = [0] * phi
-        for i, c in lift:
-            for j, z in zetas[i].terms:
-                coeffs[j] += c * z
-        value = Cyclotomic(p, n, tuple(coeffs))
-        value._lift = lift
-        values.append(value)
-    return tuple(values)
+    if spectrum is None:
+        value = G.ctx._value
+        return VirtualCharacter(G, tuple([value(pre)
+                                          for pre in _fused(G, H, _preimages(chi))]))
+    ms, v = spectrum
+    if G.reflects and not H.reflects:
+        ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
+    return VirtualCharacter._of(G, (ms * (G.count // H.count), v))
 
 
 def verify_reduction_identity(p: int, n: int, *,
                               ctx: DihedralContext | None = None) -> bool:
     """Check Ind_{D_{2p^{n-1}}}^{D_{2p^n}} Res I(chi) = sum of the I(chi0)
     over the p characters chi0 of C_{p^n} restricting to chi on C_{p^{n-1}},
-    for every injective chi (index coprime to p).  Needs n >= 2.  The sides
-    are compared as lifts only, so each left side builds its lifts and
-    never its reduced values.  A caller that holds DihedralContext(p, n)
-    passes it as ctx, so its irreducible table is reused."""
+    for every injective chi (index coprime to p).  Needs n >= 2.  Both
+    sides are preimages in Z[x]/(x^m - 1): the left side is restricted
+    through the class map and induced through `_fused`, so no value is
+    reduced.  A caller that holds DihedralContext(p, n) passes it as ctx,
+    so its irreducible table is reused."""
     if n < 2:
         raise InvalidGroupError("the reduction identity needs n >= 2")
     if ctx is None:
@@ -710,7 +639,9 @@ def verify_reduction_identity(p: int, n: int, *,
         raise GroupMismatchError(f"{ctx!r} is not the context of (p={p}, n={n})")
     G = ctx.full()
     H = ctx.subgroup(dihedral_p_power(n - 1))
-    irr = irreducibles(ctx)  # I(chi_k) is irr[1 + k], as in two_dim
+    cmap = G.class_map(H)
+    # I(chi_k) is ctx._irreducibles[1 + k], as in two_dim
+    preimages = [_preimages(chi) for chi in ctx._irreducibles]
     m = ctx.m
     half = (m - 1) // 2
     step = m // p
@@ -722,14 +653,15 @@ def verify_reduction_identity(p: int, n: int, *,
     for k in range(1, half + 1):
         if k % p == 0:
             continue
-        lhs = induce(restrict(irr[1 + k], H), G)
-        # class by class, the lift of the left side minus the lifts of the p
-        # terms on the right: the sides agree exactly when it is a multiple
-        # of Phi_m in Z[x]/(x^m - 1), a vector of period step (inner_product)
-        terms = [irr[1 + fold(k + t * step)].lifts for t in range(p)]
-        for j, lift in enumerate(lhs.lifts):
+        source = preimages[1 + k]
+        lhs = _fused(G, H, [source[i] for i in cmap])
+        # class by class, the left side minus the p terms on the right: the
+        # sides agree exactly when it is a multiple of Phi_m in
+        # Z[x]/(x^m - 1), a vector of period step (inner_product)
+        terms = [preimages[1 + fold(k + t * step)] for t in range(p)]
+        for j, pre in enumerate(lhs):
             acc = [0] * m
-            for i, c in lift:
+            for i, c in pre:
                 acc[i] += c
             for term in terms:
                 for i, c in term[j]:

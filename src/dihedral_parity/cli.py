@@ -174,8 +174,7 @@ def cmd_chars(args) -> int:
                          f"{CHARS_MAX_ORDER}, the largest chars accepts")
     ctx = DihedralContext(args.p, args.n)
     if args.verify_reduction and ctx.n < 2:
-        print("reduction identity: needs n >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("reduction identity: needs n >= 2")
     irr = irreducibles(ctx)
     G = ctx.full()
     labels = []
@@ -240,8 +239,11 @@ def _table_payload(table) -> dict:
 
 
 def cmd_verify_local(args) -> int:
-    from .parity import (FROZEN_POT_GOOD_TABLE, enumerate_settings, pot_good_table,
-                         verify_local)
+    from .parity import (FROZEN_POT_GOOD_TABLE, check_p, enumerate_settings,
+                         pot_good_table, verify_local)
+    check_p(args.p)
+    if not args.emit_table and not args.sweep:
+        raise ValueError("nothing to do: pass --sweep and/or --emit-table")
     status = 0
     payload = {"p": args.p}
     if args.emit_table:
@@ -273,9 +275,6 @@ def cmd_verify_local(args) -> int:
                         "sweep_disagreements": len(bad)})
         if bad:
             status = 1
-    if not args.emit_table and not args.sweep:
-        print("nothing to do: pass --sweep and/or --emit-table", file=sys.stderr)
-        return 2
     _write_json(args.json, payload)
     return status
 

@@ -67,7 +67,8 @@ _ALLOWED_INERTIA = {G.kind: tuple(I.kind for H, I in _PAIRS if H == G)
                     for G, _ in _PAIRS}
 
 
-def _check_p(p) -> None:
+def check_p(p) -> None:
+    """Raise InadmissibleSettingError unless p is a prime >= 5."""
     if not isinstance(p, int) or p < 5 or not is_prime(p):
         raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
 
@@ -79,7 +80,7 @@ class LocalSetting(Record):
     def __init__(self, p: int, ell: int, r: int, base: ReductionDescriptor,
                  G_v: SubgroupTag, I_v: SubgroupTag,
                  eta_equals_chi: bool | None = None):
-        _check_p(p)
+        check_p(p)
         if not isinstance(ell, int) or not is_prime(ell):
             raise InadmissibleSettingError(f"ell must be prime, got {ell}")
         if not isinstance(r, int) or isinstance(r, bool) or r < 1:
@@ -342,7 +343,7 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     in a fixed deterministic order.  Each setting is admissible by
     construction, so only p is checked, once, and each setting's slots are
     filled directly."""
-    _check_p(p)
+    check_p(p)
     ns = range(1, n_max + 1)
     # each descriptor is built once and shared by the settings that use it
     unflagged = [Good()] + [cls(n) for n in ns for cls in (SplitMult, NonsplitMult)]

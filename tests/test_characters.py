@@ -11,6 +11,7 @@ from dihedral_parity.characters import (Cyclotomic, DihedralContext,
                                         dihedral_p_power, eta, induce,
                                         inner_product, irreducibles, restrict,
                                         two_dim, verify_reduction_identity)
+from dihedral_parity import characters
 from dihedral_parity import regulator
 from dihedral_parity.regulator import (direct_sum, faithful_rep, invariant_pairing,
                                        regulator_constant, sign_rep, trivial_rep)
@@ -449,12 +450,12 @@ def test_induce_matches_reference(data):
     assert induce(chi, G) == reference_induce(chi, G)
 
 
-# --- sparse lifts ----------------------------------------------------------
+# --- sparse preimages ------------------------------------------------------
 
 def terms_inner_product(f1, f2):
     """The inner product summed over the nonzero coefficients of the reduced
-    values, with the period test run by run: the kernel before values
-    recorded their lifts."""
+    values, with the period test run by run: the class-function kernel
+    restated."""
     f1._check(f2)
     H = f1.group
     ctx = H.ctx
@@ -505,32 +506,32 @@ def test_inner_product_matches_the_terms_loop_on_every_pair(p, n):
 
 @pytest.mark.parametrize("p,n", GROUPS)
 def test_recorded_lifts_are_sparse_preimages(p, n):
+    """The lifts (preimages in Z[x]/(x^m - 1)) that the value rule reads
+    off a spectrum: every term has 0 <= i < m and c != 0, a class of an
+    irreducible has at most two and one of a cyclic character one, and
+    each reduces, afresh, to the value; the zeta table is zeta^k."""
     ctx = DihedralContext(p, n)
     m = ctx.m
-    values = list(ctx._zetas) + [v for chi in irreducibles(ctx) for v in chi.values]
-    for v in values:
-        dense = [0] * m
-        for i, c in v.lift:
-            assert 0 <= i < m and c != 0
-            dense[i] += c
-        assert Cyclotomic.make(p, n, dense) == v
-        assert len(v.lift) <= 2
-    # a value built by arithmetic has no recorded lift: it reads its terms
-    total = ctx._zetas[1] + ctx._zetas[2]
-    assert total.lift == total.terms
-
-
-def _with_lift(v, lift):
-    out = Cyclotomic(v.p, v.n, v.coeffs)
-    out._lift = lift
-    return out
+    assert ctx._zetas == tuple(Cyclotomic.make(p, n, [0] * k + [1]) for k in range(m))
+    cyclic = [f for level in range(1, n + 1) for f in cyclic_characters(ctx, level)]
+    for chi in irreducibles(ctx) + cyclic:
+        bound = 2 if chi.group.reflects else 1
+        for lift, v in zip(characters._preimages(chi), chi.values):
+            assert len(lift) <= bound
+            dense = [0] * m
+            for i, c in lift:
+                assert 0 <= i < m and c != 0
+                dense[i] += c
+            assert Cyclotomic.make(p, n, dense) == v
+    # a class function from the constructor reads its values' terms
+    plain = VirtualCharacter(ctx.full(), irreducibles(ctx)[-1].values)
+    assert characters._preimages(plain) == [v.terms for v in plain.values]
 
 
 @st.composite
 def _table_function(draw, H):
     """A class function on H whose values are drawn from the context's own
-    table (powers of zeta and irreducible values, each with its recorded
-    lift): rarely a character."""
+    tables (powers of zeta and irreducible values): rarely a character."""
     ctx = H.ctx
     table = list(ctx._zetas) + [v for chi in irreducibles(ctx) for v in chi.values]
     return VirtualCharacter(H, tuple(draw(st.sampled_from(table)) for _ in H.class_reps))
@@ -549,41 +550,19 @@ def _pair_on(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_inner_product_matches_the_terms_loop_on_table_values(data):
-    """Values with recorded lifts, on functions that are mostly not
+    """Values from the context's tables, on functions that are mostly not
     characters: the same integer or the same error message."""
     _, f1, f2 = data.draw(_pair_on())
     want = _outcome(terms_inner_product, f1, f2)
     assert _outcome(inner_product, f1, f2) == want == _outcome(reference_inner_product, f1, f2)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_inner_product_does_not_depend_on_the_lift(data):
-    """Adding a vector of period q = m/p, a multiple of Phi_m in
-    Z[x]/(x^m - 1), to any value's lift changes neither the integer nor
-    the error."""
-    ctx, f1, f2 = data.draw(_pair_on())
-    m, q = ctx.m, ctx.m // ctx.p
-    shifted = []
-    for v in f1.values:
-        period = data.draw(st.dictionaries(st.integers(0, q - 1), st.integers(-2, 2),
-                                           max_size=2))
-        dense = [period.get(i % q, 0) for i in range(m)]
-        for i, c in v.lift:
-            dense[i] += c
-        shifted.append(_with_lift(v, tuple((i, c) for i, c in enumerate(dense) if c)))
-    moved = VirtualCharacter(f1.group, tuple(shifted))
-    assert moved == f1
-    assert _outcome(inner_product, moved, f2) == _outcome(inner_product, f1, f2)
-    assert _outcome(inner_product, f2, moved) == _outcome(inner_product, f2, f1)
-
-
 def test_errors_name_the_reduced_value_whatever_the_lift():
     ctx = DihedralContext(5, 2)
     one = ctx.integer(1)
-    # zeta^24 reduces to four terms; its lift is x^24
+    # zeta^24, the reduction of x^24, has four terms
     z24 = ctx._zetas[24]
-    assert z24.lift == ((24, 1),) and len(z24.terms) == 4
+    assert len(z24.terms) == 4
     trivial = ctx.subgroup(TRIVIAL)
     f = VirtualCharacter(trivial, (z24,))
     g = VirtualCharacter(trivial, (one,))
@@ -615,7 +594,7 @@ def test_one_subgroup_per_tag():
             ctx.subgroup(cyclic_p_power(3))
 
 
-# --- induction on lifts ----------------------------------------------------
+# --- induction on preimages -----------------------------------------------
 
 # every (p, n) with p^n <= 125, one context each, shared across examples
 SMALL_GROUPS = [(p, n) for p in range(3, 126, 2)
@@ -645,8 +624,9 @@ def _cyclic_combination(draw):
     return ctx, level, f
 
 
-def _without_lifts(chi):
-    """chi with every value rebuilt from its coefficients alone."""
+def _plain(chi):
+    """chi through the public constructor, with every value rebuilt from its
+    coefficients alone: the same class function, with no spectrum."""
     return VirtualCharacter(chi.group, tuple(Cyclotomic(v.p, v.n, v.coeffs)
                                              for v in chi.values))
 
@@ -654,16 +634,20 @@ def _without_lifts(chi):
 @settings(max_examples=40, deadline=None)
 @given(_cyclic_combination())
 def test_induced_values_reduce_from_their_recorded_lifts(case):
-    ctx, _, f = case
-    induced = induce(f, ctx.full())
-    assert induced == reference_induce(f, ctx.full())
-    assert induced.lifts == tuple(v.lift for v in induced.values)
-    for v in induced.values:
-        dense = [0] * ctx.m
-        for i, c in v._lift:
-            assert 0 <= i < ctx.m and c != 0
-            dense[i] += c
-        assert Cyclotomic.make(ctx.p, ctx.n, dense).coeffs == v.coeffs
+    """Ind f of a combination f (no spectrum) sums the lifts of f's values
+    through the fusion table; it is the reference and the same combination
+    of the inductions of f's cyclic summands, each read off its spectrum."""
+    ctx, level, f = case
+    G = ctx.full()
+    induced = induce(f, G)
+    assert induced._spectrum is None and induced == reference_induce(f, G)
+    summed = None
+    for psi in cyclic_characters(ctx, level):
+        c = inner_product(f, psi)
+        if c:
+            term = induce(psi, G) * c
+            summed = term if summed is None else summed + term
+    assert induced == summed
 
 
 @settings(max_examples=60, deadline=None)
@@ -686,9 +670,8 @@ def test_inner_products_do_not_read_recorded_lifts(data):
     for index in data.draw(st.lists(st.integers(0, len(irr) - 1), min_size=1, max_size=3)):
         g = irr[index]
         res = restrict(g, H)
-        assert inner_product(induced, g) == inner_product(_without_lifts(induced),
-                                                          _without_lifts(g))
-        assert inner_product(f, res) == inner_product(_without_lifts(f), _without_lifts(res))
+        assert inner_product(induced, g) == inner_product(_plain(induced), _plain(g))
+        assert inner_product(f, res) == inner_product(_plain(f), _plain(res))
 
 
 @pytest.mark.parametrize("p, n", [(p, n) for p, n in SMALL_GROUPS if n in (2, 3)])
@@ -702,7 +685,6 @@ def test_restrict_and_induce_match_the_checked_constructor():
     chi = two_dim(ctx, 3)
     res = restrict(chi, C5)
     assert res == VirtualCharacter(C5, res.values)
-    assert res.lifts == tuple(v.lift for v in res.values)
     induced = induce(res, G)
     assert induced == VirtualCharacter(G, induced.values) == reference_induce(res, G)
     # a restriction is kept on chi: one object, equal to a fresh one
@@ -723,7 +705,7 @@ def test_restrict_and_induce_match_the_checked_constructor():
 def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
     ctx = DihedralContext(5, 1)
     G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
-    f = cyclic_characters(ctx, 1)[1]
+    f = VirtualCharacter(C5, cyclic_characters(ctx, 1)[1].values)  # no spectrum
     table = G.fusion(C5)
     G._fusion[C5] = (((0, 7),),) + table[1:]
     with pytest.raises(ValueError, match="^fusion count 7 not divisible by 5$"):
@@ -759,23 +741,15 @@ def _frobenius_loop(ctx):
 @pytest.mark.parametrize("p, n", SMALL_GROUPS)
 def test_frobenius_checks_build_no_induced_or_cyclic_value(p, n):
     ctx = DihedralContext(p, n)
-    G, m = ctx.full(), ctx.m
+    G = ctx.full()
     pairs = _frobenius_loop(ctx)
     for _, f, induced in pairs:
-        for chi in (f, induced):
-            assert not _built(chi, "values") and not _built(chi, "_lifts")
+        assert not _built(f, "values") and not _built(induced, "values")
     for level, f, induced in pairs:
         t = f._spectrum[0].index(1)
         step = p ** (n - level)
         # values read later: the cyclic ones are the reference powers of zeta
         assert f.values == tuple(ctx.zeta(t * i * step) for i in range(p ** level))
-        assert f.lifts == tuple(((t * i * step % m, 1),) for i in range(p ** level))
-        # the induced lifts reduce to the induced values
-        for v, lift in zip(induced.values, induced.lifts):
-            dense = [0] * m
-            for i, c in lift:
-                dense[i] += c
-            assert v._lift is lift and Cyclotomic.make(p, n, dense).coeffs == v.coeffs
     # the elementwise reference, and checked construction, on a few per level
     for level, f, induced in pairs:
         t = f._spectrum[0].index(1)
@@ -792,21 +766,38 @@ def test_frobenius_checks_build_no_induced_or_cyclic_value(p, n):
 
 @pytest.mark.parametrize("p, n", [(p, n) for p, n in SMALL_GROUPS if n in (2, 3)])
 def test_tower_identity_builds_lifts_only(monkeypatch, p, n):
+    """The tower restricts the irreducibles' lifts through the class map and
+    induces them through the fusion table: it calls neither `restrict` nor
+    `induce` and reduces no value, and each left side it sums is the lift
+    of the reference Ind Res I(chi_k)."""
+    def refuse(*args):
+        raise AssertionError("the tower builds no character")
+
     left = []
 
-    def recording_induce(chi, G):
-        left.append(induce(chi, G))
-        return left[-1]
+    def recording(G, H, lifts, _real=characters._fused):
+        left.append((G, H, _real(G, H, lifts)))
+        return left[-1][2]
 
-    monkeypatch.setattr("dihedral_parity.characters.induce", recording_induce)
-    assert verify_reduction_identity(p, n) is True
-    assert len(left) == sum(1 for k in range(1, (p ** n - 1) // 2 + 1) if k % p)
-    assert all(_built(chi, "_lifts") and not _built(chi, "values") for chi in left)
-    ctx = left[0].group.ctx
-    H = ctx.subgroup(dihedral_p_power(n - 1))
-    for chi in left[:3]:
-        assert chi.values == reference_induce(chi._recipe[1], ctx.full()).values
-        assert chi._recipe[1].group is H
+    monkeypatch.setattr(characters, "restrict", refuse)
+    monkeypatch.setattr(characters, "induce", refuse)
+    monkeypatch.setattr(characters, "_fused", recording)
+    ctx = DihedralContext(p, n)
+    assert verify_reduction_identity(p, n, ctx=ctx) is True
+    monkeypatch.undo()
+    ks = [k for k in range(1, (p ** n - 1) // 2 + 1) if k % p]
+    assert len(left) == len(ks)
+    G, H = ctx.full(), ctx.subgroup(dihedral_p_power(n - 1))
+    assert all(K is G and L is H for K, L, _ in left)
+    assert not any(_built(chi, "values") for chi in irreducibles(ctx)) and not ctx._values
+    for k, (_, _, lifts) in list(zip(ks, left))[:2]:
+        want = reference_induce(VirtualCharacter(H, tuple(
+            two_dim(ctx, k).value_at(h) for h in H.class_reps)), G)
+        for lift, v in zip(lifts, want.values):
+            dense = [0] * ctx.m
+            for i, c in lift:
+                dense[i] += c
+            assert Cyclotomic.make(p, n, dense) == v
 
 
 def test_restriction_and_arithmetic_force_deferred_values():
@@ -816,19 +807,19 @@ def test_restriction_and_arithmetic_force_deferred_values():
     checked_f = VirtualCharacter(f.group, cyclic_characters(ctx, 2)[7].values)
     induced = induce(f, G)
     checked = VirtualCharacter(G, reference_induce(checked_f, G).values)
-    res = restrict(induced, C5)
-    assert res == restrict(checked, C5) and res._spectrum is not None
-    assert _built(induced, "values") and _built(induced, "_lifts")
+    res = restrict(induced, C5)  # folds the spectrum: builds no value of induced
+    assert not _built(induced, "values") and res._spectrum is not None
+    assert res == restrict(checked, C5) and not _built(induced, "values")
     for op in (lambda a: a + a, lambda a: a - a, lambda a: -a, lambda a: a * 3):
         assert op(induce(f, G)) == op(checked)
         assert op(cyclic_characters(ctx, 2)[7]) == op(checked_f)
     assert induce(f, G).degree == 2 and induce(f, G).value_at((5, 0)) == checked.value_at((5, 0))
     with pytest.raises(AttributeError, match="has no attribute 'missing'"):
         induced.missing
+    with pytest.raises(AttributeError, match="has no attribute '_restrictions'"):
+        induce(f, G)._restrictions
     plain = VirtualCharacter(G, checked.values)
-    with pytest.raises(AttributeError):
-        plain._recipe
-    assert plain.lifts == checked.lifts and not _built(plain, "_recipe")
+    assert plain._spectrum is None and plain == induced
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (13, 1)])
@@ -841,7 +832,7 @@ def test_degree_reads_the_spectrum(p, n):
         for f in cyclic_characters(ctx, level):
             induced = induce(f, G)
             degree = induced.degree
-            assert not _built(induced, "values") and not _built(induced, "_lifts")
+            assert not _built(induced, "values")
             assert degree == induced.values[0].rational_value() == 2 * p ** (n - level)
     for chi in irreducibles(ctx):
         plain = VirtualCharacter(G, chi.values)
@@ -872,19 +863,56 @@ def test_levels_and_indices_are_integers():
 # --- multiplicities --------------------------------------------------------
 
 @st.composite
-def _library_character(draw, ctx, tag):
+def _library_pair(draw, ctx, tag):
     """A character of the subgroup of tag that the library builds: an
     irreducible or a cyclic character, restricted to a standard subgroup K
-    below tag's (1 and D_2 included) and, when K is smaller, induced up."""
+    below tag's (1 and D_2 included) and, when K is smaller, induced up.
+    With it, the same function built through the public constructor: the
+    textbook values over fresh powers of zeta, each element of K's classes
+    read by `value_at`, then `reference_induce`."""
     H = ctx.subgroup(tag)
     K = ctx.subgroup(draw(st.sampled_from([t for t in _standard_tags(ctx.n)
                                            if H.contains(ctx.subgroup(t))])))
-    sources = [irreducibles(ctx)] + [cyclic_characters(ctx, level)
-                                     for level in range(1, ctx.n + 1)]
-    chi = draw(st.sampled_from([chi for chars in sources if chars[0].group.contains(K)
-                                for chi in chars]))
-    f = chi if chi.group is K else restrict(chi, K)
-    return f if K is H else induce(f, H)
+    levels = [0] + [level for level in range(1, ctx.n + 1)
+                    if ctx.subgroup(cyclic_p_power(level)).contains(K)]
+    level = draw(st.sampled_from(levels))  # 0: the irreducibles
+    if level:
+        t = draw(st.integers(0, ctx.p ** level - 1))
+        chi = cyclic_characters(ctx, level)[t]
+        fresh = tuple(ctx.zeta(t * i * chi.group.step) for i in range(chi.group.count))
+    else:
+        index = draw(st.integers(0, (ctx.m + 1) // 2))  # 1, eta, then I(chi_k)
+        chi, rot = irreducibles(ctx)[index], range((ctx.m + 1) // 2)
+        if index < 2:
+            one = ctx.integer(1)
+            fresh = (one,) * len(rot) + (-one if index else one,)
+        else:
+            k = index - 1
+            fresh = tuple(ctx.zeta(k * j) + ctx.zeta(-k * j) for j in rot) + (ctx.integer(0),)
+    ref = VirtualCharacter(chi.group, fresh)
+    if chi.group is not K:
+        chi = restrict(chi, K)
+        ref = VirtualCharacter(K, tuple(ref.value_at(h) for h in K.class_reps))
+    if K is H:
+        return chi, ref
+    return induce(chi, H), reference_induce(ref, H)
+
+
+def _library_character(ctx, tag):
+    return _library_pair(ctx, tag).map(lambda pair: pair[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_library_values_match_the_references(data):
+    """Every value of a built character, read off its spectrum, is the
+    textbook value: fresh powers of zeta for irreducibles and cyclic
+    characters, picked element by element for a restriction, and
+    `reference_induce` for an induction."""
+    ctx, tag, _ = data.draw(_tower())
+    f, ref = data.draw(_library_pair(ctx, tag))
+    assert f._spectrum is not None and ref._spectrum is None
+    assert f.values == ref.values
 
 
 @settings(max_examples=150, deadline=None)
@@ -894,7 +922,7 @@ def test_inner_product_from_multiplicities_matches_the_lift_sum(data):
     f1, f2 = (data.draw(_library_character(ctx, tag)) for _ in range(2))
     assert f1._spectrum is not None and f2._spectrum is not None
     assert (inner_product(f1, f2)
-            == inner_product(_without_lifts(f1), _without_lifts(f2))
+            == inner_product(_plain(f1), _plain(f2))
             == reference_inner_product(f1, f2))
 
 
@@ -946,7 +974,7 @@ def test_only_library_characters_carry_multiplicities():
         assert getattr(induce(restrict(f, C5), G), "_spectrum", None) is None
     # an odd S + v1 v2 is no inner product of virtual characters
     one = irreducibles(ctx)[0]
-    odd = VirtualCharacter._trusted(G, one.values, one.lifts, (one._spectrum[0], 0))
+    odd = VirtualCharacter._of(G, (one._spectrum[0], 0))
     with pytest.raises(ValueError, match="^1 / 2 is not an integer$"):
         inner_product(odd, one)
 

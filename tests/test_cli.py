@@ -84,7 +84,7 @@ def test_chars_reduction_identity_at_n_1_is_rejected_before_any_output(capsys):
     assert main(["chars", "--p", "5", "--n", "1", "--verify-reduction"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "reduction identity: needs n >= 2" in err
+    assert err == "error: reduction identity: needs n >= 2\n"
 
 
 def test_chars_bad_group(capsys):
@@ -163,7 +163,17 @@ def test_verify_local_table(capsys):
 
 def test_verify_local_needs_a_job(capsys):
     assert main(["verify-local", "--p", "5"]) == 2
-    assert "nothing to do" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: nothing to do: pass --sweep and/or --emit-table\n"
+
+
+@pytest.mark.parametrize("p", ["4", "-7", "3"])
+@pytest.mark.parametrize("jobs", [["--emit-table"], ["--sweep", "--emit-table"], ["--sweep"]])
+def test_verify_local_checks_p_before_any_output(tmp_path, capsys, p, jobs):
+    report = tmp_path / "out.json"
+    assert main(["verify-local", "--p", p, *jobs, "--json", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: p must be a prime >= 5, got {p}\n"
+    assert not report.exists()
 
 
 # --- verify-global ---------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -208,8 +209,24 @@ def test_w_referee_agrees_on_every_potentially_good_setting():
     # e_F = 4 and 6 arise only under I_v = C_p, where f = 2 makes W = 1
     assert set(cases) == {"cyclic G_v", "tame psi, Deligne congruence"} | {
         f"ell = p, Rohrlich over F_w, e_F = {e_F}" for e_F in (1, 2, 3, 4, 6)}
-    with pytest.raises(ValueError, match="potentially good"):
-        w_referee.w_side(setting(SplitMult(2)))
+
+
+def test_w_referee_agrees_on_every_criterion_1_setting():
+    """The referee against w_ratio on all 11328 settings of the acceptance
+    sweep (p in 5, 7, 11, 13); good and potentially multiplicative
+    reduction read rho|G_v through `restrict` and `inner_product`."""
+    t0 = perf_counter()
+    cases = Counter()
+    for p in (5, 7, 11, 13):
+        for s in enumerate_settings(p):
+            sign, case = w_referee.w_side(s)
+            assert sign == w_ratio(s)[0], (s, case)
+            cases[case, sign] += 1
+    elapsed = perf_counter() - t0
+    assert sum(cases.values()) == 11328 and elapsed < 2.0, elapsed
+    assert cases["good reduction", 1] == 296
+    sp2 = "potentially multiplicative, Rohrlich sp(2)"
+    assert (cases[sp2, -1], cases[sp2, 1]) == (1120, 7840)
 
 
 def test_w_referee_regenerates_the_frozen_table():

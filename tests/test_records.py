@@ -118,11 +118,10 @@ def test_cached_terms_stay_out_of_repr_and_equality():
     assert z.terms is z.terms  # built once
     assert z == fresh and hash(z) == hash(fresh)
     assert repr(z) == repr(fresh) == "Cyclotomic(p=5, n=1, coeffs=(0, 3, 0, -1))"
-    lifted = DihedralContext(5, 1)._zetas[4]  # records its lift x^4
-    assert lifted.lift == ((4, 1),) and lifted.terms == ((0, -1), (1, -1), (2, -1), (3, -1))
-    plain = Cyclotomic(5, 1, lifted.coeffs)
-    assert plain.lift == plain.terms
-    assert lifted == plain and hash(lifted) == hash(plain) and repr(lifted) == repr(plain)
+    table = DihedralContext(5, 1)._zetas[4]  # zeta^4 from the context's table
+    assert table.terms == ((0, -1), (1, -1), (2, -1), (3, -1))
+    plain = Cyclotomic(5, 1, table.coeffs)
+    assert table == plain and hash(table) == hash(plain) and repr(table) == repr(plain)
 
 
 @pytest.mark.parametrize("record,key", [
