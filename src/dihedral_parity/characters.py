@@ -498,10 +498,17 @@ def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter
     return [VirtualCharacter._of(H, (_unit(H.count, t), None)) for t in range(H.count)]
 
 
-def _preimages(chi: VirtualCharacter) -> list[tuple[tuple[int, int], ...]]:
+def _preimages(chi: VirtualCharacter,
+               known: dict | None = None) -> list[tuple[tuple[int, int], ...]]:
     """For each class of chi's group, a preimage in Z[x]/(x^m - 1) of chi's
     value there, as pairs (i, c): the value rule of the module docstring
-    when chi has a spectrum, else the `terms` of its values."""
+    when chi has a spectrum, else the `terms` of its values.
+
+    A caller that reads the preimages of many characters of one context at
+    once passes one dict as known.  Each rotation preimage is then looked
+    up by its coefficients and exponents, and built only the first time,
+    so equal ones are shared as `_value` shares values: the tower at D_686
+    reads 29756 rotation preimages and builds 344."""
     spectrum = chi._spectrum
     if spectrum is None:
         return [v.terms for v in chi.values]
@@ -509,13 +516,29 @@ def _preimages(chi: VirtualCharacter) -> list[tuple[tuple[int, int], ...]]:
     m = G.ctx.m
     ms, v = spectrum
     shifts = [(t * G.step, c) for t, c in enumerate(ms) if c]
+    rows = range(G._rotation_classes)
     out = []
-    for j in range(G._rotation_classes):
-        acc = {}
-        for shift, c in shifts:
-            i = shift * j % m
-            acc[i] = acc.get(i, 0) + c
-        out.append(tuple(sorted(acc.items())))
+    if known is None:
+        # nothing to share: building each preimage outright is faster
+        for j in rows:
+            acc = {}
+            for shift, c in shifts:
+                i = shift * j % m
+                acc[i] = acc.get(i, 0) + c
+            out.append(tuple(sorted(acc.items())))
+    else:
+        cs = tuple([c for _, c in shifts])
+        shared = known.setdefault(cs, {})
+        # the exponents shift * j mod m at each class j, one column per shift
+        columns = [[shift * j % m for j in rows] for shift, _ in shifts]
+        for exponents in (zip(*columns) if columns else [()] * len(rows)):
+            pre = shared.get(exponents)
+            if pre is None:
+                acc = {}
+                for i, c in zip(exponents, cs):
+                    acc[i] = acc.get(i, 0) + c
+                pre = shared[exponents] = tuple(sorted(acc.items()))
+            out.append(pre)
     if G.reflects:
         out.append(((0, v),) if v else ())
     return out
@@ -641,7 +664,8 @@ def verify_reduction_identity(p: int, n: int, *,
     H = ctx.subgroup(dihedral_p_power(n - 1))
     cmap = G.class_map(H)
     # I(chi_k) is ctx._irreducibles[1 + k], as in two_dim
-    preimages = [_preimages(chi) for chi in ctx._irreducibles]
+    known = {}
+    preimages = [_preimages(chi, known) for chi in ctx._irreducibles]
     m = ctx.m
     half = (m - 1) // 2
     step = m // p

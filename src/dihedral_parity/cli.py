@@ -265,8 +265,7 @@ def cmd_verify_local(args) -> int:
             status = 1
     if args.sweep:
         settings = enumerate_settings(args.p)
-        disagreements = [verify_local(s) for s in settings]
-        bad = [v for v in disagreements if not v.agree]
+        bad = [v for v in map(verify_local, settings) if not v.agree]
         print(f"sweep p={args.p}: {len(settings)} settings, "
               f"{len(settings) - len(bad)} agree, {len(bad)} disagree")
         for v in bad[:10]:

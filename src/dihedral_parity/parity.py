@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from math import gcd
+from operator import eq
 from typing import TYPE_CHECKING
 
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
@@ -39,6 +40,8 @@ from .lattice import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .weierstrass import WeierstrassCurve
 
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
@@ -337,13 +340,58 @@ SWEEP_ELLS = (2, 3, 5, 7, 11, 13)
 SWEEP_RS = (1, 2)
 
 
-def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
+class SettingSweep:
+    """The settings of `enumerate_settings`, in its order, built one at a
+    time as they are read.  It holds the shared descriptors in blocks
+    (ell, r, G_v, I_v, cases), so `len` builds no setting, and each
+    iteration builds fresh settings: a caller that keeps only what it
+    reads off each one holds one setting at a time.  It equals a list, or
+    another sweep, of equal settings in the same order."""
+    __slots__ = ("p", "_blocks", "_len")
+
+    def __init__(self, p: int, blocks: list[tuple]):
+        self.p = p
+        self._blocks = blocks
+        self._len = sum(len(block[4]) for block in blocks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[LocalSetting]:
+        # each setting is admissible by construction: its slots are filled
+        # directly, with none of LocalSetting's checks
+        p, new = self.p, LocalSetting.__new__
+        for ell, r, G_v, I_v, cases in self._blocks:
+            for base, flag in cases:
+                s = new(LocalSetting)
+                s.p = p
+                s.ell = ell
+                s.r = r
+                s.base = base
+                s.G_v = G_v
+                s.I_v = I_v
+                s.eta_equals_chi = flag
+                yield s
+
+    def __eq__(self, other):
+        if not isinstance(other, (SettingSweep, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"<SettingSweep p={self.p}: {self._len} settings>"
+
+
+def enumerate_settings(p: int, *, n_max: int = 10) -> SettingSweep:
     """All admissible local settings at ell in SWEEP_ELLS and p, r in
     SWEEP_RS, valuations n up to n_max and every delta in POT_GOOD_DELTAS,
-    in a fixed deterministic order.  Each setting is admissible by
-    construction, so only p is checked, once, and each setting's slots are
-    filled directly."""
+    in a fixed deterministic order, as a `SettingSweep` that builds each
+    setting when it is read.  Only p and n_max are checked, once: each
+    setting is admissible by construction."""
     check_p(p)
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+        raise InadmissibleSettingError(
+            f"n_max must be a positive integer, got {n_max!r}")
     ns = range(1, n_max + 1)
     # each descriptor is built once and shared by the settings that use it
     unflagged = [Good()] + [cls(n) for n in ns for cls in (SplitMult, NonsplitMult)]
@@ -358,24 +406,11 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> list[LocalSetting]:
     # dihedral inertia lies only under G_v = D_2p, where additive
     # potentially multiplicative reduction needs eta_equals_chi
     plain, flagged = cases((None,)), cases((False, True))
-    new = LocalSetting.__new__
-    out: list[LocalSetting] = []
-    for ell in sorted(set(SWEEP_ELLS) | {p}):
-        for r in SWEEP_RS:
-            for G_v, I_v in _PAIRS:
-                if I_v.kind == "dihedral" and ell != p:
-                    continue
-                for base, flag in (flagged if I_v.kind == "dihedral" else plain):
-                    s = new(LocalSetting)
-                    s.p = p
-                    s.ell = ell
-                    s.r = r
-                    s.base = base
-                    s.G_v = G_v
-                    s.I_v = I_v
-                    s.eta_equals_chi = flag
-                    out.append(s)
-    return out
+    return SettingSweep(p, [(ell, r, G_v, I_v, flagged if I_v.kind == "dihedral" else plain)
+                            for ell in sorted(set(SWEEP_ELLS) | {p})
+                            for r in SWEEP_RS
+                            for G_v, I_v in _PAIRS
+                            if I_v.kind != "dihedral" or ell == p])
 
 
 # --- the potential-good sign table -----------------------------------------

@@ -528,6 +528,31 @@ def test_recorded_lifts_are_sparse_preimages(p, n):
     assert characters._preimages(plain) == [v.terms for v in plain.values]
 
 
+def test_rotation_preimages_are_shared_through_known():
+    """The tower reads every irreducible's preimages at once: at D_250 that
+    is 64 * 63 rotation preimages, built as at most two tuples per value
+    when they share one dict of known preimages."""
+    ctx = DihedralContext(5, 3)
+    known = {}
+    tables = [characters._preimages(chi, known) for chi in ctx._irreducibles]
+    rotations = [pre for table in tables for pre in table[:-1]]
+    assert len(rotations) == 64 * 63
+    assert len({id(pre) for pre in rotations}) <= 2 * ctx.m
+    assert characters._preimages(ctx._irreducibles[5], known)[3] is tables[5][3]
+    assert characters._preimages(ctx._irreducibles[5])[3] is not tables[5][3]
+
+
+@pytest.mark.parametrize("p,n", GROUPS)
+def test_shared_preimages_equal_the_plain_ones(p, n):
+    """Looked up through one dict of known preimages or built alone, every
+    library character of every subgroup has the same preimages."""
+    ctx = DihedralContext(p, n)
+    known = {}
+    for chars in [irreducibles(ctx)] + _characters_by_subgroup(ctx):
+        for chi in chars:
+            assert characters._preimages(chi, known) == characters._preimages(chi)
+
+
 @st.composite
 def _table_function(draw, H):
     """A class function on H whose values are drawn from the context's own

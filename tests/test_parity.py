@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -278,6 +279,49 @@ def test_enumeration_shape(p):
         needs = (s.G_v.kind == "dihedral" and s.I_v.kind == "dihedral"
                  and isinstance(s.base, AdditivePotMult))
         assert (s.eta_equals_chi is not None) == needs
+
+
+def _live_settings() -> int:
+    return sum(1 for o in gc.get_objects() if type(o) is LocalSetting)
+
+
+def test_sweep_length_builds_no_setting():
+    gc.collect()
+    before = _live_settings()
+    sweep = enumerate_settings(13)
+    assert len(sweep) == 2832
+    assert _live_settings() == before
+
+
+def test_each_iteration_builds_fresh_equal_settings():
+    sweep = enumerate_settings(7, n_max=2)
+    first, second = list(sweep), list(sweep)
+    assert len(first) == len(sweep) and first == second
+    assert sweep == first and sweep == enumerate_settings(7, n_max=2)
+    assert sweep != first[:-1] and sweep != enumerate_settings(7, n_max=3)
+    assert not any(a is b for a, b in zip(first, second))
+    # the descriptors are built once per sweep and shared
+    assert all(a.base is b.base for a, b in zip(first, second))
+
+
+def test_a_sweep_holds_one_setting_at_a_time():
+    """Mapping verify_local over a sweep and keeping the signs, as the
+    algebra workload and the CLI do, leaves no earlier setting alive."""
+    gc.collect()
+    before = _live_settings()
+    signs = []
+    for v in map(verify_local, enumerate_settings(13)):
+        signs.append((v.c_side, v.w_side))
+        if len(signs) == 1416:
+            assert _live_settings() - before <= 2
+    assert len(signs) == 2832
+
+
+@pytest.mark.parametrize("n_max", ["3", -1, 0, True, False, 2.0, None])
+def test_enumeration_checks_n_max(n_max):
+    with pytest.raises(InadmissibleSettingError) as got:
+        enumerate_settings(5, n_max=n_max)
+    assert str(got.value) == f"n_max must be a positive integer, got {n_max!r}"
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
