@@ -504,11 +504,11 @@ def _preimages(chi: VirtualCharacter,
     value there, as pairs (i, c): the value rule of the module docstring
     when chi has a spectrum, else the `terms` of its values.
 
-    A caller that reads the preimages of many characters of one context at
-    once passes one dict as known.  Each rotation preimage is then looked
-    up by its coefficients and exponents, and built only the first time,
-    so equal ones are shared as `_value` shares values: the tower at D_686
-    reads 29756 rotation preimages and builds 344."""
+    A rotation preimage is looked up in known by its coefficients and
+    exponents, and built only the first time, so a caller that reads many
+    characters of one context through one dict shares equal preimages as
+    `_value` shares values: the tower at D_686 reads 29756 rotation
+    preimages and builds 344."""
     spectrum = chi._spectrum
     if spectrum is None:
         return [v.terms for v in chi.values]
@@ -516,29 +516,20 @@ def _preimages(chi: VirtualCharacter,
     m = G.ctx.m
     ms, v = spectrum
     shifts = [(t * G.step, c) for t, c in enumerate(ms) if c]
+    cs = tuple([c for _, c in shifts])
+    shared = {} if known is None else known.setdefault(cs, {})
     rows = range(G._rotation_classes)
+    # the exponents shift * j mod m at each class j, one column per shift
+    columns = [[shift * j % m for j in rows] for shift, _ in shifts]
     out = []
-    if known is None:
-        # nothing to share: building each preimage outright is faster
-        for j in rows:
+    for exponents in zip(*columns):
+        pre = shared.get(exponents)
+        if pre is None:
             acc = {}
-            for shift, c in shifts:
-                i = shift * j % m
+            for i, c in zip(exponents, cs):
                 acc[i] = acc.get(i, 0) + c
-            out.append(tuple(sorted(acc.items())))
-    else:
-        cs = tuple([c for _, c in shifts])
-        shared = known.setdefault(cs, {})
-        # the exponents shift * j mod m at each class j, one column per shift
-        columns = [[shift * j % m for j in rows] for shift, _ in shifts]
-        for exponents in (zip(*columns) if columns else [()] * len(rows)):
-            pre = shared.get(exponents)
-            if pre is None:
-                acc = {}
-                for i, c in zip(exponents, cs):
-                    acc[i] = acc.get(i, 0) + c
-                pre = shared[exponents] = tuple(sorted(acc.items()))
-            out.append(pre)
+            pre = shared[exponents] = tuple(sorted(acc.items()))
+        out.append(pre)
     if G.reflects:
         out.append(((0, v),) if v else ())
     return out

@@ -378,9 +378,6 @@ class SettingSweep:
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
-    def __repr__(self):
-        return f"<SettingSweep p={self.p}: {self._len} settings>"
-
 
 def enumerate_settings(p: int, *, n_max: int = 10) -> SettingSweep:
     """All admissible local settings at ell in SWEEP_ELLS and p, r in

@@ -543,9 +543,10 @@ def test_rotation_preimages_are_shared_through_known():
 
 
 @pytest.mark.parametrize("p,n", GROUPS)
-def test_shared_preimages_equal_the_plain_ones(p, n):
-    """Looked up through one dict of known preimages or built alone, every
-    library character of every subgroup has the same preimages."""
+def test_preimages_read_through_one_dict_equal_those_read_alone(p, n):
+    """One dict of known preimages, shared by every library character of
+    every subgroup, gives each the preimages that a fresh dict gives it:
+    sharing never hands one character another's preimage."""
     ctx = DihedralContext(p, n)
     known = {}
     for chars in [irreducibles(ctx)] + _characters_by_subgroup(ctx):
