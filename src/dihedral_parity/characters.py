@@ -13,7 +13,7 @@ reflection value v, None when the group has no reflections (Serre, 5.3
 and 7.3).  One rule gives its values: at the rotation (j step, 0) the
 preimage sum m_t x^(t j step mod m) in Z[x]/(x^m - 1), m = p^n, and at
 the reflections v; each value is reduced from its preimage through the
-context's table of zeta^k on first read of `values`, once per context.
+table of zeta^k on first read of `values`, once per context.
 An inner product of two spectra is sum m1_t m2_t, or half of that plus
 v1 v2 on a reflecting group.  Restriction folds the multiplicities
 modulo the smaller count; induction repeats them, and when only the
@@ -21,19 +21,18 @@ larger group reflects adds those of the conjugate character (Mackey's
 two double cosets), with reflection value 0.  So a Frobenius check
 <Ind f, g> = <f, Res g> builds no value.
 
-A class function from the public constructor or from + - * has no
-spectrum.  Its inner product sums |c| f1(c) conj(f2(c)) over the classes
-in the group ring Z[x]/(x^m - 1), where conjugation negates exponents;
-Phi_m divides x^m - 1, so an integer is read straight off the sum.  Its
-restriction picks values through the class map of (G, H), and its
-induction sums them through the class-fusion table of (G, H): for each
-class g of G, the number count_d of x in G that conjugate g into each
-class d of H, and count_d / |H| = |C_G(g)| / |C_H(d)| is an integer
-(a count that |H| does not divide is an error).  The tower identity
-restricts and induces the irreducibles' preimages the same way.
+The tower identity checks preimages, not spectra, since folding and
+repeating a spectrum is the identity itself: it restricts the
+irreducibles' preimages through the class map of (G, H) and induces them
+through the class-fusion table of (G, H), which gives, for each class g
+of G, the number count_d of x in G that conjugate g into each class d of
+H; count_d / |H| = |C_G(g)| / |C_H(d)| is an integer (a count that |H|
+does not divide is an error).
 
 A context keeps one Subgroup per tag, so characters on one subgroup
-share one group object, with its fusion tables and class maps.
+share one group object, with its fusion tables and class maps.  A
+Subgroup holds p, n and the context's value table, never the context, so
+a context that is no longer used is freed by reference counting.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
@@ -41,9 +40,9 @@ canonically: identity, then the rotation pairs {s^j, s^-j} for
 1 <= j <= (p^n - 1)/2, then the single class of all reflections.
 
 The standard subgroup tags (1, D_2, C_{p^k}, D_{2p^k}) and THETA live in
-`lattice` and are re-exported here.  Subgroup derives a tag's elements,
-classes, membership, containment and class fusion from one shape formula
-over (step, count, reflects), the same for all four kinds, so no lattice
+`lattice` and are re-exported here.  Subgroup derives a tag's classes,
+membership, containment and class fusion from one shape formula over
+(step, count, reflects), the same for all four kinds, so no lattice
 question walks the group; `reflects` and the order come from the tag.
 """
 
@@ -72,14 +71,6 @@ class Cyclotomic(Record):
         self.n = n
         self.coeffs = coeffs
 
-    @property
-    def m(self) -> int:
-        return self.p ** self.n
-
-    @property
-    def phi(self) -> int:
-        return self.p ** self.n - self.p ** (self.n - 1)
-
     @staticmethod
     def _reduce(p: int, n: int, cs: list[int]) -> tuple[int, ...]:
         phi = p ** n - p ** (n - 1)
@@ -100,52 +91,9 @@ class Cyclotomic(Record):
         return cls(p, n, cls._reduce(p, n, cs))
 
     @classmethod
-    def integer(cls, p: int, n: int, value: int) -> "Cyclotomic":
-        return cls.make(p, n, [value])
-
-    @classmethod
     def zeta_power(cls, p: int, n: int, k: int) -> "Cyclotomic":
         k %= p ** n
         return cls.make(p, n, [0] * k + [1])
-
-    def _check(self, other: "Cyclotomic"):
-        if (self.p, self.n) != (other.p, other.n):
-            raise GroupMismatchError("cyclotomic values from different rings")
-
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic(self.p, self.n,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic(self.p, self.n,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.p, self.n, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyclotomic(self.p, self.n, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        out = [0] * (2 * self.phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Cyclotomic.make(self.p, self.n, out)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation zeta -> zeta^-1."""
-        m = self.m
-        out = [0] * m
-        out[0] = self.coeffs[0]
-        for i, a in enumerate(self.coeffs[1:], start=1):
-            out[m - i] += a
-        return Cyclotomic.make(self.p, self.n, out)
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
@@ -156,20 +104,6 @@ class Cyclotomic(Record):
         except AttributeError:
             self._terms = terms = tuple((i, c) for i, c in enumerate(self.coeffs) if c)
             return terms
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> int:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    def divide_exact(self, d: int) -> "Cyclotomic":
-        if any(c % d for c in self.coeffs):
-            raise ValueError(f"coefficients not divisible by {d}")
-        return Cyclotomic(self.p, self.n, tuple(c // d for c in self.coeffs))
 
     def __str__(self) -> str:
         terms = []
@@ -189,6 +123,36 @@ class Cyclotomic(Record):
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+class _ValueTable(dict):
+    """The values of one context's characters, keyed by preimage: the value
+    of a preimage sum c x^i, 0 <= i < m, is reduced through `zetas` the
+    first time it is read and shared by every character of the context
+    after that.  The irreducible table of D_998 has 63001 values, 253 of
+    them distinct, and `chars --p 499` peaks at 27 MB so, at 273 MB
+    without."""
+
+    def __init__(self, p: int, n: int):
+        super().__init__()
+        self.p = p
+        self.n = n
+
+    @cached_property
+    def zetas(self) -> tuple[Cyclotomic, ...]:
+        """zeta^k for 0 <= k < m, each reduced once."""
+        p, n = self.p, self.n
+        return tuple(Cyclotomic.zeta_power(p, n, k) for k in range(p ** n))
+
+    def __missing__(self, preimage: tuple[tuple[int, int], ...]) -> Cyclotomic:
+        p, n = self.p, self.n
+        coeffs = [0] * (p ** n - p ** (n - 1))
+        zetas = self.zetas
+        for i, c in preimage:
+            for j, z in zetas[i].terms:
+                coeffs[j] += c * z
+        value = self[preimage] = Cyclotomic(p, n, tuple(coeffs))
+        return value
+
+
 class DihedralContext:
     """The group D_{2p^n} together with its cyclotomic value ring."""
 
@@ -200,7 +164,7 @@ class DihedralContext:
         self.n = n
         self.m = p ** n
         self._subgroups = {}
-        self._values = {}
+        self._values = _ValueTable(p, n)
 
     def __eq__(self, other):
         return isinstance(other, DihedralContext) and (self.p, self.n) == (other.p, other.n)
@@ -211,20 +175,7 @@ class DihedralContext:
     def __repr__(self):
         return f"DihedralContext(p={self.p}, n={self.n})"
 
-    # group element helpers ------------------------------------------------
-    def mul(self, g, h):
-        i, e = g
-        j, f = h
-        return ((i + (j if e == 0 else -j)) % self.m, e ^ f)
-
-    def inv(self, g):
-        i, e = g
-        return ((-i) % self.m, 0) if e == 0 else (i, 1)
-
     # values ---------------------------------------------------------------
-    def integer(self, v: int) -> Cyclotomic:
-        return Cyclotomic.integer(self.p, self.n, v)
-
     def zeta(self, k: int) -> Cyclotomic:
         return Cyclotomic.zeta_power(self.p, self.n, k)
 
@@ -241,26 +192,6 @@ class DihedralContext:
 
     def full(self) -> "Subgroup":
         return self.subgroup(dihedral_p_power(self.n))
-
-    @cached_property
-    def _zetas(self) -> tuple[Cyclotomic, ...]:
-        """zeta^k for 0 <= k < m, each reduced once."""
-        return tuple(self.zeta(k) for k in range(self.m))
-
-    def _value(self, preimage: tuple[tuple[int, int], ...]) -> Cyclotomic:
-        """The value of the preimage sum c x^i, 0 <= i < m, reduced through
-        _zetas once per context and shared by every value it gives: the
-        irreducible table of D_998 has 63001 values, 253 of them distinct,
-        and `chars --p 499` peaks at 27 MB so, at 273 MB without."""
-        value = self._values.get(preimage)
-        if value is None:
-            coeffs = [0] * (self.m - self.m // self.p)
-            zetas = self._zetas
-            for i, c in preimage:
-                for j, z in zetas[i].terms:
-                    coeffs[j] += c * z
-            value = self._values[preimage] = Cyclotomic(self.p, self.n, tuple(coeffs))
-        return value
 
     @cached_property
     def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
@@ -289,8 +220,7 @@ class Subgroup:
     reflection conjugates (i, 0) to (-i, 0), so then the rotation classes
     are 0 <= j <= (count - 1) / 2, and the reflections form one class
     after them.  Every lattice question is a closed form in the shape, and
-    none walks the elements (`elements` and `element_set` are kept for
-    callers that want them):
+    none walks the elements:
 
     * (i, e) lies in H iff 0 <= i < m, step_H divides i, and e = 0, or
       e = 1 and H reflects;
@@ -307,40 +237,33 @@ class Subgroup:
     """
 
     def __init__(self, ctx: DihedralContext, tag: SubgroupTag):
-        self.ctx = ctx
+        p, n = ctx.p, ctx.n
+        self.p, self.n, self.m = p, n, ctx.m
+        self._values = ctx._values
         self.tag = tag
-        self.step = ctx.p ** (ctx.n - tag.level)
-        self.count = ctx.p ** tag.level
+        self.step = p ** (n - tag.level)
+        self.count = p ** tag.level
         self.reflects = tag.reflects
-        self.order = tag.order(ctx.p)
+        self.order = tag.order(p)
         self._rotation_classes = (self.count + 1) // 2 if self.reflects else self.count
-        self._hash = hash((ctx, tag))
+        self._hash = hash((p, n, tag))
         self._fusion = {}
         self._class_maps = {}
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Subgroup)
-                                 and self.ctx == other.ctx and self.tag == other.tag)
+        return self is other or (isinstance(other, Subgroup) and self.p == other.p
+                                 and self.n == other.n and self.tag == other.tag)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Subgroup({self.ctx!r}, {self.tag.label})"
+        return f"Subgroup(DihedralContext(p={self.p}, n={self.n}), {self.tag.label})"
 
     def __contains__(self, g) -> bool:
         i, e = g
-        return (0 <= i < self.ctx.m and i % self.step == 0
+        return (0 <= i < self.m and i % self.step == 0
                 and (e == 0 or (e == 1 and self.reflects)))
-
-    @cached_property
-    def elements(self) -> tuple:
-        rot = [(j * self.step, 0) for j in range(self.count)]
-        return tuple(rot + [(i, 1) for i, _ in rot] if self.reflects else rot)
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     @cached_property
     def class_reps(self) -> tuple:
@@ -364,18 +287,18 @@ class Subgroup:
         return self._rotation_classes if g[1] == 1 else self._rotation_class(g[0])
 
     def contains(self, other: "Subgroup") -> bool:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.p != other.p or self.n != other.n:
             raise GroupMismatchError(f"{other!r} and {self!r} lie in different groups")
         return other.step % self.step == 0 and (self.reflects or not other.reflects)
 
     def fusion(self, H: "Subgroup") -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each class rep g of self, the pairs (class index d in H,
         number of x in self with x g x^-1 in class d of H), count > 0, in
-        the order a walk over `elements` meets them: the closed form in
-        the class docstring."""
+        the order a walk over the elements of self meets them: the closed
+        form in the class docstring."""
         table = self._fusion.get(H)
         if table is None:
-            count, m = self.count, self.ctx.m
+            count, m = self.count, self.m
             rows = []
             for a, e in self.class_reps:
                 if e:
@@ -403,22 +326,11 @@ class Subgroup:
 
 
 class VirtualCharacter(Record):
-    """Exact class function with integer-combination-of-irreducibles semantics.
-    A character the library builds is its _spectrum (module docstring), and
-    its `values` are built on first read; one from the public constructor
-    has values and the _spectrum None.  Its restrictions (_restrictions)
-    are kept."""
+    """Exact class function with integer-combination-of-irreducibles
+    semantics, built by the library as its _spectrum (module docstring);
+    its `values` are built on first read, and its restrictions
+    (_restrictions) are kept."""
     __slots__ = ("group", "values", "_restrictions", "_spectrum")
-
-    def __init__(self, group: Subgroup, values: tuple[Cyclotomic, ...]):
-        if len(values) != len(group.class_reps):
-            raise GroupMismatchError("value list does not match class count")
-        ctx = group.ctx
-        if any(v.p != ctx.p or v.n != ctx.n for v in values):
-            raise GroupMismatchError("values lie outside Z[zeta_m] of the group")
-        self.group = group
-        self.values = values
-        self._spectrum = None
 
     @classmethod
     def _of(cls, group: Subgroup, spectrum: tuple) -> "VirtualCharacter":
@@ -429,46 +341,17 @@ class VirtualCharacter(Record):
 
     def __getattr__(self, name):
         # only a read of an unset slot (or of a name that no slot has) gets
-        # here, and `values` is unset only on a character built by _of
+        # here, and `values` is unset until its first read
         if name != "values":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self.group.ctx._value
-        self.values = values = tuple([value(pre) for pre in _preimages(self)])
-        return values
+        values = self.group._values
+        self.values = out = tuple([values[pre] for pre in _preimages(self)])
+        return out
 
     @property
     def degree(self) -> int:
-        """chi(1): with a spectrum, the sum of its multiplicities, which
-        builds no value."""
-        spectrum = self._spectrum
-        if spectrum is not None:
-            return sum(spectrum[0])
-        return self.values[0].rational_value()
-
-    def value_at(self, g) -> Cyclotomic:
-        return self.values[self.group.class_index(g)]
-
-    def _check(self, other: "VirtualCharacter"):
-        if self.group is not other.group and self.group != other.group:
-            raise GroupMismatchError("characters live on different groups")
-
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        self._check(other)
-        return VirtualCharacter(self.group,
-                                tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        self._check(other)
-        return VirtualCharacter(self.group,
-                                tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.group, tuple(-a for a in self.values))
-
-    def __mul__(self, k: int) -> "VirtualCharacter":
-        return VirtualCharacter(self.group, tuple(v * k for v in self.values))
-
-    __rmul__ = __mul__
+        """chi(1), the sum of the multiplicities, which builds no value."""
+        return sum(self._spectrum[0])
 
 
 # ---------------------------------------------------------------------------
@@ -501,28 +384,26 @@ def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter
 def _preimages(chi: VirtualCharacter,
                known: dict | None = None) -> list[tuple[tuple[int, int], ...]]:
     """For each class of chi's group, a preimage in Z[x]/(x^m - 1) of chi's
-    value there, as pairs (i, c): the value rule of the module docstring
-    when chi has a spectrum, else the `terms` of its values.
+    value there, as pairs (i, c), by the value rule of the module
+    docstring.
 
     A rotation preimage is looked up in known by its coefficients and
     exponents, and built only the first time, so a caller that reads many
     characters of one context through one dict shares equal preimages as
-    `_value` shares values: the tower at D_686 reads 29756 rotation
+    the context's value table shares values: the tower at D_686 reads 29756 rotation
     preimages and builds 344."""
-    spectrum = chi._spectrum
-    if spectrum is None:
-        return [v.terms for v in chi.values]
     G = chi.group
-    m = G.ctx.m
-    ms, v = spectrum
+    m = G.m
+    ms, v = chi._spectrum
     shifts = [(t * G.step, c) for t, c in enumerate(ms) if c]
     cs = tuple([c for _, c in shifts])
     shared = {} if known is None else known.setdefault(cs, {})
     rows = range(G._rotation_classes)
-    # the exponents shift * j mod m at each class j, one column per shift
+    # the exponents shift * j mod m at each class j, one column per shift;
+    # the zero character has no column, and () at every class
     columns = [[shift * j % m for j in rows] for shift, _ in shifts]
     out = []
-    for exponents in zip(*columns):
+    for exponents in zip(*columns) if columns else [()] * len(rows):
         pre = shared.get(exponents)
         if pre is None:
             acc = {}
@@ -555,82 +436,50 @@ def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], .
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
-    """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)); exact, and an integer for
-    virtual characters.  When both carry a spectrum it is the dot product
-    S of their multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
-    S + v1 v2 raises ValueError); else the values' terms are summed class
-    by class."""
-    f1._check(f2)
+    """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)), exact: the dot product S
+    of the multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
+    S + v1 v2 raises ValueError)."""
     H = f1.group
-    s1, s2 = f1._spectrum, f2._spectrum
-    if s1 is not None and s2 is not None:
-        total = sum(map(mul, s1[0], s2[0]))
-        if not H.reflects:
-            return total
-        twice = total + s1[1] * s2[1]
-        if twice % 2:
-            raise ValueError(f"{twice} / 2 is not an integer")
-        return twice // 2
-    ctx = H.ctx
-    m = ctx.m
-    acc = [0] * m  # coefficients of x^0 .. x^(m-1) in Z[x]/(x^m - 1)
-    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
-        bs = b.terms
-        for i, c in a.terms:
-            c *= size
-            for j, d in bs:
-                acc[i - j] += c * d  # -m < i - j < m: index i - j mod m
-    # The multiples of Phi_m in Z[x]/(x^m - 1) are the vectors of period
-    # q = m/p, so acc is the rational r exactly when acc - r x^0 has period
-    # q, and then r = acc[0] - acc[q].
-    q = m // ctx.p
-    if acc[1:m - q] == acc[1 + q:]:
-        r = acc[0] - acc[q]
-        if r % H.order == 0:
-            return r // H.order
-    # not an integer: the reduction names what fails
-    total = Cyclotomic.make(ctx.p, ctx.n, acc).divide_exact(H.order)
-    return total.rational_value()
+    if H is not f2.group and H != f2.group:
+        raise GroupMismatchError("characters live on different groups")
+    (ms1, v1), (ms2, v2) = f1._spectrum, f2._spectrum
+    total = sum(map(mul, ms1, ms2))
+    if not H.reflects:
+        return total
+    twice = total + v1 * v2
+    if twice % 2:
+        raise ValueError(f"{twice} / 2 is not an integer")
+    return twice // 2
 
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
     """Restriction to H: the spectrum folded, m_u = sum of the m_s with
-    s = u mod count_H, else the values picked through the class map of
-    (chi.group, H).  Built on first use and kept on chi when H is of chi's
-    own context, so that chi holds no other context."""
-    if H.ctx is not chi.group.ctx:
+    s = u mod count_H.  Built on first use and kept on chi when H shares
+    the value table of chi's context, so that chi holds no other
+    context's table."""
+    G = chi.group
+    if H._values is not G._values:
         kept = {}
     elif (kept := getattr(chi, "_restrictions", None)) is None:
         kept = chi._restrictions = {}
     res = kept.get(H)
     if res is None:
-        cmap = chi.group.class_map(H)  # raises unless H lies in chi.group
-        spectrum = chi._spectrum
-        if spectrum is None:
-            values = chi.values
-            res = VirtualCharacter(H, tuple([values[i] for i in cmap]))
-        else:
-            ms, v = spectrum
-            c = H.count
-            res = VirtualCharacter._of(H, (tuple([sum(ms[u::c]) for u in range(c)]),
-                                           v if H.reflects else None))
-        kept[H] = res
+        if not G.contains(H):
+            raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
+        ms, v = chi._spectrum
+        c = H.count
+        res = kept[H] = VirtualCharacter._of(
+            H, (tuple([sum(ms[u::c]) for u in range(c)]), v if H.reflects else None))
     return res
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
     """Induction from chi.group up to G: the spectrum repeated up to G's
-    count, m_s = m_(s mod count_H), plus m_(-s) when only G reflects;
-    else the values summed through `_fused`."""
+    count, m_s = m_(s mod count_H), plus m_(-s) when only G reflects."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
-    spectrum = chi._spectrum
-    if spectrum is None:
-        value = G.ctx._value
-        return VirtualCharacter(G, tuple([value(pre)
-                                          for pre in _fused(G, H, _preimages(chi))]))
-    ms, v = spectrum
+    ms, v = chi._spectrum
     if G.reflects and not H.reflects:
         ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
     return VirtualCharacter._of(G, (ms * (G.count // H.count), v))
@@ -672,7 +521,7 @@ def verify_reduction_identity(p: int, n: int, *,
         lhs = _fused(G, H, [source[i] for i in cmap])
         # class by class, the left side minus the p terms on the right: the
         # sides agree exactly when it is a multiple of Phi_m in
-        # Z[x]/(x^m - 1), a vector of period step (inner_product)
+        # Z[x]/(x^m - 1), a vector of period step
         terms = [preimages[1 + fold(k + t * step)] for t in range(p)]
         for j, pre in enumerate(lhs):
             acc = [0] * m

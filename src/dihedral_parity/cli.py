@@ -57,6 +57,10 @@ class InputFileError(ValueError):
     """A curve or completion file failed to parse."""
 
 
+class UsageError(ValueError):
+    """Command-line arguments that the command cannot run with."""
+
+
 def _data_lines(path: str):
     """Yield (line number, tokens) for each line of the file that is not
     blank once its '#' comment is cut off."""
@@ -121,10 +125,10 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
 def _check_json_path(path: str) -> None:
     """Reject a --json path that cannot be written, before any work."""
     if os.path.isdir(path):
-        raise ValueError(f"--json {path}: is a directory")
+        raise UsageError(f"--json {path}: is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise ValueError(f"--json {path}: no directory {parent}")
+        raise UsageError(f"--json {path}: no directory {parent}")
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -170,11 +174,11 @@ def cmd_chars(args) -> int:
     # p >= 3, so 2 p^n > CHARS_MAX_ORDER once n reaches its bit length
     if args.n >= 1 and (args.n >= CHARS_MAX_ORDER.bit_length()
                         or 2 * args.p ** args.n > CHARS_MAX_ORDER):
-        raise ValueError(f"D_2p^n for p={args.p}, n={args.n} has order above "
+        raise UsageError(f"D_2p^n for p={args.p}, n={args.n} has order above "
                          f"{CHARS_MAX_ORDER}, the largest chars accepts")
     ctx = DihedralContext(args.p, args.n)
     if args.verify_reduction and ctx.n < 2:
-        raise ValueError("reduction identity: needs n >= 2")
+        raise UsageError("reduction identity: needs n >= 2")
     irr = irreducibles(ctx)
     G = ctx.full()
     labels = []
@@ -243,7 +247,7 @@ def cmd_verify_local(args) -> int:
                          pot_good_table, verify_local)
     check_p(args.p)
     if not args.emit_table and not args.sweep:
-        raise ValueError("nothing to do: pass --sweep and/or --emit-table")
+        raise UsageError("nothing to do: pass --sweep and/or --emit-table")
     status = 0
     payload = {"p": args.p}
     if args.emit_table:
@@ -279,7 +283,9 @@ def cmd_verify_local(args) -> int:
 
 
 def cmd_verify_global(args) -> int:
-    from .parity import global_parity
+    from .parity import check_p, check_r, global_parity
+    check_p(args.p)
+    check_r(args.r)
     curves = parse_curve_file(args.curves)
     completion = parse_completion_file(args.completion)
     report = []
@@ -381,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--p", type=int, required=True)
     vg.add_argument("--completion", required=True,
                     help="completion data file: 'prime G_v I_v [true|false]'")
-    vg.add_argument("--r", type=int, default=1)
+    vg.add_argument("--r", type=int, default=1,
+                    help="residue degree of K_v over Q_ell at every place (default: 1)")
     vg.add_argument("--json")
     vg.set_defaults(func=cmd_verify_global)
 

@@ -2,9 +2,12 @@
 
 A local setting bundles the residue characteristic ell, the reduction of
 the curve over the base (one of the five descriptors), the decomposition
-and inertia subgroups (G_v, I_v) of a place of the dihedral field, and a
-multiplicity parameter r.  Two independently derived closed forms are
-evaluated:
+and inertia subgroups (G_v, I_v) of a place v of the dihedral field, and
+r, the residue degree of K_v over Q_ell, so that the residue field of K_v
+has q = ell^r elements: the period term's exponent is
+r f floor(delta e / 12) (`base_change._omega`), and at ell = p with wild
+inertia the w side is +1 at even r, where q is a square (`_w_sign`).
+Two independently derived closed forms are evaluated:
 
   * c_parity: the parity of ord_p of the Theta-weighted product of
     Tamagawa numbers and period factors over the subfields of the
@@ -76,8 +79,15 @@ def check_p(p) -> None:
         raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
 
 
+def check_r(r) -> None:
+    """Raise InadmissibleSettingError unless r is a positive integer."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
+
+
 class LocalSetting(Record):
-    """One local situation at a place of the dihedral field."""
+    """One local situation at a place v of the dihedral field, over the
+    base field K_v of residue degree r over Q_ell."""
     __slots__ = ("p", "ell", "r", "base", "G_v", "I_v", "eta_equals_chi")
 
     def __init__(self, p: int, ell: int, r: int, base: ReductionDescriptor,
@@ -86,8 +96,7 @@ class LocalSetting(Record):
         check_p(p)
         if not isinstance(ell, int) or not is_prime(ell):
             raise InadmissibleSettingError(f"ell must be prime, got {ell}")
-        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-            raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
+        check_r(r)
         for tag in (G_v, I_v):
             if not isinstance(tag, SubgroupTag):
                 raise InadmissibleSettingError(f"{tag!r} is not a subgroup tag")

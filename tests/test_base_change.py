@@ -1,5 +1,6 @@
 import pytest
 
+from char_referee import elements, mul
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good,
                                          InvalidDescriptorError, NonsplitMult,
@@ -47,16 +48,16 @@ def test_degree_product_identity(p):
     ctx = DihedralContext(p, 1)
     for G in ALL_H:
         for I in ALL_H:
-            gset = ctx.subgroup(G).element_set
-            iset = ctx.subgroup(I).element_set
+            gset = set(elements(ctx.subgroup(G)))
+            iset = set(elements(ctx.subgroup(I)))
             if not iset <= gset:
                 continue
             for H in ALL_H:
                 e, f = degrees(p, G, I, H)
-                hset = ctx.subgroup(H).element_set
+                hset = set(elements(ctx.subgroup(H)))
                 hg = hset & gset
                 assert e == len(iset) // len(iset & hset)
-                assert f == len(gset) // len({ctx.mul(a, b) for a in iset for b in hg})
+                assert f == len(gset) // len({mul(p, a, b) for a in iset for b in hg})
                 assert e * f == len(gset) // len(hg)
 
 

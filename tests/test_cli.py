@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import re
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import dihedral_parity
-from dihedral_parity.cli import CHARS_CELL_WIDTH, CHARS_MAX_ORDER, main
+from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, UsageError,
+                                 _check_json_path, build_parser, main)
 
 
 def put(tmp_path, name, text):
@@ -85,6 +87,30 @@ def test_chars_reduction_identity_at_n_1_is_rejected_before_any_output(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: reduction identity: needs n >= 2\n"
+
+
+# SHA-256 of stdout and of the --json report of `chars --p P --n N
+# --verify-reduction`, recorded before character values were read off
+# spectra alone
+CHARS_DIGESTS = [
+    ("5", "2", "aaa439c9903a4753f94efb8ed98eba9f42045c5e92d7519906061b20cf84c708",
+     "c685252cdcff9a45991e704b329ae729cb46ab04f4beeabea87d4ff675c40144"),
+    ("3", "3", "cf3b44ce60aa588e549ff7a47bece19e883b8e00461bf6102310df0b2a5f8068",
+     "450b8fa610bbbfc659c6d0375ea516f5396b36ff6a611e23456719128a6238f0"),
+    ("7", "2", "3468db63c0d8bfa06c0da03a56fea6cc3912b9cbb2c2b8df2a784ff56d58a066",
+     "0a8b27a2a3acae03ac838a15a97a122e6d82060a8e6b964f327026682acb8843"),
+]
+
+
+@pytest.mark.parametrize("p, n, stdout_sha, json_sha", CHARS_DIGESTS)
+def test_chars_output_is_byte_for_byte_the_recorded_table(tmp_path, capsys, p, n,
+                                                           stdout_sha, json_sha):
+    report = tmp_path / "chars.json"
+    assert main(["chars", "--p", p, "--n", n, "--verify-reduction",
+                 "--json", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha
 
 
 def test_chars_bad_group(capsys):
@@ -227,6 +253,21 @@ def test_verify_global_json_report(tmp_path, capsys, curves, p, completion, want
     got = [[(lv["ell"], lv["branch"], lv["c"], lv["w"]) for lv in entry["locals"]]
            for entry in json.loads(reports[0])]
     assert got == want
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "9"], "p must be a prime >= 5, got 9"),
+    (["--p", "1"], "p must be a prime >= 5, got 1"),
+    (["--p", "-5"], "p must be a prime >= 5, got -5"),
+    (["--p", "5", "--r", "0"], "r must be a positive integer, got 0"),
+])
+def test_verify_global_checks_p_and_r_before_reading_files(tmp_path, capsys, flags, message):
+    # the completion file lacks the bad prime 11, which reading it would name
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    comp = put(tmp_path, "comp.txt", "")
+    assert main(["verify-global", curves, "--completion", comp, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_verify_global_missing_completion(tmp_path, capsys):
@@ -386,6 +427,17 @@ def test_closed_stdout_pipe_exits_3():
 
 
 # --- argparse plumbing -----------------------------------------------------
+
+def test_each_usage_error_of_the_cli_is_typed(tmp_path):
+    for argv in (["chars", "--p", "3", "--n", "7"], ["chars", "--p", "5", "--verify-reduction"],
+                 ["verify-local", "--p", "5"]):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(UsageError):
+            args.func(args)
+    for path in (tmp_path, tmp_path / "missing" / "out.json"):
+        with pytest.raises(UsageError):
+            _check_json_path(str(path))
+
 
 def test_usage_errors_exit_2():
     for argv in ([], ["reduce"], ["frobnicate"], ["chars"]):

@@ -7,8 +7,7 @@ from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
                                          SplitMult)
 from dihedral_parity.characters import (CYCLIC, DIHEDRAL, Cyclotomic, DihedralContext,
-                                        InvalidSubgroupError, SubgroupTag,
-                                        VirtualCharacter, irreducibles)
+                                        InvalidSubgroupError, SubgroupTag, irreducibles)
 from dihedral_parity.parity import (GlobalVerdict, LocalSetting, LocalVerdict,
                                     verify_local)
 from dihedral_parity.regulator import RationalRep, SquareClass, faithful_rep, trivial_rep
@@ -54,10 +53,10 @@ def test_equal_values_hash_alike(make, other):
 def test_virtual_characters_compare_by_group_and_values():
     ctx = DihedralContext(5, 1)
     a = irreducibles(ctx)[2]
-    b = VirtualCharacter(ctx.full(), a.values)
+    b = irreducibles(DihedralContext(5, 1))[2]  # an equal group of another context
+    assert a is not b and a.group is not b.group
     assert a == b and hash(a) == hash(b)
     assert a != irreducibles(ctx)[3]
-    assert VirtualCharacter(DihedralContext(5, 1).full(), a.values) == a
 
 
 def test_descriptors_of_different_types_are_unequal():
@@ -118,7 +117,7 @@ def test_cached_terms_stay_out_of_repr_and_equality():
     assert z.terms is z.terms  # built once
     assert z == fresh and hash(z) == hash(fresh)
     assert repr(z) == repr(fresh) == "Cyclotomic(p=5, n=1, coeffs=(0, 3, 0, -1))"
-    table = DihedralContext(5, 1)._zetas[4]  # zeta^4 from the context's table
+    table = DihedralContext(5, 1)._values.zetas[4]  # zeta^4 from the context's table
     assert table.terms == ((0, -1), (1, -1), (2, -1), (3, -1))
     plain = Cyclotomic(5, 1, table.coeffs)
     assert table == plain and hash(table) == hash(plain) and repr(table) == repr(plain)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import char_referee
 from dihedral_parity.characters import THETA, DihedralContext
 from dihedral_parity.lattice import InvalidGroupError
 from dihedral_parity.regulator import (DegeneratePairingError,
@@ -400,7 +401,7 @@ def reference_regulator_constant(rep, seed):
     d = rep.dimension
     result = Fraction(1)
     for tag, weight in THETA:
-        elements = ctx.subgroup(tag).elements
+        elements = char_referee.elements(ctx.subgroup(tag))
         proj = [[0] * d for _ in range(d)]
         for h in elements:
             proj = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(proj, image(rep, h))]
