@@ -12,8 +12,9 @@ zeta_c^(t i) of its group's rotation subgroup, c = count, and its
 reflection value v, None when the group has no reflections (Serre, 5.3
 and 7.3).  One rule gives its values: at the rotation (j step, 0) the
 preimage sum m_t x^(t j step mod m) in Z[x]/(x^m - 1), m = p^n, and at
-the reflections v; each value is reduced from its preimage through the
-table of zeta^k on first read of `values`, once per context.
+the reflections v.  On first read of `values` each preimage is written
+out as a dense vector of length m and reduced by `Cyclotomic.make`, once
+per context.
 An inner product of two spectra is sum m1_t m2_t, or half of that plus
 v1 v2 on a reflecting group.  Restriction folds the multiplicities
 modulo the smaller count; induction repeats them, and when only the
@@ -30,9 +31,9 @@ H; count_d / |H| = |C_G(g)| / |C_H(d)| is an integer (a count that |H|
 does not divide is an error).
 
 A context keeps one Subgroup per tag, so characters on one subgroup
-share one group object, with its fusion tables and class maps.  A
-Subgroup holds p, n and the context's value table, never the context, so
-a context that is no longer used is freed by reference counting.
+share one group object, with its fusion tables.  A Subgroup holds p, n
+and the context's value table, never the context, so a context that is
+no longer used is freed by reference counting.
 
 Group elements are pairs (i, e) meaning rotation^i * reflection^e, with
 (i, e) * (j, f) = (i + j * (-1)^e, e xor f).  Conjugacy classes are indexed
@@ -64,7 +65,7 @@ class GroupMismatchError(ValueError):
 class Cyclotomic(Record):
     """Element of Z[zeta_{p^n}] in the power basis mod the cyclotomic
     polynomial."""
-    __slots__ = ("p", "n", "coeffs", "_terms")
+    __slots__ = ("p", "n", "coeffs")
 
     def __init__(self, p: int, n: int, coeffs: tuple[int, ...]):
         self.p = p
@@ -95,16 +96,6 @@ class Cyclotomic(Record):
         k %= p ** n
         return cls.make(p, n, [0] * k + [1])
 
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (i, c) with c != 0, the coefficient of zeta^i; built on
-        first use and kept."""
-        try:
-            return self._terms
-        except AttributeError:
-            self._terms = terms = tuple((i, c) for i, c in enumerate(self.coeffs) if c)
-            return terms
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -125,31 +116,23 @@ class Cyclotomic(Record):
 
 class _ValueTable(dict):
     """The values of one context's characters, keyed by preimage: the value
-    of a preimage sum c x^i, 0 <= i < m, is reduced through `zetas` the
-    first time it is read and shared by every character of the context
-    after that.  The irreducible table of D_998 has 63001 values, 253 of
-    them distinct, and `chars --p 499` peaks at 27 MB so, at 273 MB
-    without."""
+    of a preimage sum c x^i, 0 <= i < m, is `Cyclotomic.make` of its dense
+    vector, built the first time it is read and shared by every character
+    of the context after that.  The irreducible table of D_998 has 63001
+    values, 253 of them distinct, and `chars --p 499` peaks at 25 MB so,
+    at 273 MB without."""
 
     def __init__(self, p: int, n: int):
         super().__init__()
         self.p = p
         self.n = n
 
-    @cached_property
-    def zetas(self) -> tuple[Cyclotomic, ...]:
-        """zeta^k for 0 <= k < m, each reduced once."""
-        p, n = self.p, self.n
-        return tuple(Cyclotomic.zeta_power(p, n, k) for k in range(p ** n))
-
     def __missing__(self, preimage: tuple[tuple[int, int], ...]) -> Cyclotomic:
         p, n = self.p, self.n
-        coeffs = [0] * (p ** n - p ** (n - 1))
-        zetas = self.zetas
+        dense = [0] * p ** n
         for i, c in preimage:
-            for j, z in zetas[i].terms:
-                coeffs[j] += c * z
-        value = self[preimage] = Cyclotomic(p, n, tuple(coeffs))
+            dense[i] += c
+        value = self[preimage] = Cyclotomic.make(p, n, dense)
         return value
 
 
@@ -165,12 +148,6 @@ class DihedralContext:
         self.m = p ** n
         self._subgroups = {}
         self._values = _ValueTable(p, n)
-
-    def __eq__(self, other):
-        return isinstance(other, DihedralContext) and (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash(("DihedralContext", self.p, self.n))
 
     def __repr__(self):
         return f"DihedralContext(p={self.p}, n={self.n})"
@@ -248,7 +225,6 @@ class Subgroup:
         self._rotation_classes = (self.count + 1) // 2 if self.reflects else self.count
         self._hash = hash((p, n, tag))
         self._fusion = {}
-        self._class_maps = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Subgroup) and self.p == other.p
@@ -317,12 +293,9 @@ class Subgroup:
 
     def class_map(self, H: "Subgroup") -> tuple[int, ...]:
         """For each class rep of H, the index of its class in self."""
-        table = self._class_maps.get(H)
-        if table is None:
-            if not self.contains(H):
-                raise GroupMismatchError(f"{H.tag.label} is not inside {self.tag.label}")
-            table = self._class_maps[H] = tuple(self.class_index(h) for h in H.class_reps)
-        return table
+        if not self.contains(H):
+            raise GroupMismatchError(f"{H.tag.label} is not inside {self.tag.label}")
+        return tuple(self.class_index(h) for h in H.class_reps)
 
 
 class VirtualCharacter(Record):

@@ -46,6 +46,12 @@ if TYPE_CHECKING:
 # a minute.
 CHARS_MAX_ORDER = 1000
 
+# The largest p `regulator` accepts, checked before any matrix is built:
+# `faithful_rep` keeps p matrices of (p - 1)^2 entries, and the time grows
+# about as p^4.  In one process p = 101 took 1.2 s and peaked at 35 MiB,
+# p = 151 6.3 s and 84 MiB (2-core Xeon).
+REGULATOR_MAX_P = 101
+
 # The widest a `chars` column is padded.  A wider cell is printed whole and
 # unpadded, so the table grows with its summed cell lengths, not with the
 # rows times the widest cell; every cell of D_50 (30 characters at most)
@@ -219,6 +225,8 @@ def cmd_regulator(args) -> int:
                             sign_rep, trivial_rep)
     p = args.p
     check_odd_prime(p)
+    if p > REGULATOR_MAX_P:
+        raise UsageError(f"p={p} is above {REGULATOR_MAX_P}, the largest regulator accepts")
     reps = [("1", trivial_rep(p)), ("eta", sign_rep(p)), ("rho2", faithful_rep(p))]
     reps.append(("1+eta+rho2", direct_sum(*(r for _, r in reps))))
     payload = {"p": p, "seed": args.seed, "reps": {}}

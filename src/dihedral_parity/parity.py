@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from math import gcd
-from operator import eq
 from typing import TYPE_CHECKING
 
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
@@ -136,14 +135,6 @@ class LocalSetting(Record):
         self.G_v = G_v
         self.I_v = I_v
         self.eta_equals_chi = eta_equals_chi
-
-    @classmethod
-    def _trusted(cls, *fields) -> "LocalSetting":
-        """The setting with these seven fields, in slot order, which the
-        caller has made admissible: nothing to check."""
-        s = cls.__new__(cls)
-        s.p, s.ell, s.r, s.base, s.G_v, s.I_v, s.eta_equals_chi = fields
-        return s
 
     # --- derived character classes ------------------------------------
 
@@ -354,8 +345,8 @@ class SettingSweep:
     time as they are read.  It holds the shared descriptors in blocks
     (ell, r, G_v, I_v, cases), so `len` builds no setting, and each
     iteration builds fresh settings: a caller that keeps only what it
-    reads off each one holds one setting at a time.  It equals a list, or
-    another sweep, of equal settings in the same order."""
+    reads off each one holds one setting at a time.  `list(sweep)` gives
+    the settings themselves, to compare or keep."""
     __slots__ = ("p", "_blocks", "_len")
 
     def __init__(self, p: int, blocks: list[tuple]):
@@ -381,11 +372,6 @@ class SettingSweep:
                 s.I_v = I_v
                 s.eta_equals_chi = flag
                 yield s
-
-    def __eq__(self, other):
-        if not isinstance(other, (SettingSweep, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def enumerate_settings(p: int, *, n_max: int = 10) -> SettingSweep:
@@ -446,9 +432,8 @@ def pot_good_table(side: str) -> dict[tuple[int, int], int]:
         for residue, p in _RESIDUE_REPS.items():
             # p >= 5 is prime, delta is in POT_GOOD_DELTAS and ell = p:
             # each setting is admissible by construction
-            signs = {sign_of(LocalSetting._trusted(p, p, 1, AdditivePotGood(delta),
-                                                   DIHEDRAL, DIHEDRAL, None))
-                     for delta in deltas}
+            cases = [(AdditivePotGood(delta), None) for delta in deltas]
+            signs = set(map(sign_of, SettingSweep(p, [(p, 1, DIHEDRAL, DIHEDRAL, cases)])))
             if len(signs) != 1:
                 raise AssertionError(
                     f"deltas of tame order {e_target} disagree at p = {p}: {signs}")

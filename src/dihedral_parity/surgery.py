@@ -156,7 +156,7 @@ def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
         raise ValueError(f"p0 must be prime, got {p0}")
     if not is_prime(v) or v == 2 or v == p0:
         raise ValueError(f"v must be an odd prime different from p0, got {v}")
-    if n is not None and (not isinstance(n, int) or n < 1):
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
         raise ValueError(f"n must be a positive integer, got {n}")
     if n is None:
         start = max(8, valuation(abs(curve.discriminant), p0) + 3)

@@ -187,6 +187,14 @@ def test_tamagawa_additive_pot_mult():
 
 # --- period ratio parity ---------------------------------------------------
 
+def test_tamagawa_and_omega_reject_what_is_not_a_descriptor():
+    with pytest.raises(TypeError, match="^unknown reduction descriptor 'split'$"):
+        tamagawa_over("split", 5, D2P, CP, TRIVIAL, ell=7)
+    # the period ratio reads the descriptor only at ell = p
+    with pytest.raises(TypeError, match="^unknown reduction descriptor 'split'$"):
+        omega_ordp_parity("split", 5, 5, 1, D2P, D2P, TRIVIAL)
+
+
 def test_omega_is_a_unit_at_wild_places():
     # the period ratio at 2 or 3 is a power of ell, a unit at p >= 5
     for ell in (2, 3):

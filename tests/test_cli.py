@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import dihedral_parity
-from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, UsageError,
-                                 _check_json_path, build_parser, main)
+from dihedral_parity import parity, surgery
+from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, REGULATOR_MAX_P,
+                                 UsageError, _check_json_path, build_parser, main)
 
 
 def put(tmp_path, name, text):
@@ -113,6 +114,33 @@ def test_chars_output_is_byte_for_byte_the_recorded_table(tmp_path, capsys, p, n
     assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha
 
 
+# SHA-256 of stdout and of the --json report of the character tables of
+# D_226 and D_486 and of the p = 13 sweep, recorded before each character
+# value was reduced from its preimage by Cyclotomic.make alone
+TABLE_DIGESTS = [
+    (["chars", "--p", "113"],
+     "913114788011079b39b6cadc85339e9fae9564044522f27ebbc734c29890900d",
+     "2d576863516c57252790bc8f8b1aa1eb766232119c3f6fb3a1287fddb8ed9a8d"),
+    (["chars", "--p", "3", "--n", "5"],
+     "75201020f8f36ba7340f27b8f5f389a7ade4ed4cd3138a797ecb9c6c677eca0c",
+     "6cbb6b4636c4c5bfc2c3e854a23947c9bc085e2766e0b485dc7730f5910ed7e9"),
+    (["verify-local", "--p", "13", "--sweep", "--emit-table"],
+     "75a61a5ec857d9f39207fc15ab230db9c11aa124516d7cc997b1bc5ce8f85e68",
+     "fbec90b44151216786bf0e1c8581727593fc91c3b07651bae6d0e18c3b97db87"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, json_sha", TABLE_DIGESTS,
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+def test_tables_and_sweep_are_byte_for_byte_the_recorded_output(tmp_path, capsys, argv,
+                                                                 stdout_sha, json_sha):
+    report = tmp_path / "report.json"
+    assert main(argv + ["--json", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha
+
+
 def test_chars_bad_group(capsys):
     assert main(["chars", "--p", "4"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -173,6 +201,23 @@ def test_regulator_rejects_p_that_is_not_an_odd_prime(p):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: p must be an odd prime, got {p}\n"
+
+
+def _no_rep(*args, **kwargs):
+    raise AssertionError("a representation was built")
+
+
+@pytest.mark.parametrize("p", ["103", "151", "1009"])
+def test_regulator_past_the_prime_limit_is_a_usage_error(p, monkeypatch, capsys):
+    # 101 is the largest prime inside the limit; the limit is checked
+    # before any representation is built
+    assert REGULATOR_MAX_P == 101
+    for name in ("trivial_rep", "sign_rep", "faithful_rep"):
+        monkeypatch.setattr(f"dihedral_parity.regulator.{name}", _no_rep)
+    assert main(["regulator", "--p", p]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: p={p} is above 101, the largest regulator accepts\n"
 
 
 # --- verify-local ----------------------------------------------------------
@@ -430,7 +475,7 @@ def test_closed_stdout_pipe_exits_3():
 
 def test_each_usage_error_of_the_cli_is_typed(tmp_path):
     for argv in (["chars", "--p", "3", "--n", "7"], ["chars", "--p", "5", "--verify-reduction"],
-                 ["verify-local", "--p", "5"]):
+                 ["regulator", "--p", "103"], ["verify-local", "--p", "5"]):
         args = build_parser().parse_args(argv)
         with pytest.raises(UsageError):
             args.func(args)
@@ -444,6 +489,81 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# --- failed verdicts --------------------------------------------------------
+
+def _negated_w_sign(monkeypatch):
+    """Make every setting at G_v = D_2p disagree: its w side flips."""
+    w_sign = parity._w_sign
+    monkeypatch.setattr(parity, "_w_sign", lambda s: -w_sign(s))
+
+
+def test_a_sign_table_that_differs_from_the_frozen_one_exits_1(tmp_path, capsys,
+                                                               monkeypatch):
+    frozen = dict(parity.FROZEN_POT_GOOD_TABLE)
+    frozen[(6, 1)] = -1
+    monkeypatch.setattr(parity, "FROZEN_POT_GOOD_TABLE", frozen)
+    report = tmp_path / "r.json"
+    assert main(["verify-local", "--p", "5", "--emit-table", "--json", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  frozen e=6: -1  -1  +1  -1"
+    assert lines[5] == "  c-side e=6: +1  -1  +1  -1"
+    assert lines[-1] == "tables match: FAIL"
+    payload = json.loads(report.read_text())
+    assert payload["tables_match"] is False
+    assert payload["frozen"]["6"]["1"] == -1
+    assert payload["c_side"]["6"]["1"] == payload["w_side"]["6"]["1"] == 1
+
+
+def test_a_sweep_disagreement_exits_1_and_lists_the_first_ten(tmp_path, capsys,
+                                                              monkeypatch):
+    _negated_w_sign(monkeypatch)
+    settings = list(parity.enumerate_settings(5))
+    bad = [s for s in settings if s.G_v.kind == "dihedral"]
+    report = tmp_path / "r.json"
+    assert main(["verify-local", "--p", "5", "--sweep", "--json", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"sweep p=5: {len(settings)} settings, "
+                        f"{len(settings) - len(bad)} agree, {len(bad)} disagree")
+    assert lines[1:] == [f"  DISAGREE: {s}" for s in bad[:10]]
+    assert json.loads(report.read_text()) == {
+        "p": 5, "sweep_total": len(settings), "sweep_disagreements": len(bad)}
+
+
+def test_a_global_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    _negated_w_sign(monkeypatch)
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    comp = put(tmp_path, "comp.txt", "11 D2p Cp\n")
+    report = tmp_path / "r.json"
+    assert main(["verify-global", curves, "--p", "5", "--completion", comp,
+                 "--json", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "(0, -1, 1, -10, -20) ell=11: c=-1 w=+1 DISAGREE [split-multiplicative]",
+        "(0, -1, 1, -10, -20) p=5: c_product=-1 w_product=+1 DISAGREE"]
+    [entry] = json.loads(report.read_text())
+    assert entry["agree"] is False and (entry["c_product"], entry["w_product"]) == (-1, 1)
+    assert entry["locals"] == [{"ell": 11, "c": -1, "w": 1, "agree": False,
+                                "branch": "split-multiplicative"}]
+
+
+def test_a_failed_surgery_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    certify = surgery.certify
+
+    def failing(plan):
+        cert = certify(plan)
+        return surgery.SurgeryCertificate(
+            ok=False, p0_match=False, p0_before=cert.p0_before, p0_after=cert.p0_after,
+            v_class=cert.v_class, v_split=cert.v_split, residual_gcd=cert.residual_gcd)
+
+    monkeypatch.setattr(surgery, "certify", failing)
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    report = tmp_path / "s.json"
+    assert main(["surgery", curves, "--p0", "11", "--v", "3", "--json", str(report)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert "(LOST)" in last and last.endswith("; FAIL")
+    [entry] = json.loads(report.read_text())
+    assert entry["ok"] is False and (entry["p0"], entry["v"]) == (11, 3)
 
 
 # --- imports ---------------------------------------------------------------

@@ -70,6 +70,14 @@ def test_inadmissible_settings_rejected():
             mk(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["G_v", "I_v"])
+def test_a_setting_group_must_be_a_subgroup_tag(field):
+    kwargs = dict(p=5, ell=7, r=1, base=Good(), G_v=DIHEDRAL, I_v=CYCLIC)
+    kwargs[field] = "D2p"
+    with pytest.raises(InadmissibleSettingError, match="^'D2p' is not a subgroup tag$"):
+        LocalSetting(**kwargs)
+
+
 @pytest.mark.parametrize("r", [True, False, 1.0, 2.5])
 def test_multiplicity_must_be_an_int(r):
     with pytest.raises(InadmissibleSettingError, match=f"^r must be a positive integer, got {r}$"):
@@ -257,7 +265,7 @@ def test_enumeration_shape(p):
     # 6 primes, 2 r values; 17 bases over 6 pairs, 20 over the all-dihedral
     # pair which only exists at ell = p
     assert len(settings) == 5 * 2 * 6 * 17 + 2 * (6 * 17 + 20)
-    assert settings == enumerate_settings(p, n_max=3)
+    assert list(settings) == list(enumerate_settings(p, n_max=3))
     # the same listing with fresh descriptors built for every setting
     reference = []
     for ell in sorted({2, 3, 5, 7, 11, 13, p}):
@@ -274,7 +282,7 @@ def test_enumeration_shape(p):
                 reference += [LocalSetting(p=p, ell=ell, r=r, base=cls(*args), G_v=G_v,
                                            I_v=I_v, eta_equals_chi=flag)
                               for cls, args, flag in cases]
-    assert settings == reference
+    assert list(settings) == reference
     for s in settings:
         needs = (s.G_v.kind == "dihedral" and s.I_v.kind == "dihedral"
                  and isinstance(s.base, AdditivePotMult))
@@ -297,8 +305,8 @@ def test_each_iteration_builds_fresh_equal_settings():
     sweep = enumerate_settings(7, n_max=2)
     first, second = list(sweep), list(sweep)
     assert len(first) == len(sweep) and first == second
-    assert sweep == first and sweep == enumerate_settings(7, n_max=2)
-    assert sweep != first[:-1] and sweep != enumerate_settings(7, n_max=3)
+    assert first == list(enumerate_settings(7, n_max=2))
+    assert first != list(enumerate_settings(7, n_max=3))
     assert not any(a is b for a, b in zip(first, second))
     # the descriptors are built once per sweep and shared
     assert all(a.base is b.base for a, b in zip(first, second))

@@ -173,7 +173,7 @@ def test_parameter_validation():
         make_semistable(E, 11, 9)
 
 
-@pytest.mark.parametrize("n", [0, -2, 2.5, "8"])
+@pytest.mark.parametrize("n", [0, -2, 2.5, "8", True, False])
 def test_depth_must_be_a_positive_integer(n):
     E = WeierstrassCurve(0, -1, 1, -10, -20)
     with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
