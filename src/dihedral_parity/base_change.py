@@ -190,13 +190,11 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
     for additive potentially good reduction at ell = p: away from p, at 2
     and 3 too, it is a power of ell.  Needs p >= 5 when ell = p.
     """
+    if not isinstance(base, ReductionDescriptor):
+        raise TypeError(f"unknown reduction descriptor {base!r}")
     if ell == p and p < 5:
         raise ValueError(f"the period ratio at ell = p = {p} is wild")
-    if ell != p or isinstance(base, (Good, SplitMult, NonsplitMult, AdditivePotMult)):
-        return 1
-    if isinstance(base, AdditivePotGood):
-        return _omega(base, ell, p, r, *degrees(p, G_v, I_v, H))
-    raise TypeError(f"unknown reduction descriptor {base!r}")
+    return _omega(base, ell, p, r, *degrees(p, G_v, I_v, H))
 
 
 def _omega(base: ReductionDescriptor, ell: int, p: int, r: int, e: int, f: int) -> int:

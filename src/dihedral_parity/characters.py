@@ -72,10 +72,11 @@ class Cyclotomic(Record):
         self.n = n
         self.coeffs = coeffs
 
-    @staticmethod
-    def _reduce(p: int, n: int, cs: list[int]) -> tuple[int, ...]:
-        phi = p ** n - p ** (n - 1)
+    @classmethod
+    def make(cls, p: int, n: int, cs: list[int]) -> "Cyclotomic":
+        """sum cs[i] x^i reduced modulo the cyclotomic polynomial."""
         step = p ** (n - 1)
+        phi = p ** n - step
         cs = list(cs)
         # x^phi = -(1 + x^step + x^(2 step) + ... + x^((p-2) step))
         while len(cs) > phi:
@@ -85,16 +86,7 @@ class Cyclotomic(Record):
                 for i in range(p - 1):
                     cs[d + i * step] -= top
         cs += [0] * (phi - len(cs))
-        return tuple(cs)
-
-    @classmethod
-    def make(cls, p: int, n: int, cs: list[int]) -> "Cyclotomic":
-        return cls(p, n, cls._reduce(p, n, cs))
-
-    @classmethod
-    def zeta_power(cls, p: int, n: int, k: int) -> "Cyclotomic":
-        k %= p ** n
-        return cls.make(p, n, [0] * k + [1])
+        return cls(p, n, tuple(cs))
 
     def __str__(self) -> str:
         terms = []
@@ -151,10 +143,6 @@ class DihedralContext:
 
     def __repr__(self):
         return f"DihedralContext(p={self.p}, n={self.n})"
-
-    # values ---------------------------------------------------------------
-    def zeta(self, k: int) -> Cyclotomic:
-        return Cyclotomic.zeta_power(self.p, self.n, k)
 
     # subgroups ------------------------------------------------------------
     def subgroup(self, tag: SubgroupTag) -> "Subgroup":
@@ -245,12 +233,6 @@ class Subgroup:
     def class_reps(self) -> tuple:
         reps = tuple((j * self.step, 0) for j in range(self._rotation_classes))
         return reps + ((0, 1),) if self.reflects else reps
-
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        if not self.reflects:
-            return (1,) * self.count
-        return (1,) + (2,) * (self._rotation_classes - 1) + (self.count,)
 
     def _rotation_class(self, i: int) -> int:
         """The class of the rotation (i, 0), which lies in self."""

@@ -30,8 +30,7 @@ value as a Fraction:
   det(P_J^T B P_J) / |H|^(3k).  Reducing those columns against each
   other (a unit upper-triangular change) leaves the determinant alone.
 * A constant scale on B cancels: sum_H m_H dim rho^H = <rho, sum_H m_H
-  Ind_H 1> = 0.  So the pairing is an integer sum over the group, and a
-  rational pairing may be cleared of its denominators first.
+  Ind_H 1> = 0.  So the pairing is an integer sum over the group.
 
 Over Q_p the self-dual irreducibles of D_{2p} are the trivial character,
 the sign character eta, and the (p-1)-dimensional rho2 = Q[x]/Phi_p
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .arith import factor, trial_divide
 from .lattice import THETA, check_odd_prime
@@ -57,16 +56,10 @@ class InvalidRepresentationError(ValueError):
 
 
 class DegeneratePairingError(ValueError):
-    """The pairing has the wrong size or is singular on a fixed space."""
+    """No seeded pairing is nondegenerate, or one is singular on a fixed space."""
 
 
 # --- small exact integer linear algebra ------------------------------------
-
-def _rationals(rows) -> list[list]:
-    """The entries as exact rationals: an int stays as it is, anything else
-    goes through Fraction (and its errors)."""
-    return [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
-
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     """a b.  Each row of the product is the combination of the rows of b
@@ -90,8 +83,7 @@ def _matsum(mats) -> Matrix:
 def _gram(b: Matrix, v: Matrix) -> Matrix:
     """v^T b^T v = (v^T b v)^T, formed as v^T (v^T b)^T so that the sparse
     factor v^T is on the left of both products.  It is v^T b v for a
-    symmetric b; for any b the determinant is the same, so a supplied
-    pairing that is not symmetric still gives the same C_Theta."""
+    symmetric b."""
     vt = tuple(zip(*v))
     return _matmul(vt, tuple(zip(*_matmul(vt, b))))
 
@@ -136,20 +128,19 @@ def _independent_columns(a: Matrix) -> list[int]:
 # --- representations -------------------------------------------------------
 
 class RationalRep(Record):
-    """Rational representation of D_{2p} given by integer images of the
-    rotation generator s (order p) and a reflection t; _powers holds
-    s^0, ..., s^(p-1).  p is checked first: one that is not an odd prime
-    raises InvalidGroupError."""
+    """Rational representation of D_{2p} given by integer images (every
+    entry an int, not a bool) of the rotation generator s (order p) and a
+    reflection t; _powers holds s^0, ..., s^(p-1).  p is checked first:
+    one that is not an odd prime raises InvalidGroupError."""
     __slots__ = ("p", "s", "t", "_powers")
 
     def __init__(self, p: int, s: Matrix, t: Matrix):
         check_odd_prime(p)
-        s, t = _rationals(s), _rationals(t)
-        if any(x.denominator != 1 for row in s + t for x in row):
+        if any(type(x) is not int for m in (s, t) for row in m for x in row):
             raise InvalidRepresentationError(
                 "generator matrices must have integer entries "
                 "(conjugate the representation to an integral model)")
-        s, t = (tuple(tuple(map(int, row)) for row in m) for m in (s, t))
+        s, t = (tuple(map(tuple, m)) for m in (s, t))
         d = len(s)
         if any(len(r) != d for r in s) or len(t) != d or any(len(r) != d for r in t):
             raise InvalidRepresentationError("generator matrices must be square and equal-sized")
@@ -267,20 +258,10 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
 
 
-def regulator_constant(rep: RationalRep, pairing=None, seed: int = 0) -> Fraction:
-    """C_Theta(rep) as an exact rational, well defined modulo squares.  A
-    supplied pairing may be rational; it is scaled to an integer one, which
-    leaves C_Theta unchanged."""
-    dim = rep.dimension
-    if pairing is None:
-        pairing = invariant_pairing(rep, seed)
-    elif len(pairing) != dim or any(len(row) != dim for row in pairing):
-        raise DegeneratePairingError(
-            f"supplied pairing is not {dim} x {dim}, the dimension of the representation")
-    else:
-        rows = _rationals(pairing)
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        pairing = tuple(tuple(int(x * scale) for x in row) for row in rows)
+def regulator_constant(rep: RationalRep, seed: int = 0) -> Fraction:
+    """C_Theta(rep) as an exact rational, well defined modulo squares, over
+    the pairing invariant_pairing(rep, seed)."""
+    pairing = invariant_pairing(rep, seed)
     p = rep.p
     ident, t = rep._powers[0], rep.t
     rotations = _matsum(rep._powers)
@@ -311,6 +292,9 @@ class SquareClass(Record):
 
     @classmethod
     def of(cls, x) -> "SquareClass":
+        """The class of x, an int or a Fraction (not a bool)."""
+        if type(x) not in (int, Fraction):
+            raise TypeError(f"square class of {x!r}: need an int or a Fraction")
         x = Fraction(x)
         if x == 0:
             raise ValueError("zero has no square class")

@@ -42,10 +42,31 @@ def elements(H):
     return tuple(rotations)
 
 
+_CLASS_SIZES = {}
+
+
+def class_sizes(H):
+    """The size of each class of H, in the order of H.class_reps: the orbit
+    of its rep under conjugation by the elements of H.  Kept per (m, tag),
+    so a loop over many pairs of characters walks the group once."""
+    key = (H.m, H.tag)
+    sizes = _CLASS_SIZES.get(key)
+    if sizes is None:
+        group = elements(H)
+        sizes = _CLASS_SIZES[key] = tuple(len({conjugate(H.m, x, g) for x in group})
+                                          for g in H.class_reps)
+    return sizes
+
+
 # --- values in Z[zeta_{p^n}] ------------------------------------------------
 
 def integer(p, n, value):
     return Cyclotomic.make(p, n, [value])
+
+
+def zeta(p, n, k):
+    """zeta^k in Z[zeta_{p^n}], reduced afresh from the unit vector x^k."""
+    return Cyclotomic.make(p, n, [0] * (k % p ** n) + [1])
 
 
 def _ring(a, b):
@@ -134,7 +155,7 @@ def reference_inner_product(f1, f2):
     """(1/|H|) sum over classes of |c| a_c conj(b_c), reduced class by class."""
     H = f1.group
     total = integer(H.p, H.n, 0)
-    for size, a, b in zip(H.class_sizes, f1.values, f2.values):
+    for size, a, b in zip(class_sizes(H), f1.values, f2.values):
         total = add(total, times(times(a, conj(b)), size))
     return rational_value(divide_exact(total, H.order))
 

@@ -190,9 +190,24 @@ def test_tamagawa_additive_pot_mult():
 def test_tamagawa_and_omega_reject_what_is_not_a_descriptor():
     with pytest.raises(TypeError, match="^unknown reduction descriptor 'split'$"):
         tamagawa_over("split", 5, D2P, CP, TRIVIAL, ell=7)
-    # the period ratio reads the descriptor only at ell = p
+    # the period ratio checks the descriptor first, at every ell
     with pytest.raises(TypeError, match="^unknown reduction descriptor 'split'$"):
         omega_ordp_parity("split", 5, 5, 1, D2P, D2P, TRIVIAL)
+
+
+@pytest.mark.parametrize("base, p, G, H", [
+    ("split", 5, D2P, TRIVIAL),           # not a descriptor
+    (Good(), 4, D2P, TRIVIAL),            # not an odd prime
+    (Good(), 5, D2P, dihedral_p_power(3)),    # an H that does not fit in D_2p
+    (SplitMult(2), 5, cyclic_p_power(3), CP),  # a G_v that does not fit
+])
+def test_omega_away_from_p_rejects_what_tamagawa_over_rejects(base, p, G, H):
+    with pytest.raises(Exception) as want:
+        tamagawa_over(base, p, G, CP, H, ell=7)
+    with pytest.raises(Exception) as got:
+        omega_ordp_parity(base, 7, p, 1, G, CP, H)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_omega_is_a_unit_at_wild_places():

@@ -43,3 +43,25 @@ def test_bench_selftest_passes():
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# every tower and regulator item of one algebra round (2 towers, 12
+# regulator items), run and checked as the benchmark does;
+# bench/selftest.py runs neither kind
+_ALGEBRA_ITEMS = """
+import sys
+sys.path[:0] = ["src", "bench"]
+import workloads
+w = workloads.Algebra(0)
+items = [item for item in w.items if item[0] in ("tower", "regulator")]
+problems = [p for item in items for p in w.check(item, w.run(item))]
+print(len(items), "items", problems)
+sys.exit(1 if problems or len(items) != 14 else 0)
+"""
+
+
+def test_bench_tower_and_regulator_items_run_and_check():
+    proc = subprocess.run([sys.executable, "-c", _ALGEBRA_ITEMS], cwd=ROOT,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

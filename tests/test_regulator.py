@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import char_referee
+from dihedral_parity import regulator
 from dihedral_parity.characters import THETA, DihedralContext
 from dihedral_parity.lattice import InvalidGroupError
 from dihedral_parity.regulator import (DegeneratePairingError,
@@ -147,25 +149,15 @@ def test_pairing_redraws_past_singular_seed():
     assert B[0][0] != 0
 
 
-def test_singular_supplied_pairing_rejected():
-    zero = ((Fraction(0),),)
-    with pytest.raises(DegeneratePairingError):
-        regulator_constant(trivial_rep(5), pairing=zero)
-
-
-def test_pairing_singular_on_a_fixed_space_rejected():
+def test_pairing_singular_on_a_fixed_space_rejected(monkeypatch):
     # nondegenerate on the whole space, but it pairs the trivial line only
     # with the sign line, so it vanishes on the vectors fixed by D2
     rep = direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5))
     hyperbolic = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
                   (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    monkeypatch.setattr(regulator, "invariant_pairing", lambda rep, seed: hyperbolic)
     with pytest.raises(DegeneratePairingError, match="fixed by D2"):
-        regulator_constant(rep, pairing=hyperbolic)
-    # a pairing of the wrong size is rejected before any fixed space
-    for wrong in (tuple(row[:4] for row in hyperbolic[:4]),
-                  tuple(row + (0,) for row in hyperbolic) + ((0,) * 6 + (1,),)):
-        with pytest.raises(DegeneratePairingError, match="not 6 x 6"):
-            regulator_constant(rep, pairing=wrong)
+        regulator_constant(rep)
 
 
 # --- the constant ----------------------------------------------------------
@@ -226,6 +218,13 @@ def test_square_class_basics():
         SquareClass.of(0)
 
 
+@pytest.mark.parametrize("x", [0.1, 2.0, "3/4", True, 1j], ids=repr)
+def test_square_class_takes_an_int_or_a_fraction(x):
+    # a float's class would be read off its binary expansion
+    with pytest.raises(TypeError, match=re.escape(repr(x))):
+        SquareClass.of(x)
+
+
 # --- exact values ----------------------------------------------------------
 
 # C_Theta as computed by the earlier Fraction-matrix implementation; the
@@ -241,16 +240,6 @@ def test_pinned_exact_constants(p, seed):
         assert regulator_constant(rep, seed=seed) == PINNED[p]
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_supplied_pairing_scale_cancels(seed):
-    rep = direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5))
-    want = regulator_constant(rep, seed=seed)
-    B = invariant_pairing(rep, seed)
-    assert regulator_constant(rep, pairing=B) == want
-    scaled = tuple(tuple(Fraction(3, 7) * x for x in row) for row in B)
-    assert regulator_constant(rep, pairing=scaled) == want
-
-
 def test_non_integral_generators_rejected():
     # conjugating rho2 by diag(2, 1, 1, 1) puts 1/2 into s
     good = faithful_rep(5)
@@ -264,15 +253,15 @@ def test_non_integral_generators_rejected():
         RationalRep(5, conj(good.s), conj(good.t))
 
 
-def test_generator_entries_that_are_not_ints_still_go_through_fraction():
-    # ints skip Fraction; any other entry is converted and checked as before
+@pytest.mark.parametrize("x", [Fraction(2, 1), Fraction(3, 2), True, 2.0, 1.5j], ids=repr)
+def test_generator_entries_that_are_not_ints_rejected(x):
+    # even an integral Fraction, a bool or a whole float: every entry is an int
     ident = ((1, 0), (0, 1))
+    assert RationalRep(3, ident, ((1, 2), (0, -1))).t == ((1, 2), (0, -1))  # 1 + eta, conjugated
     with pytest.raises(InvalidRepresentationError, match="integer entries"):
-        RationalRep(3, ident, ((1, Fraction(3, 2)), (0, -1)))
-    rep = RationalRep(3, ident, ((1, Fraction(2, 1)), (0, -1)))  # 1 + eta, conjugated
-    assert rep.t == ((1, 2), (0, -1)) and type(rep.t[0][1]) is int
-    with pytest.raises(TypeError):
-        RationalRep(3, ident, ((1, 1.5j), (0, -1)))
+        RationalRep(3, ident, ((1, x), (0, -1)))
+    with pytest.raises(InvalidRepresentationError, match="integer entries"):
+        RationalRep(3, ((x, 0), (0, 1)), ident)
 
 
 def test_matrices_stay_integral():
