@@ -86,7 +86,9 @@ def jacobi(a: int, n: int) -> int:
 
 
 def valuation(x: int, ell: int) -> int:
-    """ord_ell(x), with ord_ell(0) = BIG."""
+    """ord_ell(x), with ord_ell(0) = BIG, for ell >= 2."""
+    if ell < 2:
+        raise ValueError(f"valuation needs ell >= 2, got {ell}")
     if x == 0:
         return BIG
     v = 0

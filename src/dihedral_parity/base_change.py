@@ -9,13 +9,15 @@ of the curve there (exact whenever group data determines it, otherwise a
 small constrained range whose p-valuation is still pinned for p >= 5),
 and `omega_ordp_parity` the parity of the p-valuation of the local period
 ratio.  Each checks its arguments and then calls its unchecked half
-(`_degrees`, `_tamagawa`, `_omega`), which the parity engine calls
-directly on settings that `LocalSetting` has already checked.
+(`_degrees`, the descriptor's own `_tamagawa` rule, `_omega`), which the
+parity engine calls directly on settings that `LocalSetting` has checked.
 """
 
 from __future__ import annotations
 
-from .arith import valuation
+import enum
+
+from .arith import is_prime, valuation
 from .lattice import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .records import Record
 
@@ -26,6 +28,22 @@ class InvalidDescriptorError(ValueError):
     """A descriptor's valuation is not a positive integer."""
 
 
+class InadmissibleSettingError(ValueError):
+    """The local setting is internally inconsistent."""
+
+
+def check_ell(ell) -> None:
+    """Raise InadmissibleSettingError unless ell is a prime."""
+    if not isinstance(ell, int) or not is_prime(ell):
+        raise InadmissibleSettingError(f"ell must be prime, got {ell}")
+
+
+def check_r(r) -> None:
+    """Raise InadmissibleSettingError unless r is a positive integer."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
+
+
 def _check_valuation(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidDescriptorError(f"{name} must be an integer, got {value!r}")
@@ -33,12 +51,33 @@ def _check_valuation(name: str, value) -> None:
         raise InvalidDescriptorError(f"{name} must be >= 1, got {value}")
 
 
-class Good(Record):
+class QuadCharClass(enum.Enum):
+    TRIVIAL = "trivial"
+    UNRAMIFIED = "unramified"
+    RAMIFIED = "ramified"
+
+
+class ReductionDescriptor(Record):
+    """The reduction of a curve over the base field.  Each kind carries
+    `chi`, the class of the quadratic twist that makes it split
+    multiplicative (None when no twist does), `branch`, its label in the
+    c-side trace, and `_tamagawa`, its Tamagawa number at a place of
+    degrees (e, f) over the base."""
+    __slots__ = ()
+    chi: QuadCharClass | None = None
+    branch: str
+
+
+class Good(ReductionDescriptor):
     """Good reduction."""
     __slots__ = ()
+    branch = "good"
+
+    def _tamagawa(self, e, f, ell, becomes_split):
+        return 1
 
 
-class _PositiveN(Record):
+class _PositiveN(ReductionDescriptor):
     """A descriptor carrying a valuation n >= 1.  Records compare equal only
     within one type, so descriptors of different types never do."""
     __slots__ = ("n",)
@@ -52,30 +91,53 @@ class SplitMult(_PositiveN):
     """Split multiplicative reduction; n = valuation of the minimal
     discriminant = -v(j)."""
     __slots__ = ()
+    chi = QuadCharClass.TRIVIAL
+    branch = "split-multiplicative"
+
+    def _tamagawa(self, e, f, ell, becomes_split):
+        return self.n * e
 
 
 class NonsplitMult(_PositiveN):
     """Nonsplit multiplicative reduction; n = valuation of the minimal
     discriminant."""
     __slots__ = ()
+    chi = QuadCharClass.UNRAMIFIED
+    branch = "nonsplit-multiplicative"
+
+    def _tamagawa(self, e, f, ell, becomes_split):
+        # the quadratic unramified class dies exactly when f is even
+        if f % 2 == 0:
+            return self.n * e
+        return 2 if (self.n * e) % 2 == 0 else 1
 
 
 class AdditivePotMult(_PositiveN):
     """Additive reduction, potentially multiplicative; n = -v(j) > 0."""
     __slots__ = ()
+    chi = QuadCharClass.RAMIFIED
+    branch = "additive-pot-multiplicative"
+
+    def _tamagawa(self, e, f, ell, becomes_split):
+        if becomes_split is True and ell is not None and ell != 2:
+            return self.n * e
+        return _UNPINNED
 
 
-class AdditivePotGood(Record):
+class AdditivePotGood(ReductionDescriptor):
     """Additive reduction, potentially good; delta = valuation of the
     minimal discriminant (at most 11 when ell >= 5, unbounded at 2 and 3)."""
     __slots__ = ("delta",)
+    branch = "additive-pot-good"
 
     def __init__(self, delta: int):
         _check_valuation("delta", delta)
         self.delta = delta
 
-
-ReductionDescriptor = Good | SplitMult | NonsplitMult | AdditivePotMult | AdditivePotGood
+    def _tamagawa(self, e, f, ell, becomes_split):
+        if (e * self.delta) % 12 == 0:
+            return 1  # reduction turns good over the extension
+        return _UNPINNED
 
 
 class ConstrainedRange(Record):
@@ -151,33 +213,15 @@ def tamagawa_over(base: ReductionDescriptor, p: int, G_v: SubgroupTag,
     Exact for good and multiplicative reduction; for additive reduction the
     answer depends on data beyond (G_v, I_v), so a constrained range is
     returned unless the caller certifies the potentially multiplicative
-    twist dies and lands split (becomes_split, needs ell != 2).
+    twist dies and lands split (becomes_split, needs ell != 2).  ell, when
+    given, must be prime.
     """
     e, f = degrees(p, G_v, I_v, H)
-    return _tamagawa(base, e, f, ell, becomes_split)
-
-
-def _tamagawa(base: ReductionDescriptor, e: int, f: int, ell: int | None,
-              becomes_split: bool | None) -> int | ConstrainedRange:
-    """`tamagawa_over` from the degrees (e, f) of the place."""
-    if isinstance(base, Good):
-        return 1
-    if isinstance(base, SplitMult):
-        return base.n * e
-    if isinstance(base, NonsplitMult):
-        # the quadratic unramified class dies exactly when f is even
-        if f % 2 == 0:
-            return base.n * e
-        return 2 if (base.n * e) % 2 == 0 else 1
-    if isinstance(base, AdditivePotGood):
-        if (e * base.delta) % 12 == 0:
-            return 1  # reduction turns good over the extension
-        return _UNPINNED
-    if isinstance(base, AdditivePotMult):
-        if becomes_split is True and ell is not None and ell != 2:
-            return base.n * e
-        return _UNPINNED
-    raise TypeError(f"unknown reduction descriptor {base!r}")
+    if not isinstance(base, ReductionDescriptor):
+        raise TypeError(f"unknown reduction descriptor {base!r}")
+    if ell is not None:
+        check_ell(ell)
+    return base._tamagawa(e, f, ell, becomes_split)
 
 
 # --- period ratio ----------------------------------------------------------
@@ -186,12 +230,15 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
                       G_v: SubgroupTag, I_v: SubgroupTag,
                       H: SubgroupTag) -> int:
     """+1 or -1: parity of ord_p of the local period ratio at the induced
-    place, for a curve of multiplicity r.  The ratio is a p-adic unit except
-    for additive potentially good reduction at ell = p: away from p, at 2
-    and 3 too, it is a power of ell.  Needs p >= 5 when ell = p.
+    place, for a curve of multiplicity r at the prime ell; r must be a
+    positive integer.  The ratio is a p-adic unit except for additive
+    potentially good reduction at ell = p: away from p, at 2 and 3 too, it
+    is a power of ell.  Needs p >= 5 when ell = p.
     """
     if not isinstance(base, ReductionDescriptor):
         raise TypeError(f"unknown reduction descriptor {base!r}")
+    check_ell(ell)
+    check_r(r)
     if ell == p and p < 5:
         raise ValueError(f"the period ratio at ell = p = {p} is wild")
     return _omega(base, ell, p, r, *degrees(p, G_v, I_v, H))

@@ -30,14 +30,15 @@ multiplicative reduction; everywhere else the answer is forced.
 
 from __future__ import annotations
 
-import enum
+from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
-                          NonsplitMult, ReductionDescriptor, SplitMult, _degrees,
-                          _omega, _tamagawa)
+                          InadmissibleSettingError, NonsplitMult, QuadCharClass,
+                          ReductionDescriptor, SplitMult, _degrees, _omega,
+                          check_ell, check_r)
 from .lattice import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
 
@@ -49,18 +50,8 @@ if TYPE_CHECKING:
 POT_GOOD_DELTAS = (2, 3, 4, 6, 8, 9, 10)
 
 
-class InadmissibleSettingError(ValueError):
-    """The local setting is internally inconsistent."""
-
-
 class MissingCompletionError(ValueError):
     """A bad prime of the curve has no completion data."""
-
-
-class QuadCharClass(enum.Enum):
-    TRIVIAL = "trivial"
-    UNRAMIFIED = "unramified"
-    RAMIFIED = "ramified"
 
 
 # The admissible (G_v, I_v): I_v is normal in G_v with cyclic quotient.
@@ -78,12 +69,6 @@ def check_p(p) -> None:
         raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
 
 
-def check_r(r) -> None:
-    """Raise InadmissibleSettingError unless r is a positive integer."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
-
-
 class LocalSetting(Record):
     """One local situation at a place v of the dihedral field, over the
     base field K_v of residue degree r over Q_ell."""
@@ -93,8 +78,7 @@ class LocalSetting(Record):
                  G_v: SubgroupTag, I_v: SubgroupTag,
                  eta_equals_chi: bool | None = None):
         check_p(p)
-        if not isinstance(ell, int) or not is_prime(ell):
-            raise InadmissibleSettingError(f"ell must be prime, got {ell}")
+        check_ell(ell)
         check_r(r)
         for tag in (G_v, I_v):
             if not isinstance(tag, SubgroupTag):
@@ -109,8 +93,7 @@ class LocalSetting(Record):
         if I_v.kind == "dihedral" and ell != p:
             raise InadmissibleSettingError(
                 "dihedral inertia is wild and forces ell = p")
-        if not isinstance(base, (Good, SplitMult, NonsplitMult,
-                                 AdditivePotMult, AdditivePotGood)):
+        if not isinstance(base, ReductionDescriptor):
             raise InadmissibleSettingError(f"unknown reduction descriptor {base!r}")
         if isinstance(base, AdditivePotGood) and ell >= 5:
             if base.delta > 11:
@@ -120,7 +103,7 @@ class LocalSetting(Record):
                 raise InadmissibleSettingError(
                     f"delta = {base.delta} cannot occur for a minimal model at ell = p >= 5")
         needs_flag = (G_v.kind == "dihedral" and I_v.kind == "dihedral"
-                      and isinstance(base, AdditivePotMult))
+                      and base.chi is QuadCharClass.RAMIFIED)
         if needs_flag and not isinstance(eta_equals_chi, bool):
             raise InadmissibleSettingError(
                 "eta_equals_chi must be set for dihedral inertia with "
@@ -140,13 +123,7 @@ class LocalSetting(Record):
 
     def chi_class(self) -> QuadCharClass | None:
         """Class of the split-making twist character, when it exists."""
-        if isinstance(self.base, SplitMult):
-            return QuadCharClass.TRIVIAL
-        if isinstance(self.base, NonsplitMult):
-            return QuadCharClass.UNRAMIFIED
-        if isinstance(self.base, AdditivePotMult):
-            return QuadCharClass.RAMIFIED
-        return None
+        return self.base.chi
 
     def eta_class(self) -> QuadCharClass:
         """Class of eta_v, the quadratic character of G_v through the
@@ -186,12 +163,6 @@ def ramification_degree_e(delta: int) -> int:
 _ODD_THETA = tuple(H for H, weight in THETA if weight % 2)
 _ODD_LABELS = tuple(H.label for H in _ODD_THETA)
 
-_BRANCHES = {Good: "good", SplitMult: "split-multiplicative",
-             NonsplitMult: "nonsplit-multiplicative",
-             AdditivePotMult: "additive-pot-multiplicative",
-             AdditivePotGood: "additive-pot-good"}
-
-
 _SMALL_DECOMPOSITION = "small-decomposition"
 
 
@@ -204,17 +175,25 @@ def _cyclic_sign(setting: LocalSetting) -> int | None:
     return None if setting.G_v.kind == "dihedral" else 1
 
 
+@lru_cache(maxsize=64)
+def _theta_degrees(p: int, inertia: str) -> tuple[tuple[int, int], ...]:
+    """At G_v = D_2p with inertia of the given kind, the degrees (e, f) of
+    the place above v of the field fixed by each H of _ODD_THETA, from
+    `_degrees` once per (p, kind)."""
+    I_v = SubgroupTag(inertia, 1)
+    return tuple(_degrees(p, DIHEDRAL, I_v, H) for H in _ODD_THETA)
+
+
 def _theta_parities(s: LocalSetting) -> list[int]:
     """At G_v = D_2p, the ord_p parity of the Tamagawa/period term of each
     odd-weight H of Theta, in _ODD_THETA order.  Only H = 1 and H = C_p
     count, each with one place above v.  The setting has checked p, the
-    descriptor and (G_v, I_v), so the degrees of each place feed
-    `base_change`'s Tamagawa and period rules unchecked."""
+    descriptor and (G_v, I_v), so the degrees of each place feed the
+    descriptor's Tamagawa rule and `base_change`'s period rule unchecked."""
     base, p, ell = s.base, s.p, s.ell
     parities = []
-    for H in _ODD_THETA:
-        e, f = _degrees(p, s.G_v, s.I_v, H)
-        tam = _tamagawa(base, e, f, ell, s.eta_equals_chi)
+    for e, f in _theta_degrees(p, s.I_v.kind):
+        tam = base._tamagawa(e, f, ell, s.eta_equals_chi)
         par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
             else valuation(tam, p) % 2
         if _omega(base, ell, p, s.r, e, f) == -1:
@@ -241,7 +220,7 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     if sign:
         return sign, {"branch": _SMALL_DECOMPOSITION}
     parities = _theta_parities(s)
-    trace: dict = {"branch": _BRANCHES[type(s.base)]}
+    trace: dict = {"branch": s.base.branch}
     trace.update(zip(_ODD_LABELS, parities))
     return (-1 if sum(parities) % 2 else 1), trace
 
@@ -249,7 +228,7 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
 def _w_sign(s: LocalSetting) -> int:
     """`w_ratio`'s sign at G_v = D_2p."""
     base = s.base
-    chi = s.chi_class()
+    chi = base.chi
     if chi is not None:
         # potentially multiplicative: -1 exactly when chi is trivial or eta_v
         return -1 if chi is QuadCharClass.TRIVIAL or s._agree(chi, s.eta_class()) else 1
@@ -275,7 +254,7 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     base = s.base
     if isinstance(base, Good):
         return sign, {"branch": "good"}
-    chi = s.chi_class()
+    chi = base.chi
     if chi is not None:
         return sign, {"branch": "pot-multiplicative", "chi_class": chi.value,
                       "eta_class": s.eta_class().value,

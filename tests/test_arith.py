@@ -1,6 +1,7 @@
 """Primality and factoring in `arith`, against sympy as the reference."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from sympy import factorint, isprime, nextprime, primerange
 from dihedral_parity import arith
 from dihedral_parity.arith import (FactoringBudgetError, factor, is_prime, jacobi,
                                    trial_divide)
+from dihedral_parity.base_change import ConstrainedRange
 from dihedral_parity.regulator import SquareClass
+from dihedral_parity.tate import j_pole_order
+from dihedral_parity.weierstrass import WeierstrassCurve
 
 # Strong pseudoprimes to the first 9, 12 and 13 prime bases: the last is
 # PSI_13, which only the strong Lucas step rejects.
@@ -151,3 +155,24 @@ def test_square_class_agrees_with_sympy(x, y):
     a, b = SquareClass.of(x), SquareClass.of(y)
     assert a.representative == square_class_reference(x)
     assert a * b == SquareClass.of(x * y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: arith.valuation(12, 1),
+    lambda: arith.valuation(12, 0),
+    lambda: ConstrainedRange((1, 2)).ord_parity(-1),
+    lambda: j_pole_order(WeierstrassCurve(0, 0, 1, -1, 0), 1),
+])
+def test_valuation_below_two_raises_at_once(call):
+    # each of these once looped forever; an alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("no answer within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="^valuation needs ell >= 2, got "):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@ import pytest
 from char_referee import elements, mul
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good,
+                                         InadmissibleSettingError,
                                          InvalidDescriptorError, NonsplitMult,
                                          SplitMult, degrees, omega_ordp_parity,
                                          tamagawa_over)
@@ -185,7 +186,84 @@ def test_tamagawa_additive_pot_mult():
         assert isinstance(out, ConstrainedRange)
 
 
+def ladder_tamagawa(base, e, f, ell, becomes_split):
+    """The Tamagawa rule as one isinstance ladder over the descriptor
+    kinds, kept as a referee for the descriptors' own rules."""
+    unpinned = ConstrainedRange((1, 2, 3, 4))
+    if isinstance(base, Good):
+        return 1
+    if isinstance(base, SplitMult):
+        return base.n * e
+    if isinstance(base, NonsplitMult):
+        if f % 2 == 0:
+            return base.n * e
+        return 2 if (base.n * e) % 2 == 0 else 1
+    if isinstance(base, AdditivePotGood):
+        if (e * base.delta) % 12 == 0:
+            return 1
+        return unpinned
+    if isinstance(base, AdditivePotMult):
+        if becomes_split is True and ell is not None and ell != 2:
+            return base.n * e
+        return unpinned
+    raise TypeError(f"unknown reduction descriptor {base!r}")
+
+
+REFEREE_BASES = ([Good()] + [cls(n) for cls in (SplitMult, NonsplitMult, AdditivePotMult)
+                             for n in (1, 2, 3, 5, 6)]
+                 + [AdditivePotGood(delta) for delta in (1, 2, 3, 4, 6, 9, 10, 12, 14)])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_each_descriptor_rule_matches_the_ladder(p):
+    for base in REFEREE_BASES:
+        for e in (1, 2, p, 2 * p):
+            for f in (1, 2):
+                for ell in (2, 3, 5, 7, p):
+                    for becomes_split in (None, False, True):
+                        args = (e, f, ell, becomes_split)
+                        assert base._tamagawa(*args) == ladder_tamagawa(base, *args), \
+                            (base, args)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_tamagawa_over_matches_the_ladder_on_every_place(p):
+    for base in REFEREE_BASES:
+        for G in ALL_H:
+            for I in ALL_H:
+                for H in ALL_H:
+                    try:
+                        e, f = degrees(p, G, I, H)
+                    except ValueError:
+                        continue  # inertia outside decomposition
+                    for ell in (2, 3, 5, 7, p):
+                        for becomes_split in (None, False, True):
+                            got = tamagawa_over(base, p, G, I, H, ell=ell,
+                                                becomes_split=becomes_split)
+                            assert got == ladder_tamagawa(base, e, f, ell, becomes_split)
+
+
+@pytest.mark.parametrize("ell", [4, 1, 0, -5, True, 5.0, "5"])
+def test_tamagawa_over_checks_ell_as_a_setting_does(ell):
+    with pytest.raises(InadmissibleSettingError, match=f"^ell must be prime, got {ell}$"):
+        tamagawa_over(AdditivePotMult(3), 5, D2P, D2P, TRIVIAL, ell=ell,
+                      becomes_split=True)
+
+
 # --- period ratio parity ---------------------------------------------------
+
+@pytest.mark.parametrize("r", [0, -1, True, 1.5, "1"])
+def test_omega_checks_r_as_a_setting_does(r):
+    with pytest.raises(InadmissibleSettingError,
+                       match=f"^r must be a positive integer, got {r}$"):
+        omega_ordp_parity(AdditivePotGood(2), 5, 5, r, D2P, D2P, TRIVIAL)
+
+
+@pytest.mark.parametrize("ell", [4, 1, 0, -5, True, 5.0, None])
+def test_omega_checks_ell_as_a_setting_does(ell):
+    with pytest.raises(InadmissibleSettingError, match=f"^ell must be prime, got {ell}$"):
+        omega_ordp_parity(AdditivePotGood(2), ell, 5, 1, D2P, D2P, TRIVIAL)
+
 
 def test_tamagawa_and_omega_reject_what_is_not_a_descriptor():
     with pytest.raises(TypeError, match="^unknown reduction descriptor 'split'$"):

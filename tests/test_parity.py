@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,12 +8,14 @@ from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import primerange
 
 import w_referee
 from corpus import TATE_CORPUS
+from dihedral_parity import base_change, parity
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
-                                         SplitMult, omega_ordp_parity,
+                                         SplitMult, degrees, omega_ordp_parity,
                                          tamagawa_over)
 from dihedral_parity.characters import (ORDER2, THETA, TRIVIAL, cyclic_p_power,
                                         dihedral_p_power)
@@ -107,6 +110,23 @@ def test_chi_class():
     assert setting(AdditivePotGood(2)).chi_class() is None
 
 
+@pytest.mark.parametrize("base, branch", [
+    (Good(), "good"),
+    (SplitMult(2), "split-multiplicative"),
+    (NonsplitMult(2), "nonsplit-multiplicative"),
+    (AdditivePotMult(2), "additive-pot-multiplicative"),
+    (AdditivePotGood(2), "additive-pot-good"),
+])
+def test_each_descriptor_pins_its_c_branch(base, branch):
+    for I_v in (CYCLIC, DIHEDRAL):
+        flag = True if I_v is DIHEDRAL and isinstance(base, AdditivePotMult) else None
+        assert c_parity(setting(base, I_v=I_v, flag=flag))[1]["branch"] == branch
+
+
+def test_quad_char_class_is_the_descriptors_class():
+    assert parity.QuadCharClass is base_change.QuadCharClass
+
+
 def test_eta_class():
     assert setting(Good(), G_v=TRIVIAL, I_v=TRIVIAL).eta_class() is QuadCharClass.TRIVIAL
     assert setting(Good(), G_v=CYCLIC, I_v=CYCLIC).eta_class() is QuadCharClass.TRIVIAL
@@ -192,6 +212,27 @@ def test_pot_good_branches():
     v = check(setting(AdditivePotGood(4), I_v=DIHEDRAL, p=7, ell=7), 1, 1)
     assert v.w_trace["tame_order_e"] == 3
     assert v.w_trace["epsilon"] == 1  # -3 is a square mod 7
+
+
+# --- the degree table and the frozen sweep ----------------------------------
+
+@pytest.mark.parametrize("I_v", [CYCLIC, DIHEDRAL])
+def test_theta_degree_table_is_degrees(I_v):
+    odd = [H for H, weight in THETA if weight % 2]
+    for p in primerange(5, 98):
+        want = tuple(degrees(p, DIHEDRAL, I_v, H) for H in odd)
+        assert parity._theta_degrees(p, I_v.kind) == want, p
+
+
+def test_sweeps_and_traces_match_their_frozen_digest():
+    # every verdict with both traces, then the two generated sign tables
+    digest = hashlib.sha1()
+    for p in (5, 7, 11, 13, 17, 19):
+        for s in enumerate_settings(p):
+            v = verify_local(s)
+            digest.update(repr((v, v.c_trace, v.w_trace)).encode())
+    digest.update(repr((pot_good_table("c"), pot_good_table("w"))).encode())
+    assert digest.hexdigest() == "f3389ab71f13df67a437f306920229b041a49bad"
 
 
 # --- the frozen sign table -------------------------------------------------
