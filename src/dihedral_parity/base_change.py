@@ -151,12 +151,6 @@ class ConstrainedRange(Record):
         self.members = tuple(sorted(set(members)))
         self._parities = {}
 
-    def __contains__(self, x) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
     def ord_parity(self, q: int) -> int:
         """Common parity of the q-valuation over all members; raises if the
         members disagree, on every call."""
@@ -214,13 +208,16 @@ def tamagawa_over(base: ReductionDescriptor, p: int, G_v: SubgroupTag,
     answer depends on data beyond (G_v, I_v), so a constrained range is
     returned unless the caller certifies the potentially multiplicative
     twist dies and lands split (becomes_split, needs ell != 2).  ell, when
-    given, must be prime.
+    given, must be prime, and becomes_split must be None or a bool.
     """
     e, f = degrees(p, G_v, I_v, H)
     if not isinstance(base, ReductionDescriptor):
         raise TypeError(f"unknown reduction descriptor {base!r}")
     if ell is not None:
         check_ell(ell)
+    if becomes_split is not None and not isinstance(becomes_split, bool):
+        raise InadmissibleSettingError(
+            f"becomes_split must be None or a bool, got {becomes_split!r}")
     return base._tamagawa(e, f, ell, becomes_split)
 
 

@@ -302,13 +302,12 @@ def cmd_verify_global(args) -> int:
         verdict = global_parity(curve, args.p, completion, r=args.r)
         locals_json = []
         for lv in verdict.locals:
+            branch = lv.c_trace["branch"]
             print(f"{curve.coefficients()} ell={lv.setting.ell}: "
                   f"c={lv.c_side:+d} w={lv.w_side:+d} "
-                  f"{'agree' if lv.agree else 'DISAGREE'} "
-                  f"[{lv.c_trace['branch']}]")
+                  f"{'agree' if lv.agree else 'DISAGREE'} [{branch}]")
             locals_json.append({"ell": lv.setting.ell, "c": lv.c_side,
-                                "w": lv.w_side, "agree": lv.agree,
-                                "branch": lv.c_trace["branch"]})
+                                "w": lv.w_side, "agree": lv.agree, "branch": branch})
         print(f"{curve.coefficients()} p={args.p}: c_product={verdict.c_product:+d} "
               f"w_product={verdict.w_product:+d} "
               + ("agree" if verdict.agree else "DISAGREE"))

@@ -17,7 +17,8 @@ Two independently derived closed forms are evaluated:
   * w_ratio: the ratio of local root numbers picked up by twisting.
 
 The expected identity is that the two always agree; verify_local reports
-both with full branch traces.
+both signs, and its verdict reads either branch trace off the closed form
+when asked.
 
 Conventions: chi denotes the quadratic character twisting a potentially
 multiplicative curve to split multiplicative (trivial for split,
@@ -31,7 +32,7 @@ multiplicative reduction; everywhere else the answer is forced.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
@@ -121,10 +122,6 @@ class LocalSetting(Record):
 
     # --- derived character classes ------------------------------------
 
-    def chi_class(self) -> QuadCharClass | None:
-        """Class of the split-making twist character, when it exists."""
-        return self.base.chi
-
     def eta_class(self) -> QuadCharClass:
         """Class of eta_v, the quadratic character of G_v through the
         rotation quotient."""
@@ -140,13 +137,10 @@ class LocalSetting(Record):
         """Whether eta_v equals chi, when chi exists and G_v = D_2p: they
         differ when their classes do, and two ramified characters agree
         exactly when eta_equals_chi says so."""
-        chi = self.chi_class() if self.G_v.kind == "dihedral" else None
-        if chi is None:
+        chi = self.base.chi
+        if chi is None or self.G_v.kind != "dihedral":
             return None
-        return self._agree(chi, self.eta_class())
-
-    def _agree(self, chi: QuadCharClass, eta: QuadCharClass) -> bool:
-        """`eta_chi_agree` from the two classes, chi not None, G_v = D_2p."""
+        eta = self.eta_class()
         if chi is QuadCharClass.RAMIFIED and eta is chi:
             return self.eta_equals_chi
         return eta is chi
@@ -163,16 +157,11 @@ def ramification_degree_e(delta: int) -> int:
 _ODD_THETA = tuple(H for H, weight in THETA if weight % 2)
 _ODD_LABELS = tuple(H.label for H in _ODD_THETA)
 
+# The one branch of both traces when G_v is cyclic (1, C_2 or C_p).  A
+# cyclic group carries no nontrivial Brauer relation (T. and V. Dokchitser,
+# "Regulator constants and the parity conjecture", Invent. Math. 178, 2009),
+# so both sides are +1 there.
 _SMALL_DECOMPOSITION = "small-decomposition"
-
-
-def _cyclic_sign(setting: LocalSetting) -> int | None:
-    """The sign of both sides when G_v is cyclic (1, C_2 or C_p), and None
-    when G_v = D_2p.  A cyclic group carries no nontrivial Brauer relation
-    (T. and V. Dokchitser, "Regulator constants and the parity conjecture",
-    Invent. Math. 178, 2009), so both sides are +1 there and each trace
-    reads only the branch _SMALL_DECOMPOSITION."""
-    return None if setting.G_v.kind == "dihedral" else 1
 
 
 @lru_cache(maxsize=64)
@@ -212,13 +201,12 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     plus a trace of the branch and each subfield's ord_p parity.
 
     A cyclic G_v carries no nontrivial Brauer relation, so the product is
-    a square (`_cyclic_sign`); for G_v = D_2p the parities are those of
-    `_theta_parities`.
+    a square there (`_SMALL_DECOMPOSITION`); for G_v = D_2p the parities
+    are those of `_theta_parities`.
     """
     s = setting
-    sign = _cyclic_sign(s)
-    if sign:
-        return sign, {"branch": _SMALL_DECOMPOSITION}
+    if s.G_v.kind != "dihedral":
+        return 1, {"branch": _SMALL_DECOMPOSITION}
     parities = _theta_parities(s)
     trace: dict = {"branch": s.base.branch}
     trace.update(zip(_ODD_LABELS, parities))
@@ -231,7 +219,7 @@ def _w_sign(s: LocalSetting) -> int:
     chi = base.chi
     if chi is not None:
         # potentially multiplicative: -1 exactly when chi is trivial or eta_v
-        return -1 if chi is QuadCharClass.TRIVIAL or s._agree(chi, s.eta_class()) else 1
+        return -1 if chi is QuadCharClass.TRIVIAL or s.eta_chi_agree() else 1
     if isinstance(base, Good) or s.ell != s.p or s.I_v.kind != "dihedral" or s.r % 2 == 0:
         return 1
     # additive, potentially good, at ell = p with wild inertia and odd r
@@ -247,9 +235,8 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
     """Ratio of local root numbers across the dihedral twist, plus a
     branch trace.  The sign is `_w_sign`'s, or +1 at a cyclic G_v."""
     s = setting
-    sign = _cyclic_sign(s)
-    if sign:
-        return sign, {"branch": _SMALL_DECOMPOSITION}
+    if s.G_v.kind != "dihedral":
+        return 1, {"branch": _SMALL_DECOMPOSITION}
     sign = _w_sign(s)
     base = s.base
     if isinstance(base, Good):
@@ -268,49 +255,33 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
 
 
 class LocalVerdict(Record):
-    """Both sides of the local identity; the traces are not compared.  A
-    verdict from `verify_local` builds each trace from `c_parity` or
-    `w_ratio` on first read and keeps it."""
-    __slots__ = ("setting", "c_side", "w_side", "agree", "_c_trace", "_w_trace")
+    """Both sides of the local identity at a setting, and whether they
+    agree.  Each trace is read off `c_parity` or `w_ratio` when asked for;
+    the traces are shown but not compared."""
+    __slots__ = ("setting", "c_side", "w_side", "agree")
     _uncompared = ("c_trace", "w_trace")
 
-    def __init__(self, setting: LocalSetting, c_side: int, w_side: int, agree: bool,
-                 c_trace: dict, w_trace: dict):
+    def __init__(self, setting: LocalSetting, c_side: int, w_side: int):
         self.setting = setting
         self.c_side = c_side
         self.w_side = w_side
-        self.agree = agree
-        self._c_trace = c_trace
-        self._w_trace = w_trace
+        self.agree = c_side == w_side
 
     @property
     def c_trace(self) -> dict:
-        trace = self._c_trace
-        if trace is None:
-            trace = self._c_trace = c_parity(self.setting)[1]
-        return trace
+        return c_parity(self.setting)[1]
 
     @property
     def w_trace(self) -> dict:
-        trace = self._w_trace
-        if trace is None:
-            trace = self._w_trace = w_ratio(self.setting)[1]
-        return trace
+        return w_ratio(self.setting)[1]
 
 
 def verify_local(setting: LocalSetting) -> LocalVerdict:
-    """Both signs of the local identity at the setting; the traces are
-    built when read.  A cyclic G_v is answered by `_cyclic_sign` alone."""
-    c = w = _cyclic_sign(setting)
-    if c is None:
-        c, w = _c_sign(setting), _w_sign(setting)
-    v = LocalVerdict.__new__(LocalVerdict)
-    v.setting = setting
-    v.c_side = c
-    v.w_side = w
-    v.agree = c == w
-    v._c_trace = v._w_trace = None
-    return v
+    """Both signs of the local identity at the setting: +1 on each side at
+    a cyclic G_v (`_SMALL_DECOMPOSITION`), else `_c_sign` and `_w_sign`."""
+    if setting.G_v.kind != "dihedral":
+        return LocalVerdict(setting, 1, 1)
+    return LocalVerdict(setting, _c_sign(setting), _w_sign(setting))
 
 
 # --- enumeration -----------------------------------------------------------
@@ -426,17 +397,17 @@ CompletionMap = dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]
 
 
 class GlobalVerdict(Record):
-    """The local verdicts at the bad primes of one curve, and their products."""
+    """The local verdicts at the bad primes of one curve, the products of
+    their two signs, and whether every place agrees."""
     __slots__ = ("curve", "p", "locals", "c_product", "w_product", "agree")
 
-    def __init__(self, curve: WeierstrassCurve, p: int, locals: tuple[LocalVerdict, ...],
-                 c_product: int, w_product: int, agree: bool):
+    def __init__(self, curve: WeierstrassCurve, p: int, locals: tuple[LocalVerdict, ...]):
         self.curve = curve
         self.p = p
         self.locals = locals
-        self.c_product = c_product
-        self.w_product = w_product
-        self.agree = agree
+        self.c_product = prod(v.c_side for v in locals)
+        self.w_product = prod(v.w_side for v in locals)
+        self.agree = all(v.agree for v in locals)
 
 
 def base_descriptor(curve: WeierstrassCurve, ell: int) -> ReductionDescriptor:
@@ -480,10 +451,4 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
         setting = LocalSetting(p=p, ell=ell, r=r, base=base,
                                G_v=G_v, I_v=I_v, eta_equals_chi=flag)
         verdicts.append(verify_local(setting))
-    c_prod = 1
-    w_prod = 1
-    for v in verdicts:
-        c_prod *= v.c_side
-        w_prod *= v.w_side
-    return GlobalVerdict(curve, p, tuple(verdicts), c_prod, w_prod,
-                         all(v.agree for v in verdicts))
+    return GlobalVerdict(curve, p, tuple(verdicts))

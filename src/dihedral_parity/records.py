@@ -12,8 +12,8 @@ rest from the slots, taken in declaration order from the base class down:
 
 A slot whose name starts with "_" is a cache: it is neither shown nor
 compared.  Fields listed in a class's `_uncompared` are shown but not
-compared; such a name that is no slot, a property over a cache slot, is
-shown after the slots.
+compared; such a name that is no slot, a property computed from the
+fields, is shown after the slots.
 """
 
 from __future__ import annotations

@@ -119,8 +119,7 @@ def test_descriptors_of_different_types_differ():
 def test_constrained_range():
     r = ConstrainedRange((4, 2, 2, 1))
     assert r.members == (1, 2, 4)
-    assert 2 in r and 3 not in r
-    assert list(r) == [1, 2, 4]
+    assert 2 in r.members and 3 not in r.members
     assert ConstrainedRange((1, 2, 3, 4)).ord_parity(5) == 0
     assert ConstrainedRange((5, 20)).ord_parity(5) == 1
     with pytest.raises(ValueError):
@@ -248,6 +247,22 @@ def test_tamagawa_over_checks_ell_as_a_setting_does(ell):
     with pytest.raises(InadmissibleSettingError, match=f"^ell must be prime, got {ell}$"):
         tamagawa_over(AdditivePotMult(3), 5, D2P, D2P, TRIVIAL, ell=ell,
                       becomes_split=True)
+
+
+@pytest.mark.parametrize("flag", [1, 0, "yes", "", 1.0])
+def test_tamagawa_over_takes_only_a_bool_becomes_split(flag):
+    with pytest.raises(InadmissibleSettingError,
+                       match=f"^becomes_split must be None or a bool, got {flag!r}$"):
+        tamagawa_over(AdditivePotMult(3), 5, D2P, D2P, TRIVIAL, ell=5,
+                      becomes_split=flag)
+
+
+def test_tamagawa_over_answers_each_becomes_split():
+    def over(flag):
+        return tamagawa_over(AdditivePotMult(3), 5, D2P, D2P, TRIVIAL, ell=5,
+                             becomes_split=flag)
+    assert over(True) == 30
+    assert over(False) == over(None) == ConstrainedRange((1, 2, 3, 4))
 
 
 # --- period ratio parity ---------------------------------------------------

@@ -65,3 +65,24 @@ def test_bench_tower_and_regulator_items_run_and_check():
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# every item of one curves round (574 seeded curves and the fault curves),
+# run and checked as the benchmark does: the check reads each
+# GlobalVerdict's agree, c_product, w_product and locals
+_CURVE_ITEMS = """
+import sys
+sys.path[:0] = ["src", "bench"]
+import workloads
+w = workloads.Curves(0)
+problems = [p for item in w.items for p in w.check(item, w.run(item))]
+print(len(w.items), "items", problems)
+sys.exit(1 if problems or len(w.items) != 576 else 0)
+"""
+
+
+def test_bench_curve_items_run_and_check():
+    proc = subprocess.run([sys.executable, "-c", _CURVE_ITEMS], cwd=ROOT,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

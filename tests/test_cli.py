@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 import dihedral_parity
 from dihedral_parity import parity, surgery
 from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, REGULATOR_MAX_P,
-                                 UsageError, _check_json_path, build_parser, main)
+                                 UsageError, _check_json_path, build_parser, main,
+                                 parse_completion_file, parse_curve_file)
 
 
 def put(tmp_path, name, text):
@@ -298,6 +300,20 @@ def test_verify_global_json_report(tmp_path, capsys, curves, p, completion, want
     got = [[(lv["ell"], lv["branch"], lv["c"], lv["w"]) for lv in entry["locals"]]
            for entry in json.loads(reports[0])]
     assert got == want
+
+
+@pytest.mark.parametrize("curves, p, completion, want", GLOBAL_REPORTS)
+def test_global_products_are_the_products_of_the_local_signs(tmp_path, curves, p,
+                                                             completion, want):
+    completion = parse_completion_file(put(tmp_path, "comp.txt", completion))
+    curves = parse_curve_file(put(tmp_path, "c.txt", curves))
+    for curve, places in zip(curves, want, strict=True):
+        verdict = parity.global_parity(curve, int(p), completion)
+        signs = [(ell, c, w) for ell, _, c, w in places]
+        assert [(v.setting.ell, v.c_side, v.w_side) for v in verdict.locals] == signs
+        assert verdict.c_product == math.prod(c for _, c, _ in signs)
+        assert verdict.w_product == math.prod(w for _, _, w in signs)
+        assert verdict.agree is all(c == w for _, c, w in signs)
 
 
 @pytest.mark.parametrize("flags, message", [

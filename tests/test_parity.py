@@ -103,11 +103,11 @@ def test_admissible_deltas_depend_on_ell():
 # --- character classes -----------------------------------------------------
 
 def test_chi_class():
-    assert setting(SplitMult(1)).chi_class() is QuadCharClass.TRIVIAL
-    assert setting(NonsplitMult(1)).chi_class() is QuadCharClass.UNRAMIFIED
-    assert setting(AdditivePotMult(1)).chi_class() is QuadCharClass.RAMIFIED
-    assert setting(Good()).chi_class() is None
-    assert setting(AdditivePotGood(2)).chi_class() is None
+    assert setting(SplitMult(1)).base.chi is QuadCharClass.TRIVIAL
+    assert setting(NonsplitMult(1)).base.chi is QuadCharClass.UNRAMIFIED
+    assert setting(AdditivePotMult(1)).base.chi is QuadCharClass.RAMIFIED
+    assert setting(Good()).base.chi is None
+    assert setting(AdditivePotGood(2)).base.chi is None
 
 
 @pytest.mark.parametrize("base, branch", [
@@ -150,7 +150,7 @@ def test_eta_chi_agree():
 
 def _eta_chi_agree_by_cases(s):
     """The case table that eta_chi_agree replaces."""
-    if s.G_v.kind != "dihedral" or s.chi_class() is None:
+    if s.G_v.kind != "dihedral" or s.base.chi is None:
         return None
     if isinstance(s.base, SplitMult):
         return False  # chi trivial, eta_v is not
@@ -384,19 +384,24 @@ def test_enumerated_settings_pass_the_checked_constructor(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_verdicts_are_the_two_closed_forms(p):
-    """verify_local computes the two signs alone; each verdict has the signs
-    of c_parity and w_ratio, and its traces, built on first read, are
-    theirs and are kept."""
+    """verify_local computes the two signs alone; each verdict is the one
+    built from the signs of c_parity and w_ratio, and its traces are
+    theirs."""
     for s in enumerate_settings(p):
         c, c_trace = c_parity(s)
         w, w_trace = w_ratio(s)
         v = verify_local(s)
         assert (v.setting, v.c_side, v.w_side, v.agree) == (s, c, w, c == w)
-        assert v._c_trace is None and v._w_trace is None
+        assert v == LocalVerdict(s, c, w)
         assert v.c_trace == c_trace and v.w_trace == w_trace
-        assert v.c_trace is v.c_trace and v.w_trace is v.w_trace
-    kept = LocalVerdict(s, c, w, c == w, {}, {"other": 1})
-    assert (kept.c_trace, kept.w_trace) == ({}, {"other": 1})
+
+
+def test_a_verdict_derives_its_agreement():
+    s = setting(SplitMult(2))
+    assert LocalVerdict(s, -1, 1).agree is False
+    assert LocalVerdict(s, 1, -1).agree is False
+    assert LocalVerdict(s, -1, -1).agree is True
+    assert LocalVerdict(s, 1, 1).agree is True
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 25, 5.0, None])

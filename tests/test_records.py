@@ -73,18 +73,21 @@ def test_descriptors_of_different_types_are_unequal():
 def test_local_verdict_equality_ignores_the_traces():
     v = verify_local(_setting(ell=7, r=2, base=SplitMult(2), I_v=CYCLIC,
                               eta_equals_chi=None))
-    w = LocalVerdict(v.setting, v.c_side, v.w_side, v.agree, {}, {"other": 1})
+    w = LocalVerdict(v.setting, v.c_side, v.w_side)
     assert v == w and hash(v) == hash(w)
-    assert v != LocalVerdict(v.setting, -v.c_side, v.w_side, not v.agree, {}, {})
+    assert v != LocalVerdict(v.setting, -v.c_side, v.w_side)
+    assert LocalVerdict._compared == ("setting", "c_side", "w_side", "agree")
 
 
 def test_global_verdicts_compare_by_value():
     curve = WeierstrassCurve(0, -1, 1, -10, -20)
     v = verify_local(_setting(ell=11, base=SplitMult(5), I_v=CYCLIC, eta_equals_chi=None))
-    a = GlobalVerdict(curve, 5, (v,), -1, -1, True)
-    assert a == GlobalVerdict(curve, 5, (v,), -1, -1, True)
-    assert hash(a) == hash(GlobalVerdict(curve, 5, (v,), -1, -1, True))
-    assert a != GlobalVerdict(curve, 7, (v,), -1, -1, True)
+    a = GlobalVerdict(curve, 5, (v,))
+    assert (a.c_product, a.w_product, a.agree) == (-1, -1, True)
+    assert a == GlobalVerdict(curve, 5, (v,))
+    assert hash(a) == hash(GlobalVerdict(curve, 5, (v,)))
+    assert a != GlobalVerdict(curve, 7, (v,))
+    assert a != GlobalVerdict(curve, 5, (v, v))
 
 
 def test_reprs_are_pinned():
