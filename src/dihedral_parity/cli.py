@@ -12,8 +12,10 @@ Subcommands:
 Curve files carry one curve per line as five integers "a1 a2 a3 a4 a6";
 completion files carry lines "prime G_v I_v [true|false]" with subgroup
 tokens 1, D2, Cp, D2p.  Blank lines and '#' comments are allowed in both.
-Exit status: 0 all checks passed, 1 a verdict failed, 2 usage error,
-3 internal error (a failed internal consistency check, or any other fault).
+Each subcommand returns its report, the --json payload, and whether the
+report's verdicts passed; `main` alone writes --json and sets the exit
+status: 0 all checks passed, 1 a verdict failed, 2 usage error, 3 internal
+error (a failed internal consistency check, or any other fault).
 
 `reduce` without --ell and `verify-global` find bad primes by factoring
 the discriminant (for `verify-global`, only what is left after dividing
@@ -87,6 +89,10 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
         try:
             coeffs = [int(t) for t in parts]
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and any(sum(map(str.isdigit, t)) > limit for t in parts):
+                raise InputFileError(f"{path}:{lineno}: coefficient of more than {limit} "
+                                     "digits, Python's limit on reading an integer") from None
             raise InputFileError(f"{path}:{lineno}: non-integer coefficient") from None
         try:
             curves.append(WeierstrassCurve(*coeffs))
@@ -146,7 +152,7 @@ def _write_json(path: str | None, payload) -> None:
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[list, bool]:
     from .arith import FactoringBudgetError
     from .tate import bad_primes, local_reduction
     curves = parse_curve_file(args.curves)
@@ -169,11 +175,10 @@ def cmd_reduce(args) -> int:
                            "kodaira": d.kodaira, "delta": d.delta,
                            "tamagawa": d.tamagawa, "conductor_exp": d.conductor_exp,
                            "class": d.reduction_class, "split": d.split})
-    _write_json(args.json, report)
-    return 0
+    return report, True
 
 
-def cmd_chars(args) -> int:
+def cmd_chars(args) -> tuple[dict, bool]:
     from .characters import (DihedralContext, check_odd_prime, irreducibles,
                              verify_reduction_identity)
     check_odd_prime(args.p)
@@ -208,18 +213,15 @@ def cmd_chars(args) -> int:
     payload = {"p": ctx.p, "n": ctx.n, "classes": labels,
                "irreducibles": [{"name": nm, "values": row}
                                 for nm, row in zip(names, rows)]}
-    status = 0
     if args.verify_reduction:
         ok = verify_reduction_identity(ctx.p, ctx.n, ctx=ctx)
         print(f"reduction identity at (p={ctx.p}, n={ctx.n}): "
               + ("PASS" if ok else "FAIL"))
         payload["reduction_identity"] = ok
-        status = 0 if ok else 1
-    _write_json(args.json, payload)
-    return status
+    return payload, payload.get("reduction_identity", True)
 
 
-def cmd_regulator(args) -> int:
+def cmd_regulator(args) -> tuple[dict, bool]:
     from .lattice import check_odd_prime
     from .regulator import (SquareClass, direct_sum, faithful_rep, regulator_constant,
                             sign_rep, trivial_rep)
@@ -241,8 +243,7 @@ def cmd_regulator(args) -> int:
                                  "square_class": sq.representative,
                                  "ord_p_parity": parity,
                                  "t_theta_member": member}
-    _write_json(args.json, payload)
-    return 0
+    return payload, True
 
 
 def _table_payload(table) -> dict:
@@ -250,13 +251,12 @@ def _table_payload(table) -> dict:
             for e in (6, 4, 3, 2)}
 
 
-def cmd_verify_local(args) -> int:
+def cmd_verify_local(args) -> tuple[dict, bool]:
     from .parity import (FROZEN_POT_GOOD_TABLE, check_p, enumerate_settings,
                          pot_good_table, verify_local)
     check_p(args.p)
     if not args.emit_table and not args.sweep:
         raise UsageError("nothing to do: pass --sweep and/or --emit-table")
-    status = 0
     payload = {"p": args.p}
     if args.emit_table:
         tc = pot_good_table("c")
@@ -273,8 +273,6 @@ def cmd_verify_local(args) -> int:
         payload.update({"frozen": _table_payload(FROZEN_POT_GOOD_TABLE),
                         "c_side": _table_payload(tc), "w_side": _table_payload(tw),
                         "tables_match": match})
-        if not match:
-            status = 1
     if args.sweep:
         settings = enumerate_settings(args.p)
         bad = [v for v in map(verify_local, settings) if not v.agree]
@@ -284,20 +282,16 @@ def cmd_verify_local(args) -> int:
             print(f"  DISAGREE: {v.setting}")
         payload.update({"sweep_total": len(settings),
                         "sweep_disagreements": len(bad)})
-        if bad:
-            status = 1
-    _write_json(args.json, payload)
-    return status
+    return payload, payload.get("tables_match", True) and not payload.get("sweep_disagreements")
 
 
-def cmd_verify_global(args) -> int:
+def cmd_verify_global(args) -> tuple[list, bool]:
     from .parity import check_p, check_r, global_parity
     check_p(args.p)
     check_r(args.r)
     curves = parse_curve_file(args.curves)
     completion = parse_completion_file(args.completion)
     report = []
-    status = 0
     for curve in curves:
         verdict = global_parity(curve, args.p, completion, r=args.r)
         locals_json = []
@@ -314,42 +308,44 @@ def cmd_verify_global(args) -> int:
         report.append({"curve": list(curve.coefficients()), "p": args.p,
                        "locals": locals_json, "c_product": verdict.c_product,
                        "w_product": verdict.w_product, "agree": verdict.agree})
-        if not verdict.agree:
-            status = 1
-    _write_json(args.json, report)
-    return status
+    return report, all(r["agree"] for r in report)
 
 
-def cmd_surgery(args) -> int:
+def cmd_surgery(args) -> tuple[list, bool]:
     from .surgery import SurgeryFailedError, certify, make_semistable
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    too_long = (f"needs integers of more than {limit} digits, Python's limit on "
+                "printing one; pass a smaller --n")
+    p0, n = args.p0, args.n
+    # every shift is p0^n times a cofactor, nonzero unless the curve meets its
+    # congruence; p0^n >= 2^(4 limit) > 10^limit once n (bits of p0 - 1) >= 4 limit
+    if limit and n is not None and n > 0 and p0 > 1 and (
+            n * (p0.bit_length() - 1) >= 4 * limit or p0 ** n >= 10 ** limit):
+        raise UsageError(f"surgery at n={n} {too_long}")
     curves = parse_curve_file(args.curves)
     report = []
-    status = 0
     for curve in curves:
         try:
-            plan = make_semistable(curve, args.p0, args.v, n=args.n)
+            plan = make_semistable(curve, p0, args.v, n=n)
         except SurgeryFailedError as exc:
             print(f"{curve.coefficients()}: FAILED ({exc})")
             report.append({"curve": list(curve.coefficients()), "ok": False,
                            "error": str(exc)})
-            status = 1
             continue
+        shifts = [plan.d1, plan.d2, plan.d3, plan.d4, plan.c]
+        final = list(plan.final.coefficients())
+        if limit and max(map(abs, shifts + final)) >= 10 ** limit:
+            raise UsageError(f"surgery at n={plan.n} {too_long}")
         cert = certify(plan)
-        print(f"{curve.coefficients()} p0={args.p0} v={args.v}: n={plan.n} "
-              f"shifts=({plan.d1},{plan.d2},{plan.d3},{plan.d4},{plan.c})")
+        print(f"{curve.coefficients()} p0={p0} v={args.v}: n={plan.n} "
+              f"shifts=({','.join(map(str, shifts))})")
         print(f"  p0 data {cert.p0_before} -> {cert.p0_after} "
               f"({'kept' if cert.p0_match else 'LOST'}); "
               f"v: {cert.v_class} {cert.v_split}; residual gcd {cert.residual_gcd}; "
               + ("PASS" if cert.ok else "FAIL"))
-        report.append({"curve": list(curve.coefficients()), "p0": args.p0,
-                       "v": args.v, "n": plan.n,
-                       "shifts": [plan.d1, plan.d2, plan.d3, plan.d4, plan.c],
-                       "final": list(plan.final.coefficients()),
-                       "ok": cert.ok})
-        if not cert.ok:
-            status = 1
-    _write_json(args.json, report)
-    return status
+        report.append({"curve": list(curve.coefficients()), "p0": p0, "v": args.v,
+                       "n": plan.n, "shifts": shifts, "final": final, "ok": cert.ok})
+    return report, all(r["ok"] for r in report)
 
 
 # --- parser ----------------------------------------------------------------
@@ -359,52 +355,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dihedral-parity",
         description="local parity identities for elliptic curves in dihedral extensions")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", help="write a JSON report to this path")
 
-    r = sub.add_parser("reduce", help="Kodaira/Tamagawa/conductor data")
+    r = sub.add_parser("reduce", parents=[common], help="Kodaira/Tamagawa/conductor data")
     r.add_argument("curves", help="curve file")
     r.add_argument("--ell", type=int, help="single prime (default: all bad primes)")
-    r.add_argument("--json", help="write a JSON report to this path")
     r.set_defaults(func=cmd_reduce)
 
-    c = sub.add_parser("chars", help="character table of D_2p^n")
+    c = sub.add_parser("chars", parents=[common], help="character table of D_2p^n")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, default=1)
     c.add_argument("--verify-reduction", action="store_true",
                    help="check the induction-restriction reduction identity")
-    c.add_argument("--json")
     c.set_defaults(func=cmd_chars)
 
-    g = sub.add_parser("regulator", help="regulator constants for D_2p")
+    g = sub.add_parser("regulator", parents=[common], help="regulator constants for D_2p")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--json")
     g.set_defaults(func=cmd_regulator)
 
-    vl = sub.add_parser("verify-local", help="local parity identity")
+    vl = sub.add_parser("verify-local", parents=[common], help="local parity identity")
     vl.add_argument("--p", type=int, required=True)
     vl.add_argument("--sweep", action="store_true",
                     help="verify the identity over the full setting sweep")
     vl.add_argument("--emit-table", action="store_true",
                     help="print the potential-good sign table from both sides")
-    vl.add_argument("--json")
     vl.set_defaults(func=cmd_verify_local)
 
-    vg = sub.add_parser("verify-global", help="identity at all bad primes of curves")
+    vg = sub.add_parser("verify-global", parents=[common],
+                        help="identity at all bad primes of curves")
     vg.add_argument("curves", help="curve file")
     vg.add_argument("--p", type=int, required=True)
     vg.add_argument("--completion", required=True,
                     help="completion data file: 'prime G_v I_v [true|false]'")
     vg.add_argument("--r", type=int, default=1,
                     help="residue degree of K_v over Q_ell at every place (default: 1)")
-    vg.add_argument("--json")
     vg.set_defaults(func=cmd_verify_global)
 
-    s = sub.add_parser("surgery", help="make curves semistable away from p0")
+    s = sub.add_parser("surgery", parents=[common],
+                       help="make curves semistable away from p0")
     s.add_argument("curves", help="curve file")
     s.add_argument("--p0", type=int, required=True)
     s.add_argument("--v", type=int, required=True)
     s.add_argument("--n", type=int, help="fixed p0-adic depth (default: adaptive)")
-    s.add_argument("--json")
     s.set_defaults(func=cmd_surgery)
     return parser
 
@@ -415,7 +409,9 @@ def main(argv=None) -> int:
     try:
         if args.json:
             _check_json_path(args.json)
-        return args.func(args)
+        report, passed = args.func(args)
+        _write_json(args.json, report)
+        return 0 if passed else 1
     except (ValueError, OSError) as exc:
         # bad input files and inadmissible or incomplete data are ValueErrors;
         # a path that cannot be read or written is an OSError naming it

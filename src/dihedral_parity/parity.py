@@ -430,7 +430,9 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
     entries for good primes are ignored, missing bad primes are an error.
     The bad primes outside the completion are found by factoring within
     arith's budget; a cofactor that does not factor is a
-    MissingCompletionError naming its digit count.
+    MissingCompletionError naming its digit count.  With r > 1, K is not Q
+    and may have several places above ell, all with the same data; the
+    products take one sign per rational prime, and agreement is unaffected.
     """
     from .tate import bad_primes
     try:

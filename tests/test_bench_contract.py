@@ -86,3 +86,29 @@ def test_bench_curve_items_run_and_check():
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# the six subcommands of one cli round, each a fresh process writing --json
+# into a temporary workdir, run and checked as the benchmark does: the
+# check reads every report
+_CLI_ITEMS = """
+import sys
+from pathlib import Path
+sys.path[:0] = ["src", "bench"]
+import workloads
+w = workloads.Cli(0, Path.cwd(), Path(sys.argv[1]))
+try:
+    problems = [p for item in w.items for p in w.check(item, w.run(item))]
+finally:
+    w.close()
+print(len(w.items), "items", problems)
+sys.exit(1 if problems or len(w.items) != 6 else 0)
+"""
+
+
+def test_bench_cli_items_run_and_check(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _CLI_ITEMS, str(tmp_path / "cli")], cwd=ROOT,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert not (tmp_path / "cli").exists()

@@ -420,6 +420,45 @@ def test_surgery_depth_must_be_positive(tmp_path, capsys, n):
     assert capsys.readouterr().err == f"error: n must be a positive integer, got {n}\n"
 
 
+@pytest.mark.parametrize("p0, n", [(5, 10000), (13, 4000)])
+def test_surgery_past_the_digit_limit_is_a_usage_error_before_any_work(tmp_path, capsys,
+                                                                         p0, n):
+    # 4000 is under surgery.N_CAP, but 13^4000 has 4456 digits
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    assert main(["surgery", curves, "--p0", str(p0), "--v", "7", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: surgery at n={n} needs integers of more than 4300 "
+                            "digits, Python's limit on printing one; pass a smaller --n\n")
+
+
+@pytest.mark.parametrize("p0, n", [(2, 5000), (5, 3000), (11, 4096)])
+def test_surgery_depths_under_the_digit_limit_pass(tmp_path, capsys, p0, n):
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    assert main(["surgery", curves, "--p0", str(p0), "--v", "7", "--n", str(n)]) == 0
+    assert capsys.readouterr().out.endswith("; PASS\n")
+
+
+def test_surgery_near_the_digit_limit_never_ends_in_pythons_message(tmp_path, capsys):
+    # 2^n < 10^640 for n <= 2126, so the check before any work passes every
+    # depth below; the shifts, multiples of 2^n * 3, can still pass the limit
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes = {n: main(["surgery", curves, "--p0", "2", "--v", "3", "--n", str(n)])
+                 for n in range(2122, 2130)}
+        err = capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert set(codes.values()) == {0, 2}
+    assert any(code == 2 and 2 ** n < 10 ** 640 for n, code in codes.items())
+    assert err.splitlines() == [
+        f"error: surgery at n={n} needs integers of more than 640 digits, "
+        "Python's limit on printing one; pass a smaller --n"
+        for n, code in codes.items() if code == 2]
+
+
 # --- paths -----------------------------------------------------------------
 
 def test_directory_as_curve_file_exits_2(tmp_path, capsys):
@@ -582,6 +621,17 @@ def test_a_failed_surgery_certificate_exits_1(tmp_path, capsys, monkeypatch):
     assert entry["ok"] is False and (entry["p0"], entry["v"]) == (11, 3)
 
 
+def test_a_failed_reduction_identity_exits_1(tmp_path, capsys, monkeypatch):
+    from dihedral_parity import characters
+    monkeypatch.setattr(characters, "verify_reduction_identity", lambda p, n, ctx: False)
+    report = tmp_path / "c.json"
+    assert main(["chars", "--p", "5", "--n", "2", "--verify-reduction",
+                 "--json", str(report)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "reduction identity at (p=5, n=2): FAIL"
+    assert '"reduction_identity": false' in report.read_text()
+
+
 # --- imports ---------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -677,6 +727,9 @@ CURVE_FILE_ERRORS = [
     ("# header\n\n1 2 3 4 x\n", "{path}:3: non-integer coefficient"),
     ("0 -1 1 -10 -20\n0 0 0 0 0  # singular\n", "{path}:2: model is singular"),
     ("# only a comment\n   \n", "{path}: no curves found"),
+    pytest.param("0 -1 1 -10 -2" + "0" * 5000 + "\n",
+                 "{path}:1: coefficient of more than 4300 digits, "
+                 "Python's limit on reading an integer", id="past-the-digit-limit"),
 ]
 
 COMPLETION_FILE_ERRORS = [
