@@ -374,8 +374,8 @@ def _preimages(chi: VirtualCharacter,
 def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], ...]]:
     """Induction from H up to G on preimages, one per class of H: for each
     class of G, the sum over its row of G.fusion(H) of count / |H| times
-    the preimage of class d.  A count that |H| does not divide raises
-    ValueError."""
+    the preimage of class d.  A count that |H| does not divide breaks the
+    fusion table's invariant and raises RuntimeError."""
     order = H.order
     out = []
     for row in G.fusion(H):
@@ -383,7 +383,7 @@ def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], .
         for d, count in row:
             weight, rest = divmod(count, order)
             if rest:
-                raise ValueError(f"fusion count {count} not divisible by {order}")
+                raise RuntimeError(f"fusion count {count} not divisible by {order}")
             for i, c in preimages[d]:
                 acc[i] = acc.get(i, 0) + weight * c
         out.append(tuple([(i, c) for i, c in sorted(acc.items()) if c]))
@@ -393,7 +393,7 @@ def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], .
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
     """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)), exact: the dot product S
     of the multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
-    S + v1 v2 raises ValueError)."""
+    S + v1 v2 breaks the spectrum's invariant and raises RuntimeError)."""
     H = f1.group
     if H is not f2.group and H != f2.group:
         raise GroupMismatchError("characters live on different groups")
@@ -403,7 +403,7 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
         return total
     twice = total + v1 * v2
     if twice % 2:
-        raise ValueError(f"{twice} / 2 is not an integer")
+        raise RuntimeError(f"{twice} / 2 is not an integer")
     return twice // 2
 
 

@@ -79,6 +79,19 @@ def _data_lines(path: str):
                 yield lineno, parts
 
 
+def _read_ints(path: str, lineno: int, tokens, what: str, bad: str) -> list[int]:
+    """The tokens as ints.  A token with more digits than Python reads is an
+    InputFileError that names the limit; any other bad token reads `bad`."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(sum(map(str.isdigit, t)) > limit for t in tokens):
+            raise InputFileError(f"{path}:{lineno}: {what} of more than {limit} "
+                                 "digits, Python's limit on reading an integer") from None
+        raise InputFileError(f"{path}:{lineno}: {bad}") from None
+
+
 def parse_curve_file(path: str) -> list[WeierstrassCurve]:
     from .weierstrass import SingularModelError, WeierstrassCurve
     curves = []
@@ -86,14 +99,7 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
         if len(parts) != 5:
             raise InputFileError(
                 f"{path}:{lineno}: expected five integers, got {len(parts)} tokens")
-        try:
-            coeffs = [int(t) for t in parts]
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            if limit and any(sum(map(str.isdigit, t)) > limit for t in parts):
-                raise InputFileError(f"{path}:{lineno}: coefficient of more than {limit} "
-                                     "digits, Python's limit on reading an integer") from None
-            raise InputFileError(f"{path}:{lineno}: non-integer coefficient") from None
+        coeffs = _read_ints(path, lineno, parts, "coefficient", "non-integer coefficient")
         try:
             curves.append(WeierstrassCurve(*coeffs))
         except SingularModelError:
@@ -111,10 +117,7 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
         if len(parts) not in (3, 4):
             raise InputFileError(
                 f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
-        try:
-            prime = int(parts[0])
-        except ValueError:
-            raise InputFileError(f"{path}:{lineno}: bad prime {parts[0]!r}") from None
+        prime, = _read_ints(path, lineno, parts[:1], "prime", f"bad prime {parts[0]!r}")
         tags = []
         for tok in parts[1:3]:
             if tok not in tokens:

@@ -2,11 +2,13 @@
 discriminant valuation, Tamagawa number, conductor exponent, split type.
 
 The step chain is the classical reduction-type algorithm run entirely in
-exact arithmetic.  Singular points, and the multiple root of the star
-step's cubic P, come from closed forms for primes >= 5 and exhaustive
-residue-field search at 2 and 3: there t is a multiple root when
-P(t) = P'(t) = 0, and a triple one when the second Hasse derivative 3t + A
-vanishes too.  Root tests are closed forms as well: a quadratic with unit
+exact arithmetic.  One vanishing test finds each singular point and
+multiple root, at every prime: a point is singular when the curve's
+equation and both its partials vanish there mod l, a root t is multiple
+when the polynomial and its derivative vanish at t, and a root of the star
+step's cubic P is triple when 3t + A, half of P'', vanishes too.  The test
+runs over every residue at 2 and 3, and from 5 on over the one candidate
+a closed form gives.  Root tests are closed forms: a quadratic with unit
 leading coefficient has a root in F_l unless its discriminant is a
 non-residue (at l = 2, unless f(0) and f(1) are odd), and the separable
 cubic P of type I0* has one root when its discriminant is a non-residue,
@@ -27,6 +29,7 @@ reference counting alone.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -88,43 +91,34 @@ def _cubic_root_count(A: int, B: int, C: int, ell: int) -> int:
 def _quad_double_root(A: int, B: int, C: int, ell: int):
     """The double root of A Y^2 + B Y + C over F_ell, or None if separable.
 
-    A must be a unit mod ell.
+    A must be a unit mod ell.  Above 2 the only candidate is -B / 2A.
     """
-    if ell == 2:
-        if B % 2 != 0:
-            return None
-        return C * _inv(A, 2) % 2  # square roots are trivial in F_2
-    disc = (B * B - 4 * A * C) % ell
-    if disc != 0:
-        return None
-    return -B * _inv(2 * A, ell) % ell
+    for t in range(2) if ell == 2 else (-B * _inv(2 * A, ell) % ell,):
+        if (A * t * t + B * t + C) % ell == 0 and (2 * A * t + B) % ell == 0:
+            return t
+    return None
 
 
 def _cubic_multiple_root(A: int, B: int, C: int, ell: int):
     """Multiple root of T^3 + A T^2 + B T + C over F_ell.
 
     Returns (root, multiplicity) with multiplicity in {2, 3}, or None when
-    the cubic is separable over the algebraic closure.
+    the cubic is separable over the algebraic closure.  Above 3 a multiple
+    root also solves P - (T/3 + A/9) P' = 0, a linear equation with root
+    (AB - 9C) / (6B - 2A^2) unless 3B = A^2; then P' = 3 (T + A/3)^2, and
+    the only candidate is -A/3.
     """
-    A %= ell
-    B %= ell
-    C %= ell
     if ell <= 3:
-        for t in range(ell):
-            if (t ** 3 + A * t * t + B * t + C) % ell == 0 \
-                    and (3 * t * t + 2 * A * t + B) % ell == 0:
-                return t, 3 if (3 * t + A) % ell == 0 else 2
-        return None
-    inv3 = _inv(3, ell)
-    p_ = (B - A * A * inv3) % ell
-    q_ = (C - A * B * inv3 + 2 * A * A * A * inv3 * inv3 * inv3) % ell
-    if (4 * p_ ** 3 + 27 * q_ * q_) % ell != 0:
-        return None
-    if p_ == 0:
-        s0, mult = 0, 3
+        candidates = range(ell)
+    elif (3 * B - A * A) % ell:
+        candidates = ((A * B - 9 * C) * _inv(6 * B - 2 * A * A, ell) % ell,)
     else:
-        s0, mult = -3 * q_ * _inv(2 * p_, ell) % ell, 2
-    return (s0 - A * inv3) % ell, mult
+        candidates = (-A * _inv(3, ell) % ell,)
+    for t in candidates:
+        if (t ** 3 + A * t * t + B * t + C) % ell == 0 \
+                and (3 * t * t + 2 * A * t + B) % ell == 0:
+            return t, 3 if (3 * t + A) % ell == 0 else 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +141,25 @@ class LocalReductionData:
         return "split" if self.split else "nonsplit"
 
 
-def _curve_fns(E: WeierstrassCurve):
-    a1, a2, a3, a4, a6 = E.coefficients()
-
-    def f(x, y):
-        return y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6
-
-    def fx(x, y):
-        return a1 * y - 3 * x * x - 2 * a2 * x - a4
-
-    def fy(x, y):
-        return 2 * y + a1 * x + a3
-
-    return f, fx, fy
-
-
 def _singular_point(E: WeierstrassCurve, ell: int) -> tuple[int, int]:
-    """Coordinates mod ell of the unique singular point of the reduction."""
-    f, fx, fy = _curve_fns(E)
+    """Coordinates mod ell of the unique singular point of the reduction.
+
+    Above 3, completing the square gives the only candidate: there
+    u = 12x + b2 is -c6/c4 at a node and 0 at a cusp, and 2y = -a1 x - a3.
+    """
+    a1, a2, a3, a4, a6 = E.coefficients()
     if ell <= 3:
-        for x in range(ell):
-            for y in range(ell):
-                if f(x, y) % ell == 0 and fx(x, y) % ell == 0 and fy(x, y) % ell == 0:
-                    return x, y
-        raise RuntimeError(f"no singular point mod {ell}; model {E} inconsistent")
-    # ell >= 5: complete the square; the singular u = 12x + b2 satisfies
-    # u = -c6/c4 at a node and u = 0 at a cusp.
-    c4, c6, b2 = E.c4, E.c6, E.b2
-    if c4 % ell != 0:
-        u0 = -c6 * _inv(c4, ell) % ell
+        candidates = itertools.product(range(ell), repeat=2)
     else:
-        u0 = 0
-    x0 = (u0 - b2) * _inv(12, ell) % ell
-    y0 = -(E.a1 * x0 + E.a3) * _inv(2, ell) % ell
-    if f(x0, y0) % ell or fx(x0, y0) % ell or fy(x0, y0) % ell:
-        raise RuntimeError(f"singular point formula failed at {ell} for {E}")
-    return x0, y0
+        u = -E.c6 * _inv(E.c4, ell) if E.c4 % ell else 0
+        x = (u - E.b2) * _inv(12, ell) % ell
+        candidates = ((x, -(a1 * x + a3) * _inv(2, ell) % ell),)
+    for x, y in candidates:
+        if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0 \
+                and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell == 0 \
+                and (2 * y + a1 * x + a3) % ell == 0:
+            return x, y
+    raise RuntimeError(f"no singular point mod {ell}; model {E} inconsistent")
 
 
 def _arrange_for_star(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:

@@ -632,6 +632,20 @@ def test_a_failed_reduction_identity_exits_1(tmp_path, capsys, monkeypatch):
     assert '"reduction_identity": false' in report.read_text()
 
 
+def test_a_broken_fusion_table_exits_3(capsys, monkeypatch):
+    # a fusion count that |H| does not divide is the library's own fault,
+    # not bad input
+    from dihedral_parity import characters
+    fusion = characters.Subgroup.fusion
+
+    def corrupted(G, H):
+        return tuple(tuple((d, count + 1) for d, count in row) for row in fusion(G, H))
+    monkeypatch.setattr(characters.Subgroup, "fusion", corrupted)
+    assert main(["chars", "--p", "5", "--n", "2", "--verify-reduction"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: fusion count ") and err.count("\n") == 1
+
+
 # --- imports ---------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -735,6 +749,9 @@ CURVE_FILE_ERRORS = [
 COMPLETION_FILE_ERRORS = [
     ("11 D2p\n", "{path}:1: expected 'prime G_v I_v [true|false]'"),
     ("# header\nx D2p Cp\n", "{path}:2: bad prime 'x'"),
+    ("1x D2p Cp\n", "{path}:1: bad prime '1x'"),
+    pytest.param("1" * 5000 + " D2p Cp\n", "{path}:1: prime of more than 4300 digits, "
+                 "Python's limit on reading an integer", id="past-the-digit-limit"),
     ("11 D4 Cp\n", "{path}:1: unknown subgroup token 'D4' (use 1, D2, Cp, D2p)"),
     ("11 D2p Cp maybe\n", "{path}:1: flag must be 'true' or 'false'"),
     ("11 D2p Cp\n\n11 D2p Cp true\n", "{path}:3: duplicate prime 11"),

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
+import hashlib
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -17,10 +19,10 @@ from dihedral_parity.arith import jacobi
 from dihedral_parity.parity import (_PAIRS, InadmissibleSettingError, LocalSetting,
                                     base_descriptor, verify_local)
 from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
-                                  _cubic_root_count, _quad_has_root, _reduce, conductor_exponent,
-                                  j_pole_order, kodaira_symbol, local_reduction,
-                                  potential_class, split_type, tamagawa_number,
-                                  valuation)
+                                  _cubic_root_count, _quad_double_root, _quad_has_root, _reduce,
+                                  _singular_point, conductor_exponent, j_pole_order,
+                                  kodaira_symbol, local_reduction, potential_class, split_type,
+                                  tamagawa_number, valuation)
 from dihedral_parity.weierstrass import (SingularModelError, WeierstrassCurve,
                                          raw_invariants, transform)
 
@@ -181,6 +183,50 @@ def test_local_data_invariant_under_change_of_model(curve_ell, r, s, t):
     assert _local_data(transform(E, Fraction(1, ell), r, s, t), ell) == want
 
 
+# --- a frozen digest of the reduction data ------------------------------------
+
+def _class_of(kodaira):
+    """I5 -> In, I2* -> In*; every other symbol is its own class."""
+    if kodaira in ("I0", "I0*", "II", "III", "IV", "II*", "III*", "IV*"):
+        return kodaira
+    return "In*" if kodaira.endswith("*") else "In"
+
+
+def _weighted_models(seed, count):
+    """count models at primes 2 to 13: a_i carries ell^(i w - e) for a
+    weight w in {0, 1, 2} and a small deficit e, so that every Kodaira class
+    and non-minimal models come up, then a random integral translation moves
+    the singular point off the origin."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = rng.choice((2, 3, 5, 7, 11, 13))
+        w = rng.choice((0, 1, 1, 2))
+        coeffs = tuple(ell ** max(0, i * w - rng.choice((0, 0, 1, 2)))
+                       * rng.randint(-2 * ell, 2 * ell) for i in (1, 2, 3, 4, 6))
+        if raw_invariants(coeffs)[6] == 0:
+            continue
+        shift = (rng.randint(-ell * ell, ell * ell) for _ in range(3))
+        out.append((transform(WeierstrassCurve(*coeffs), 1, *shift), ell))
+    return out
+
+
+def test_reduction_data_match_their_frozen_digest():
+    # every field of LocalReductionData, the minimal model's coefficients
+    # included, on 3000 seeded models; any change to what Tate's algorithm
+    # returns changes the digest
+    digest = hashlib.sha256()
+    classes = Counter()
+    for E, ell in _weighted_models(2024, 3000):
+        data = _reduce(E, ell)
+        digest.update(repr(tuple(getattr(data, f.name) for f in dataclasses.fields(data)
+                                 if f.name != "minimal_model")
+                           + data.minimal_model.coefficients()).encode())
+        classes[_class_of(data.kodaira)] += 1
+    assert len(classes) == 10 and min(classes.values()) >= 20, classes
+    assert digest.hexdigest() == "5e0f18309e319ffd134bcd88378547e29d9cfbea4ed30608fc2ec70eddfea3d5"
+
+
 # --- the multiplicity test of the star step ------------------------------------
 
 def _multiplicity_by_division(A, B, C, ell, t):
@@ -213,6 +259,40 @@ def test_cubic_multiple_root_against_synthetic_division(ell):
         assert _cubic_multiple_root(A - ell, B + ell, C + 2 * ell, ell) == want
         outcomes.add(None if want is None else want[1])
     assert outcomes == {None, 2, 3}
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_singular_point_on_every_singular_reduction(ell):
+    # every model with a_i in [0, ell) whose reduction is singular: the
+    # reduction has exactly one point where f and both partials vanish
+    count = 0
+    for a1, a2, a3, a4, a6 in itertools.product(range(ell), repeat=5):
+        disc = raw_invariants((a1, a2, a3, a4, a6))[6]
+        if disc == 0 or disc % ell:
+            continue
+        singular = [(x, y) for x, y in itertools.product(range(ell), repeat=2)
+                    if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0
+                    and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell == 0
+                    and (2 * y + a1 * x + a3) % ell == 0]
+        assert len(singular) == 1, (a1, a2, a3, a4, a6)
+        assert _singular_point(WeierstrassCurve(a1, a2, a3, a4, a6), ell) == singular[0]
+        count += 1
+    assert count == {2: 12, 3: 68, 5: 571, 7: 2287}[ell]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_quad_double_root_against_search(ell):
+    # the double root of A Y^2 + B Y + C is where it and 2 A Y + B vanish
+    outcomes = set()
+    for A, B, C in itertools.product(range(1, ell), range(ell), range(ell)):
+        double = [t for t in range(ell)
+                  if (A * t * t + B * t + C) % ell == 0 and (2 * A * t + B) % ell == 0]
+        want = double[0] if double else None
+        assert len(double) <= 1
+        assert _quad_double_root(A, B, C, ell) == want, (A, B, C)
+        assert _quad_double_root(A - ell, B + 3 * ell, C - 2 * ell, ell) == want
+        outcomes.add(want is None)
+    assert outcomes == {False, True}
 
 
 # --- root tests over F_ell -----------------------------------------------------
