@@ -50,8 +50,8 @@ CHARS_MAX_ORDER = 1000
 
 # The largest p `regulator` accepts, checked before any matrix is built:
 # `faithful_rep` keeps p matrices of (p - 1)^2 entries, and the time grows
-# about as p^4.  In one process p = 101 took 1.2 s and peaked at 35 MiB,
-# p = 151 6.3 s and 84 MiB (2-core Xeon).
+# about as p^4.  In one process p = 101 took 1.0 s of CPU and peaked at
+# 35 MiB, p = 151 4.8 s and 84 MiB (2-core Xeon, Python 3.11).
 REGULATOR_MAX_P = 101
 
 # The widest a `chars` column is padded.  A wider cell is printed whole and
@@ -226,8 +226,8 @@ def cmd_chars(args) -> tuple[dict, bool]:
 
 def cmd_regulator(args) -> tuple[dict, bool]:
     from .lattice import check_odd_prime
-    from .regulator import (SquareClass, direct_sum, faithful_rep, regulator_constant,
-                            sign_rep, trivial_rep)
+    from .regulator import (SquareClass, direct_sum, faithful_rep, in_t_theta,
+                            regulator_constant, sign_rep, trivial_rep)
     p = args.p
     check_odd_prime(p)
     if p > REGULATOR_MAX_P:
@@ -239,7 +239,7 @@ def cmd_regulator(args) -> tuple[dict, bool]:
         value = regulator_constant(rep, seed=args.seed)
         sq = SquareClass.of(value)
         parity = sq.ord_parity(p)
-        member = parity == 1  # T_Theta: odd p-adic valuation
+        member = in_t_theta(sq, p)
         print(f"C_Theta({name}) = {value}  square class {sq.representative}  "
               f"ord_{p} parity {parity}  T_Theta member: {member}")
         payload["reps"][name] = {"value": str(value),

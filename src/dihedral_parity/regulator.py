@@ -6,8 +6,9 @@ fraction-free (Bareiss) elimination.  Only the final combination is a
 Fraction.  The images of s^i and t and the projectors are mostly zeros:
 each product puts such a factor on the left and adds up the rows of the
 right factor that its nonzero entries pick, and a Gram matrix is formed
-transposed to keep it there (see _gram).  The Brauer relation used
-throughout is
+transposed to keep it there (see _gram).  Those entries are nearly all 1
+or -1, and such an entry adds or subtracts the picked row with no
+multiplication.  The Brauer relation used throughout is
 
     Theta = [1] - 2 [D_2] - [C_p] + 2 [D_{2p}]
 
@@ -29,6 +30,8 @@ value as a Fraction:
   them; with k = |J| = dim rho^H the factor for H is
   det(P_J^T B P_J) / |H|^(3k).  Reducing those columns against each
   other (a unit upper-triangular change) leaves the determinant alone.
+  For H = 1, P = I and the factor is det(B) itself: the determinant that
+  accepted the draw of B, so it is not computed twice.
 * A constant scale on B cancels: sum_H m_H dim rho^H = <rho, sum_H m_H
   Ind_H 1> = 0.  So the pairing is an integer sum over the group.
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from operator import add, sub
 
 from .arith import factor, trial_divide
 from .lattice import THETA, check_odd_prime
@@ -64,13 +68,24 @@ class DegeneratePairingError(ValueError):
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     """a b.  Each row of the product is the combination of the rows of b
     picked by the nonzero entries of that row of a, so a sparse a costs
-    only its nonzeros."""
+    only its nonzeros.  An entry of 1 or -1 adds or subtracts the picked
+    row with no multiplication, and a row whose first nonzero is 1 starts
+    from the picked row itself (rows are tuples, so it is shared, not
+    copied).  Rows are built through a list: tuple(map(...)) has no length
+    to size itself by, and at p = 101 its regrown tuples raised the peak
+    by about 10 %."""
     zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
         acc = zero
         for x, b_row in zip(row, b):
-            if x:
+            if not x:
+                continue
+            if x == 1:
+                acc = b_row if acc is zero else tuple([*map(add, acc, b_row)])
+            elif x == -1:
+                acc = tuple([*map(sub, acc, b_row)])
+            else:
                 acc = tuple([u + x * y for u, y in zip(acc, b_row)])
         out.append(acc)
     return tuple(out)
@@ -239,6 +254,22 @@ def _rotation_sum(sym: Matrix, powers) -> Matrix:
     return total
 
 
+def _pairing_and_det(rep: RationalRep, seed: int) -> tuple[Matrix, int]:
+    """invariant_pairing(rep, seed) and its determinant, the nonzero one
+    that accepted the draw."""
+    rng = random.Random(seed)
+    d = rep.dimension
+    for _ in range(64):
+        raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        sym = tuple(tuple(raw[i][j] + raw[j][i] for j in range(d)) for i in range(d))
+        rotations = _rotation_sum(sym, rep._powers)
+        pairing = _matsum((rotations, _gram(rotations, rep.t)))
+        det = _det(pairing)
+        if det != 0:
+            return pairing, det
+    raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
+
+
 def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     """Symmetric invariant nondegenerate integer pairing: a seeded random
     symmetric integer matrix S summed (not averaged) over the group,
@@ -246,27 +277,23 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
     reflections are s^i t, so the sum is R + t^T R t with R the sum over
     the rotations s^i alone.  Singular draws are rethrown from the same
     stream, so the result is deterministic per seed."""
-    rng = random.Random(seed)
-    d = rep.dimension
-    for _ in range(64):
-        raw = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-        sym = [[raw[i][j] + raw[j][i] for j in range(d)] for i in range(d)]
-        rotations = _rotation_sum(sym, rep._powers)
-        pairing = _matsum((rotations, _gram(rotations, rep.t)))
-        if _det(pairing) != 0:
-            return pairing
-    raise DegeneratePairingError(f"no nondegenerate pairing found from seed {seed}")
+    return _pairing_and_det(rep, seed)[0]
 
 
 def regulator_constant(rep: RationalRep, seed: int = 0) -> Fraction:
     """C_Theta(rep) as an exact rational, well defined modulo squares, over
     the pairing invariant_pairing(rep, seed)."""
-    pairing = invariant_pairing(rep, seed)
+    pairing, det = _pairing_and_det(rep, seed)
     p = rep.p
     ident, t = rep._powers[0], rep.t
     rotations = _matsum(rep._powers)
     result = Fraction(1)
     for tag, weight in THETA:
+        order = tag.order(p)
+        if order == 1:
+            # P = I, so the factor is det(I^T B I) / 1^(3d) = det(B)
+            result *= Fraction(det) ** weight
+            continue
         # sum_{h in H} rho(h): its rotations sum to I or to R = sum_i s^i,
         # and its reflections s^i t to R t = t R (t s^i t = s^-i)
         proj = rotations if tag.level else ident
@@ -278,7 +305,7 @@ def regulator_constant(rep: RationalRep, seed: int = 0) -> Fraction:
         if d == 0:
             raise DegeneratePairingError(
                 f"pairing is singular on the vectors fixed by {tag.label}")
-        result *= Fraction(d, tag.order(p) ** (3 * len(cols))) ** weight
+        result *= Fraction(d, order ** (3 * len(cols))) ** weight
     return result
 
 
@@ -320,8 +347,13 @@ class SquareClass(Record):
         return SquareClass(a * b // gcd(a, b) ** 2)
 
 
+def in_t_theta(square_class: SquareClass, p: int) -> bool:
+    """Whether a representation whose C_Theta has this square class falls
+    in the parity-relevant class T_Theta, i.e. whether C_Theta has odd
+    p-adic valuation."""
+    return square_class.ord_parity(p) == 1
+
+
 def t_theta_member(rep: RationalRep, seed: int = 0) -> bool:
-    """Whether rep falls in the parity-relevant class T_Theta, i.e. whether
-    C_Theta(rep) has odd p-adic valuation."""
-    c = regulator_constant(rep, seed=seed)
-    return SquareClass.of(c).ord_parity(rep.p) == 1
+    """Whether rep falls in T_Theta (see in_t_theta)."""
+    return in_t_theta(SquareClass.of(regulator_constant(rep, seed=seed)), rep.p)

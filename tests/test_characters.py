@@ -987,9 +987,10 @@ def test_a_dropped_context_is_freed_without_the_collector():
 
 
 def test_no_regulator_kernel_goes_term_by_term(monkeypatch):
-    """A direct sum of built summands multiplies no matrices, and one draw
+    """A direct sum of built summands multiplies no matrices, one draw
     of invariant_pairing at p = 11 makes about 2 log2(p) Gram products,
-    not one per power of s."""
+    not one per power of s, and regulator_constant takes the trivial
+    subgroup's determinant from the accepted draw."""
     calls = []
     for name in ("_matmul", "_gram", "_det"):
         def counted(*args, _real=getattr(regulator, name), _name=name):
@@ -1004,3 +1005,6 @@ def test_no_regulator_kernel_goes_term_by_term(monkeypatch):
     invariant_pairing(whole, seed=1)
     assert calls.count("_det") == 1  # one draw: the first is nonsingular
     assert calls.count("_gram") <= 2 * (p - 1).bit_length() + 1  # 2 ceil(log2 p) + 1
+    calls.clear()
+    regulator_constant(whole, seed=1)
+    assert calls.count("_det") == 1 + 3  # the draw, then D_2, C_p and D_2p; not H = 1

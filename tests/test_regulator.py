@@ -155,7 +155,8 @@ def test_pairing_singular_on_a_fixed_space_rejected(monkeypatch):
     rep = direct_sum(trivial_rep(5), sign_rep(5), faithful_rep(5))
     hyperbolic = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
                   (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    monkeypatch.setattr(regulator, "invariant_pairing", lambda rep, seed: hyperbolic)
+    monkeypatch.setattr(regulator, "_pairing_and_det",
+                        lambda rep, seed: (hyperbolic, _det(hyperbolic)))
     with pytest.raises(DegeneratePairingError, match="fixed by D2"):
         regulator_constant(rep)
 
