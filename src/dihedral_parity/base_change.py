@@ -16,6 +16,7 @@ parity engine calls directly on settings that `LocalSetting` has checked.
 from __future__ import annotations
 
 import enum
+from math import gcd, lcm
 
 from .arith import is_prime, valuation
 from .lattice import InvalidSubgroupError, SubgroupTag, check_odd_prime
@@ -126,7 +127,7 @@ class AdditivePotMult(_PositiveN):
 
 class AdditivePotGood(ReductionDescriptor):
     """Additive reduction, potentially good; delta = valuation of the
-    minimal discriminant (at most 11 when ell >= 5, unbounded at 2 and 3)."""
+    minimal discriminant: in `parity.POT_GOOD_DELTAS` at ell >= 5, any at 2 and 3."""
     __slots__ = ("delta",)
     branch = "additive-pot-good"
 
@@ -168,11 +169,6 @@ _UNPINNED = ConstrainedRange((1, 2, 3, 4))  # additive, not fixed by group data
 
 # --- degrees ---------------------------------------------------------------
 
-# A standard subgroup of D_2p, of order 2^a p^b, is coded as the bits a + 2b.
-# They all hold the same reflection, so meet and join are bitwise and and or.
-_BITS = {"trivial": 0, "order2": 1, "cyclic": 2, "dihedral": 3}
-
-
 def degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
             H: SubgroupTag) -> tuple[int, int]:
     """(e_H, f_H): ramification and residue degree over the base place of
@@ -184,17 +180,18 @@ def degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
     for tag in (G_v, I_v, H):
         if tag.level > 1:
             raise InvalidSubgroupError(f"{tag} does not fit inside D_2p")
-    if _BITS[I_v.kind] & ~_BITS[G_v.kind]:
+    if G_v.order(p) % I_v.order(p):
         raise ValueError(f"inertia {I_v.label} is not inside decomposition {G_v.label}")
     return _degrees(p, G_v, I_v, H)
 
 
 def _degrees(p: int, G_v: SubgroupTag, I_v: SubgroupTag,
              H: SubgroupTag) -> tuple[int, int]:
-    """`degrees` for arguments already checked, as a LocalSetting's are."""
-    g, i, h = _BITS[G_v.kind], _BITS[I_v.kind], _BITS[H.kind]
-    order = (1, 2, p, 2 * p)
-    return order[i] // order[i & h], order[g] // order[i | (h & g)]
+    """`degrees` for arguments already checked, as a LocalSetting's are.  The
+    standard subgroups of D_2p all hold the same reflection, so each is fixed
+    by its order, and meet and join are the gcd and lcm of orders."""
+    g, i, h = G_v.order(p), I_v.order(p), H.order(p)
+    return i // gcd(i, h), g // lcm(i, gcd(h, g))
 
 
 # --- Tamagawa numbers over the extension place -----------------------------

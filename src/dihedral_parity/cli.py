@@ -110,6 +110,7 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
+    from .arith import is_prime
     from .lattice import THETA
     tokens = {tag.label: tag for tag, _ in THETA}
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
@@ -118,6 +119,8 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
             raise InputFileError(
                 f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
         prime, = _read_ints(path, lineno, parts[:1], "prime", f"bad prime {parts[0]!r}")
+        if not is_prime(prime):
+            raise InputFileError(f"{path}:{lineno}: {prime} is not a prime")
         tags = []
         for tok in parts[1:3]:
             if tok not in tokens:

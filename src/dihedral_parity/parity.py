@@ -59,9 +59,6 @@ class MissingCompletionError(ValueError):
 _PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
           (CYCLIC, TRIVIAL), (CYCLIC, CYCLIC), (DIHEDRAL, CYCLIC),
           (DIHEDRAL, DIHEDRAL))
-# the per-setting check: G_v kind -> the inertia kinds it admits
-_ALLOWED_INERTIA = {G.kind: tuple(I.kind for H, I in _PAIRS if H == G)
-                    for G, _ in _PAIRS}
 
 
 def check_p(p) -> None:
@@ -87,7 +84,7 @@ class LocalSetting(Record):
             if tag.level > 1:
                 raise InadmissibleSettingError(
                     f"{tag.label} does not live in the D_2p lattice")
-        if I_v.kind not in _ALLOWED_INERTIA[G_v.kind]:
+        if (G_v, I_v) not in _PAIRS:
             raise InadmissibleSettingError(
                 f"inertia {I_v.label} is impossible under decomposition "
                 f"{G_v.label} (quotient must be cyclic)")
@@ -96,13 +93,10 @@ class LocalSetting(Record):
                 "dihedral inertia is wild and forces ell = p")
         if not isinstance(base, ReductionDescriptor):
             raise InadmissibleSettingError(f"unknown reduction descriptor {base!r}")
-        if isinstance(base, AdditivePotGood) and ell >= 5:
-            if base.delta > 11:
-                raise InadmissibleSettingError(
-                    f"delta = {base.delta} cannot occur for a minimal model at ell >= 5")
-            if ell == p and base.delta not in POT_GOOD_DELTAS:
-                raise InadmissibleSettingError(
-                    f"delta = {base.delta} cannot occur for a minimal model at ell = p >= 5")
+        if (isinstance(base, AdditivePotGood) and ell >= 5
+                and base.delta not in POT_GOOD_DELTAS):
+            raise InadmissibleSettingError(
+                f"delta = {base.delta} cannot occur for a minimal model at ell >= 5")
         needs_flag = (G_v.kind == "dihedral" and I_v.kind == "dihedral"
                       and base.chi is QuadCharClass.RAMIFIED)
         if needs_flag and not isinstance(eta_equals_chi, bool):
@@ -125,13 +119,11 @@ class LocalSetting(Record):
     def eta_class(self) -> QuadCharClass:
         """Class of eta_v, the quadratic character of G_v through the
         rotation quotient."""
-        if self.G_v.kind in ("trivial", "cyclic"):
+        if not self.G_v.reflects:
             return QuadCharClass.TRIVIAL
-        # order2 or dihedral: eta_v is a genuine quadratic character,
-        # ramified exactly when inertia surjects onto the quotient
-        if self.I_v.kind in ("order2", "dihedral"):
-            return QuadCharClass.RAMIFIED
-        return QuadCharClass.UNRAMIFIED
+        # eta_v is a genuine quadratic character, ramified exactly when
+        # inertia surjects onto the quotient
+        return QuadCharClass.RAMIFIED if self.I_v.reflects else QuadCharClass.UNRAMIFIED
 
     def eta_chi_agree(self) -> bool | None:
         """Whether eta_v equals chi, when chi exists and G_v = D_2p: they
@@ -239,15 +231,13 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
         return 1, {"branch": _SMALL_DECOMPOSITION}
     sign = _w_sign(s)
     base = s.base
-    if isinstance(base, Good):
-        return sign, {"branch": "good"}
     chi = base.chi
     if chi is not None:
         return sign, {"branch": "pot-multiplicative", "chi_class": chi.value,
                       "eta_class": s.eta_class().value,
                       "eta_equals_chi": s.eta_chi_agree()}
-    trace: dict = {"branch": "additive-pot-good"}
-    if s.ell == s.p and s.I_v.kind == "dihedral":
+    trace: dict = {"branch": base.branch}
+    if isinstance(base, AdditivePotGood) and s.ell == s.p and s.I_v.kind == "dihedral":
         # epsilon is the sign: +1 at even r, else (-3/p), (-1/p) or 1 by e
         trace["tame_order_e"] = ramification_degree_e(base.delta)
         trace["epsilon"] = sign
@@ -427,7 +417,8 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
     """Run the local identity at every bad prime of the curve and combine.
 
     completion maps each bad prime to (G_v, I_v, eta_equals_chi-or-None);
-    entries for good primes are ignored, missing bad primes are an error.
+    entries for good primes are ignored, missing bad primes are an error,
+    and an entry LocalSetting rejects is an error that names its prime.
     The bad primes outside the completion are found by factoring within
     arith's budget; a cofactor that does not factor is a
     MissingCompletionError naming its digit count.  With r > 1, K is not Q
@@ -435,6 +426,8 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
     products take one sign per rational prime, and agreement is unaffected.
     """
     from .tate import bad_primes
+    check_p(p)
+    check_r(r)
     try:
         primes = bad_primes(curve, known=completion)
     except FactoringBudgetError as exc:
@@ -450,7 +443,10 @@ def global_parity(curve: WeierstrassCurve, p: int, completion: CompletionMap,
             raise MissingCompletionError(
                 f"no completion data for bad prime {ell}")
         G_v, I_v, flag = completion[ell]
-        setting = LocalSetting(p=p, ell=ell, r=r, base=base,
-                               G_v=G_v, I_v=I_v, eta_equals_chi=flag)
+        try:
+            setting = LocalSetting(p=p, ell=ell, r=r, base=base,
+                                   G_v=G_v, I_v=I_v, eta_equals_chi=flag)
+        except InadmissibleSettingError as exc:
+            raise InadmissibleSettingError(f"completion for {ell}: {exc}") from None
         verdicts.append(verify_local(setting))
     return GlobalVerdict(curve, p, tuple(verdicts))

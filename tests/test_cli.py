@@ -14,8 +14,9 @@ import pytest
 import dihedral_parity
 from dihedral_parity import parity, surgery
 from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, REGULATOR_MAX_P,
-                                 UsageError, _check_json_path, build_parser, main,
-                                 parse_completion_file, parse_curve_file)
+                                 InputFileError, UsageError, _check_json_path,
+                                 build_parser, main, parse_completion_file,
+                                 parse_curve_file)
 
 
 def put(tmp_path, name, text):
@@ -345,6 +346,31 @@ def test_verify_global_inadmissible_completion(tmp_path, capsys):
     assert main(["verify-global", curves, "--p", "5",
                  "--completion", comp]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("11 1 Cp", "inertia Cp is impossible under decomposition 1 (quotient must be cyclic)"),
+    ("11 D2p Cp true", "eta_equals_chi is determined here and must be left as None"),
+    ("11 D2p D2p", "dihedral inertia is wild and forces ell = p"),
+])
+def test_inadmissible_completion_names_its_prime(tmp_path, capsys, line, message):
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    comp = put(tmp_path, "comp.txt", line + "\n")
+    assert main(["verify-global", curves, "--p", "5", "--completion", comp]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: completion for 11: {message}\n"
+
+
+@pytest.mark.parametrize("entry", ["4", "0", "1", "-11"])
+def test_completion_entry_that_is_not_a_prime_is_rejected(tmp_path, capsys, entry):
+    # tate.bad_primes skips such an entry, so it would be dropped unread
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    comp = put(tmp_path, "comp.txt", f"{entry} D2p Cp\n11 D2p Cp\n")
+    assert main(["verify-global", curves, "--p", "5", "--completion", comp]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {comp}:1: {entry} is not a prime\n"
+    with pytest.raises(InputFileError, match=f"{entry} is not a prime"):
+        parse_completion_file(comp)
 
 
 def test_completion_parse_errors(tmp_path, capsys):

@@ -88,11 +88,12 @@ def test_multiplicity_must_be_an_int(r):
 
 
 def test_admissible_deltas_depend_on_ell():
-    # delta = 7 never occurs for a minimal model at ell = p >= 5, but is
-    # a perfectly good discriminant valuation at a different prime
-    setting(AdditivePotGood(7), ell=7, p=5)
-    with pytest.raises(InadmissibleSettingError):
-        setting(AdditivePotGood(7), ell=5, p=5)
+    # an additive, potentially good fibre at ell >= 5 has delta in
+    # POT_GOOD_DELTAS (types II, III, IV, I0*, IV*, III*, II*), at ell = p
+    # or not; delta = 7 is v(Delta) of I_7 and I_1*, which are no such fibre
+    for ell in (5, 7):
+        with pytest.raises(InadmissibleSettingError):
+            setting(AdditivePotGood(7), ell=ell, p=5)
     # delta >= 12 only occurs at the wild primes 2 and 3
     setting(AdditivePotGood(12), ell=2, p=5)
     setting(AdditivePotGood(16), ell=3, p=5)
@@ -485,15 +486,16 @@ def local_fields(draw):
 @settings(max_examples=1000, deadline=None)
 @given(local_fields())
 def test_identity_holds_past_the_sweep(fields):
+    # the only rejection left: a delta no minimal model has at ell >= 5
+    base = fields["base"]
+    impossible = (isinstance(base, AdditivePotGood) and fields["ell"] >= 5
+                  and base.delta not in POT_GOOD_DELTAS)
     try:
         s = LocalSetting(**fields)
     except InadmissibleSettingError:
-        # the only rejection left: a delta no minimal model has at ell >= 5
-        base, ell = fields["base"], fields["ell"]
-        assert isinstance(base, AdditivePotGood) and ell >= 5
-        assert base.delta > 11 or (ell == fields["p"]
-                                   and base.delta not in POT_GOOD_DELTAS)
+        assert impossible
         return
+    assert not impossible
     assert c_parity(s)[0] == w_ratio(s)[0], s
 
 
@@ -526,9 +528,11 @@ def theta_route_sign(s: LocalSetting) -> int:
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_c_parity_matches_theta_route(p):
-    # theta_route_sign takes no shortcut for a cyclic decomposition group
-    for s in enumerate_settings(p):
+    # theta_route_sign takes no shortcut for a cyclic decomposition group;
+    # valuations up to 2p + 1 take in n = p and n = 2p, where p | n
+    for s in enumerate_settings(p, n_max=2 * p + 1):
         assert c_parity(s)[0] == theta_route_sign(s), s
+        assert verify_local(s).agree, s
 
 
 # --- whole curves ----------------------------------------------------------
@@ -613,6 +617,18 @@ def test_global_parity_skips_nonminimal_good_primes():
 def test_global_parity_missing_completion():
     with pytest.raises(MissingCompletionError):
         global_parity(curve((0, -1, 1, -10, -20)), 5, {})
+
+
+def test_global_parity_names_the_prime_of_an_inadmissible_entry():
+    E = curve((0, -1, 1, -10, -20))
+    with pytest.raises(InadmissibleSettingError,
+                       match=r"^completion for 11: inertia Cp is impossible"):
+        global_parity(E, 5, {11: (TRIVIAL, CYCLIC, None)})
+    # p and r belong to no entry, so they are checked first and plainly
+    with pytest.raises(InadmissibleSettingError, match=r"^p must be a prime >= 5, got 3$"):
+        global_parity(E, 3, {11: (DIHEDRAL, CYCLIC, None)})
+    with pytest.raises(InadmissibleSettingError, match=r"^r must be a positive integer"):
+        global_parity(E, 5, {11: (DIHEDRAL, CYCLIC, None)}, r=0)
 
 
 def test_global_parity_multiplies_over_places():
