@@ -9,8 +9,9 @@ of the curve there (exact whenever group data determines it, otherwise a
 small constrained range whose p-valuation is still pinned for p >= 5),
 and `omega_ordp_parity` the parity of the p-valuation of the local period
 ratio.  Each checks its arguments and then calls its unchecked half
-(`_degrees`, the descriptor's own `_tamagawa` rule, `_omega`), which the
-parity engine calls directly on settings that `LocalSetting` has checked.
+(`_degrees`, the descriptor's own `_tamagawa` and `_period` rules), which
+the parity engine calls directly on settings that `LocalSetting` has
+checked.
 """
 
 from __future__ import annotations
@@ -62,11 +63,16 @@ class ReductionDescriptor(Record):
     """The reduction of a curve over the base field.  Each kind carries
     `chi`, the class of the quadratic twist that makes it split
     multiplicative (None when no twist does), `branch`, its label in the
-    c-side trace, and `_tamagawa`, its Tamagawa number at a place of
-    degrees (e, f) over the base."""
+    c-side trace, `_tamagawa`, its Tamagawa number at a place of degrees
+    (e, f) over the base, and `_period`, the parity of ord_p of its local
+    period ratio there."""
     __slots__ = ()
     chi: QuadCharClass | None = None
     branch: str
+
+    def _period(self, e, f, ell, p, r):
+        # a p-adic unit: away from p, at 2 and 3 too, a power of ell
+        return 0
 
 
 class Good(ReductionDescriptor):
@@ -139,6 +145,10 @@ class AdditivePotGood(ReductionDescriptor):
         if (e * self.delta) % 12 == 0:
             return 1  # reduction turns good over the extension
         return _UNPINNED
+
+    def _period(self, e, f, ell, p, r):
+        # at ell = p, the exponent r f floor(delta e / 12)
+        return r * f * ((self.delta * e) // 12) % 2 if ell == p else 0
 
 
 class ConstrainedRange(Record):
@@ -227,7 +237,8 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
     place, for a curve of multiplicity r at the prime ell; r must be a
     positive integer.  The ratio is a p-adic unit except for additive
     potentially good reduction at ell = p: away from p, at 2 and 3 too, it
-    is a power of ell.  Needs p >= 5 when ell = p.
+    is a power of ell (the descriptor's `_period` rule).  Needs p >= 5 when
+    ell = p.
     """
     if not isinstance(base, ReductionDescriptor):
         raise TypeError(f"unknown reduction descriptor {base!r}")
@@ -235,13 +246,5 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
     check_r(r)
     if ell == p and p < 5:
         raise ValueError(f"the period ratio at ell = p = {p} is wild")
-    return _omega(base, ell, p, r, *degrees(p, G_v, I_v, H))
-
-
-def _omega(base: ReductionDescriptor, ell: int, p: int, r: int, e: int, f: int) -> int:
-    """`omega_ordp_parity` from the degrees (e, f) of the place, for a
-    descriptor and p >= 5 already checked."""
-    if ell != p or not isinstance(base, AdditivePotGood):
-        return 1
-    exponent = r * f * ((base.delta * e) // 12)
-    return -1 if exponent % 2 else 1
+    e, f = degrees(p, G_v, I_v, H)
+    return -1 if base._period(e, f, ell, p, r) else 1

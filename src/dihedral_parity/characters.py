@@ -7,20 +7,23 @@ exact, with no floating point anywhere.
 
 A character the library builds (an irreducible, a cyclic character, and
 their restrictions and inductions) is its spectrum: the multiplicities
-(m_0, ..., m_{c-1}) in it of the linear characters (i step, 0) ->
-zeta_c^(t i) of its group's rotation subgroup, c = count, and its
-reflection value v, None when the group has no reflections (Serre, 5.3
-and 7.3).  One rule gives its values: at the rotation (j step, 0) the
-preimage sum m_t x^(t j step mod m) in Z[x]/(x^m - 1), m = p^n, and at
-the reflections v.  On first read of `values` each preimage is written
-out as a dense vector of length m and reduced by `Cyclotomic.make`, once
-per context.
-An inner product of two spectra is sum m1_t m2_t, or half of that plus
-v1 v2 on a reflecting group.  Restriction folds the multiplicities
+m_t in it of the linear characters (i step, 0) -> zeta_c^(t i),
+0 <= t < c = count, of its group's rotation subgroup, and its reflection
+value v, None when the group has no reflections (Serre, 5.3 and 7.3).
+The multiplicities are kept sparse, as a dict {t: m_t} of the nonzero
+ones in increasing t, built once and never changed: an irreducible or a
+cyclic character has one or two, however large c is.  One rule gives its
+values: at the rotation (j step, 0) the preimage sum m_t x^(t j step
+mod m) in Z[x]/(x^m - 1), m = p^n, and at the reflections v.  On first
+read of `values` each preimage is written out as a dense vector of
+length m and reduced by `Cyclotomic.make`, once per context.
+An inner product of two spectra is sum m1_t m2_t, taken over the smaller
+support with each t looked up in the other, or half of that plus v1 v2
+on a reflecting group.  Restriction folds the nonzero multiplicities
 modulo the smaller count; induction repeats them, and when only the
 larger group reflects adds those of the conjugate character (Mackey's
 two double cosets), with reflection value 0.  So a Frobenius check
-<Ind f, g> = <f, Res g> builds no value.
+<Ind f, g> = <f, Res g> builds no value, and costs the supports, not c.
 
 The tower identity checks preimages, not spectra, since folding and
 repeating a spectrum is the identity itself: it restricts the
@@ -50,7 +53,6 @@ question walks the group; `reflects` and the order come from the tag.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, mul
 
 from .lattice import (CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL,  # noqa: F401 (re-exported)
                       InvalidGroupError, InvalidSubgroupError, SubgroupTag,
@@ -162,17 +164,18 @@ class DihedralContext:
     def _irreducibles(self) -> tuple["VirtualCharacter", ...]:
         G = self.full()
         m = self.m
-        spectra = [(_unit(m, 0), 1), (_unit(m, 0), -1)]
-        spectra += [(_unit(m, k, m - k), 0) for k in range(1, (m + 1) // 2)]
+        spectra = [({0: 1}, 1), ({0: 1}, -1)]
+        spectra += [({k: 1, m - k: 1}, 0) for k in range(1, (m + 1) // 2)]
         return tuple([VirtualCharacter._of(G, spectrum) for spectrum in spectra])
 
 
-def _unit(count: int, *indices: int) -> tuple[int, ...]:
-    """The multiplicities (m_0, ..., m_{count-1}) with a 1 at each index."""
-    ms = [0] * count
-    for i in indices:
-        ms[i] = 1
-    return tuple(ms)
+def _folded(acc: dict, ms: dict, c: int, sign: int) -> dict:
+    """acc plus each multiplicity m_s of ms at index sign * s mod c: the
+    sums that are not 0, in increasing index.  acc is the caller's own."""
+    for s, x in ms.items():
+        u = sign * s % c
+        acc[u] = acc.get(u, 0) + x
+    return {u: acc[u] for u in sorted(acc) if acc[u]}
 
 
 class Subgroup:
@@ -282,9 +285,11 @@ class Subgroup:
 
 class VirtualCharacter(Record):
     """Exact class function with integer-combination-of-irreducibles
-    semantics, built by the library as its _spectrum (module docstring);
-    its `values` are built on first read, and its restrictions
-    (_restrictions) are kept."""
+    semantics, built by the library as its _spectrum (module docstring):
+    the pair of its nonzero multiplicities, a dict {t: m_t} in increasing
+    t, and its reflection value, so that an inner product sums over the
+    smaller support.  Its `values` are built on first read, and its
+    restrictions (_restrictions) are kept."""
     __slots__ = ("group", "values", "_restrictions", "_spectrum")
 
     @classmethod
@@ -306,7 +311,7 @@ class VirtualCharacter(Record):
     @property
     def degree(self) -> int:
         """chi(1), the sum of the multiplicities, which builds no value."""
-        return sum(self._spectrum[0])
+        return sum(self._spectrum[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ def cyclic_characters(ctx: DihedralContext, level: int) -> list[VirtualCharacter
     sending the i-th rotation to zeta_{p^level}^(t i): the t-th has the
     one multiplicity m_t = 1."""
     H = ctx.subgroup(cyclic_p_power(level))
-    return [VirtualCharacter._of(H, (_unit(H.count, t), None)) for t in range(H.count)]
+    return [VirtualCharacter._of(H, ({t: 1}, None)) for t in range(H.count)]
 
 
 def _preimages(chi: VirtualCharacter,
@@ -350,13 +355,14 @@ def _preimages(chi: VirtualCharacter,
     G = chi.group
     m = G.m
     ms, v = chi._spectrum
-    shifts = [(t * G.step, c) for t, c in enumerate(ms) if c]
-    cs = tuple([c for _, c in shifts])
+    step = G.step
+    cs = tuple(ms.values())
     shared = {} if known is None else known.setdefault(cs, {})
     rows = range(G._rotation_classes)
-    # the exponents shift * j mod m at each class j, one column per shift;
-    # the zero character has no column, and () at every class
-    columns = [[shift * j % m for j in rows] for shift, _ in shifts]
+    # the exponents shift * j mod m at each class j, one column per nonzero
+    # m_t, shift = t step; the zero character has no column, and () at
+    # every class
+    columns = [[shift * j % m for j in rows] for shift in [t * step for t in ms]]
     out = []
     for exponents in zip(*columns) if columns else [()] * len(rows):
         pre = shared.get(exponents)
@@ -391,14 +397,20 @@ def _fused(G: Subgroup, H: Subgroup, preimages) -> list[tuple[tuple[int, int], .
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
-    """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)), exact: the dot product S
-    of the multiplicities, or (S + v1 v2) / 2 when H reflects (an odd
-    S + v1 v2 breaks the spectrum's invariant and raises RuntimeError)."""
+    """<f1, f2> = (1/|H|) sum f1(g) conj(f2(g)), exact: S = sum m1_t m2_t
+    over the smaller support, each t looked up in the other, or
+    (S + v1 v2) / 2 when H reflects (an odd S + v1 v2 breaks the
+    spectrum's invariant and raises RuntimeError)."""
     H = f1.group
     if H is not f2.group and H != f2.group:
         raise GroupMismatchError("characters live on different groups")
     (ms1, v1), (ms2, v2) = f1._spectrum, f2._spectrum
-    total = sum(map(mul, ms1, ms2))
+    if len(ms1) > len(ms2):
+        ms1, ms2 = ms2, ms1
+    get = ms2.get
+    total = 0
+    for t, c in ms1.items():
+        total += c * get(t, 0)
     if not H.reflects:
         return total
     twice = total + v1 * v2
@@ -408,8 +420,8 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> int:
 
 
 def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
-    """Restriction to H: the spectrum folded, m_u = sum of the m_s with
-    s = u mod count_H.  Built on first use and kept on chi when H shares
+    """Restriction to H: the spectrum folded, m_u = sum of the nonzero m_s
+    with s = u mod count_H.  Built on first use and kept on chi when H shares
     the value table of chi's context, so that chi holds no other
     context's table."""
     G = chi.group
@@ -422,22 +434,25 @@ def restrict(chi: VirtualCharacter, H: Subgroup) -> VirtualCharacter:
         if not G.contains(H):
             raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
         ms, v = chi._spectrum
-        c = H.count
         res = kept[H] = VirtualCharacter._of(
-            H, (tuple([sum(ms[u::c]) for u in range(c)]), v if H.reflects else None))
+            H, (_folded({}, ms, H.count, 1), v if H.reflects else None))
     return res
 
 
 def induce(chi: VirtualCharacter, G: Subgroup) -> VirtualCharacter:
     """Induction from chi.group up to G: the spectrum repeated up to G's
-    count, m_s = m_(s mod count_H), plus m_(-s) when only G reflects."""
+    count, m_s = m_(s mod count_H), plus m_(-s) when only G reflects; each
+    nonzero entry is repeated, and its conjugate added, on its own."""
     H = chi.group
     if not G.contains(H):
         raise GroupMismatchError(f"{H.tag.label} is not inside {G.tag.label}")
     ms, v = chi._spectrum
+    c, r = H.count, G.count // H.count
     if G.reflects and not H.reflects:
-        ms, v = tuple(map(add, ms, ms[:1] + ms[:0:-1])), 0
-    return VirtualCharacter._of(G, (ms * (G.count // H.count), v))
+        ms, v = _folded(dict(ms), ms, c, -1), 0
+    if r > 1:
+        ms = {s + j * c: x for j in range(r) for s, x in ms.items()}
+    return VirtualCharacter._of(G, (ms, v))
 
 
 def verify_reduction_identity(p: int, n: int, *,

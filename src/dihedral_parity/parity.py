@@ -5,7 +5,7 @@ the curve over the base (one of the five descriptors), the decomposition
 and inertia subgroups (G_v, I_v) of a place v of the dihedral field, and
 r, the residue degree of K_v over Q_ell, so that the residue field of K_v
 has q = ell^r elements: the period term's exponent is
-r f floor(delta e / 12) (`base_change._omega`), and at ell = p with wild
+r f floor(delta e / 12) (`AdditivePotGood._period`), and at ell = p with wild
 inertia the w side is +1 at even r, where q is a square (`_w_sign`).
 Two independently derived closed forms are evaluated:
 
@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING
 from .arith import FactoringBudgetError, is_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           InadmissibleSettingError, NonsplitMult, QuadCharClass,
-                          ReductionDescriptor, SplitMult, _degrees, _omega,
-                          check_ell, check_r)
+                          ReductionDescriptor, SplitMult, _degrees, check_ell,
+                          check_r)
 from .lattice import CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL, SubgroupTag
 from .records import Record
 
@@ -59,6 +59,9 @@ class MissingCompletionError(ValueError):
 _PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
           (CYCLIC, TRIVIAL), (CYCLIC, CYCLIC), (DIHEDRAL, CYCLIC),
           (DIHEDRAL, DIHEDRAL))
+# _PAIRS by kind: a tag of level <= 1 is fixed by its kind, and strings
+# hash and compare without a Python-level Record.__eq__
+_PAIR_KINDS = frozenset((G_v.kind, I_v.kind) for G_v, I_v in _PAIRS)
 
 
 def check_p(p) -> None:
@@ -84,7 +87,7 @@ class LocalSetting(Record):
             if tag.level > 1:
                 raise InadmissibleSettingError(
                     f"{tag.label} does not live in the D_2p lattice")
-        if (G_v, I_v) not in _PAIRS:
+        if (G_v.kind, I_v.kind) not in _PAIR_KINDS:
             raise InadmissibleSettingError(
                 f"inertia {I_v.label} is impossible under decomposition "
                 f"{G_v.label} (quotient must be cyclic)")
@@ -170,16 +173,14 @@ def _theta_parities(s: LocalSetting) -> list[int]:
     odd-weight H of Theta, in _ODD_THETA order.  Only H = 1 and H = C_p
     count, each with one place above v.  The setting has checked p, the
     descriptor and (G_v, I_v), so the degrees of each place feed the
-    descriptor's Tamagawa rule and `base_change`'s period rule unchecked."""
-    base, p, ell = s.base, s.p, s.ell
+    descriptor's Tamagawa and period rules unchecked."""
+    base, p, ell, flag = s.base, s.p, s.ell, s.eta_equals_chi
     parities = []
     for e, f in _theta_degrees(p, s.I_v.kind):
-        tam = base._tamagawa(e, f, ell, s.eta_equals_chi)
-        par = tam.ord_parity(p) if isinstance(tam, ConstrainedRange) \
+        tam = base._tamagawa(e, f, ell, flag)
+        par = tam.ord_parity(p) if tam.__class__ is ConstrainedRange \
             else valuation(tam, p) % 2
-        if _omega(base, ell, p, s.r, e, f) == -1:
-            par ^= 1
-        parities.append(par)
+        parities.append(par ^ base._period(e, f, ell, p, s.r))
     return parities
 
 

@@ -1,4 +1,5 @@
 import gc
+import operator
 import weakref
 
 import pytest
@@ -352,15 +353,17 @@ def test_subgroup_classes_match_conjugation_orbits(p, n):
 
 def _combine(chars, coeffs):
     """The virtual character sum c chi of characters of one group, as the
-    sum of their spectra."""
+    sum of their spectra: the multiplicities that do not cancel, in
+    increasing index."""
     group = chars[0].group
-    ms = [0] * group.count
+    acc = {}
     v = 0
     for c, chi in zip(coeffs, chars):
         chi_ms, chi_v = chi._spectrum
-        ms = [a + c * b for a, b in zip(ms, chi_ms)]
+        for t, x in chi_ms.items():
+            acc[t] = acc.get(t, 0) + c * x
         v = None if chi_v is None else v + c * chi_v
-    return VirtualCharacter._of(group, (tuple(ms), v))
+    return VirtualCharacter._of(group, ({t: acc[t] for t in sorted(acc) if acc[t]}, v))
 
 
 def test_the_zero_character_has_a_zero_value_at_every_class():
@@ -673,13 +676,13 @@ def test_frobenius_checks_build_no_induced_or_cyclic_value(p, n):
     for _, f, induced in pairs:
         assert not _built(f, "values") and not _built(induced, "values")
     for level, f, induced in pairs:
-        t = f._spectrum[0].index(1)
+        (t,) = f._spectrum[0]  # the one multiplicity m_t of a cyclic character
         step = p ** (n - level)
         # values read later: the cyclic ones are the reference powers of zeta
         assert f.values == tuple(zeta(p, n, t * i * step) for i in range(p ** level))
     # the elementwise reference, and fresh inductions, on a few per level
     for level, f, induced in pairs:
-        t = f._spectrum[0].index(1)
+        (t,) = f._spectrum[0]
         if t not in (0, 1, p ** level - 1):
             continue
         assert induced.values == reference_induce(f, G).values
@@ -849,16 +852,18 @@ def test_inner_product_from_multiplicities_matches_the_lift_sum(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_multiplicities_are_those_of_the_character(data):
-    """The multiplicities are nonnegative, sum to the degree and give back
-    every rotation value as sum m_t zeta_c^(t j); the reflection value is
-    the value on the reflection class."""
+    """The stored multiplicities are positive, at indices 0 <= t < count in
+    increasing order, sum to the degree and give back every rotation value
+    as sum m_t zeta_c^(t j); the reflection value is the value on the
+    reflection class."""
     ctx, tag, _ = data.draw(_tower())
     f = data.draw(_library_character(ctx, tag))
     H, (ms, v) = f.group, f._spectrum
-    assert len(ms) == H.count and min(ms) >= 0 and sum(ms) == f.degree
+    assert list(ms) == sorted(ms) and all(0 <= t < H.count for t in ms)
+    assert min(ms.values()) > 0 and sum(ms.values()) == f.degree
     for j, value in enumerate(f.values[:H._rotation_classes]):
         total = integer(ctx.p, ctx.n, 0)
-        for t, c in enumerate(ms):
+        for t, c in ms.items():
             total = add(total, times(zeta(ctx.p, ctx.n, t * j * H.step), c))
         assert total == value
     assert v == (rational_value(f.values[-1]) if H.reflects else None)
@@ -873,22 +878,27 @@ def test_multiplicities_of_the_tower_identity(p, n):
     for k in range(1, (m - 1) // 2 + 1):
         if k % p:
             ms, v = induce(restrict(two_dim(ctx, k), H), G)._spectrum
-            want = [0] * m
+            want = {}
             for t in range(p):
                 j = (k + t * m // p) % m
-                for i, c in enumerate(two_dim(ctx, min(j, m - j))._spectrum[0]):
-                    want[i] += c
-            assert (list(ms), v) == (want, 0)
+                for i, c in two_dim(ctx, min(j, m - j))._spectrum[0].items():
+                    want[i] = want.get(i, 0) + c
+            assert (list(ms.items()), v) == (sorted((i, c) for i, c in want.items() if c), 0)
 
 
 def test_only_library_characters_carry_multiplicities():
     ctx = DihedralContext(5, 1)
     G, C5 = ctx.full(), ctx.subgroup(cyclic_p_power(1))
     chi = two_dim(ctx, 1)
-    assert chi._spectrum == ((0, 1, 0, 0, 1), 0)
-    assert restrict(chi, C5)._spectrum == ((0, 1, 0, 0, 1), None)
-    assert cyclic_characters(ctx, 1)[2]._spectrum == ((0, 0, 1, 0, 0), None)
-    assert induce(restrict(chi, C5), G)._spectrum == ((0, 2, 0, 0, 2), 0)
+
+    def entries(f):
+        ms, v = f._spectrum
+        return list(ms.items()), v
+
+    assert entries(chi) == ([(1, 1), (4, 1)], 0)
+    assert entries(restrict(chi, C5)) == ([(1, 1), (4, 1)], None)
+    assert entries(cyclic_characters(ctx, 1)[2]) == ([(2, 1)], None)
+    assert entries(induce(restrict(chi, C5), G)) == ([(1, 2), (4, 2)], 0)
     with pytest.raises(TypeError):
         VirtualCharacter(G, chi.values)  # no constructor from values
     # an odd S + v1 v2 is no inner product of virtual characters
@@ -896,6 +906,88 @@ def test_only_library_characters_carry_multiplicities():
     odd = VirtualCharacter._of(G, (one._spectrum[0], 0))
     with pytest.raises(RuntimeError, match="^1 / 2 is not an integer$"):
         inner_product(odd, one)
+
+
+def _dense(f):
+    """f's multiplicities as the dense vector (m_0, ..., m_{count-1}), with
+    its reflection value, after checking the sparse form: indices in
+    range and increasing, and no stored 0."""
+    ms, v = f._spectrum
+    assert list(ms) == sorted(ms) and all(0 <= t < f.group.count for t in ms), ms
+    assert 0 not in ms.values(), ms
+    dense = [0] * f.group.count
+    for t, c in ms.items():
+        dense[t] = c
+    return dense, v
+
+
+def _dense_inner(H, a, b):
+    """The dot product S of two dense spectra, or (S + v1 v2) / 2 on a
+    reflecting group."""
+    total = sum(map(operator.mul, a[0], b[0]))
+    return (total + a[1] * b[1]) // 2 if H.reflects else total
+
+
+def _dense_restrict(K, a):
+    """Fold: m_u = sum of the m_s with s = u mod count_K."""
+    ms, v = a
+    return [sum(ms[u::K.count]) for u in range(K.count)], (v if K.reflects else None)
+
+
+def _dense_induce(H, G, a):
+    """Repeat up to count_G, plus the conjugate m_(-s) and reflection value
+    0 when only G reflects."""
+    ms, v = a
+    if G.reflects and not H.reflects:
+        ms, v = [ms[s] + ms[-s % H.count] for s in range(H.count)], 0
+    return ms * (G.count // H.count), v
+
+
+def _sparse_test_characters(ctx, H):
+    """On H: the restrictions of the irreducibles, the cyclic characters
+    when H is cyclic, and virtual characters whose multiplicities are
+    negative or cancel: 1 - eta, which stores none, psi_t - psi_-t, which
+    cancels when induced to a reflecting group, and psi_t - psi_(t + c/p),
+    which cancels when folded to the next smaller cyclic group."""
+    chars = [restrict(chi, H) for chi in irreducibles(ctx)]
+    one, eta_H = chars[:2]
+    if H.reflects:
+        chars.append(_combine([one, eta_H], [1, -1]))
+    if H.tag.kind == "cyclic":
+        psi = cyclic_characters(ctx, H.tag.level)
+        c = H.count
+        chars += psi
+        chars += [_combine([psi[t], psi[-t % c]], [1, -1]) for t in (1, 2) if t < c]
+        chars += [_combine([psi[1], psi[(1 + c // ctx.p) % c]], [1, -1])]
+        chars += [_combine(psi[:3], [2, -3, 1])]
+    chars.append(_combine(chars[2:5], [3, -1, 2]))
+    return chars
+
+
+@pytest.mark.parametrize("p, n", SMALL_GROUPS)
+def test_sparse_spectra_follow_the_dense_rules(p, n):
+    """Each character's stored entries, expanded into the dense vector of
+    length count, give its inner products, restrictions and inductions by
+    the dense rules: a dot product, a fold and a repeat plus the
+    conjugate.  No stored entry is 0, so a cancelled one is dropped."""
+    ctx = _context(p, n)
+    subgroups = [ctx.subgroup(tag) for tag in _standard_tags(n)]
+    on = {H: _sparse_test_characters(ctx, H) for H in subgroups}
+    dense = {H: [_dense(f) for f in chars] for H, chars in on.items()}
+    assert {} in [f._spectrum[0] for f in on[ctx.full()]]  # 1 - eta
+    for H in subgroups:
+        for f, a in zip(on[H], dense[H]):
+            for g, b in zip(on[H], dense[H]):
+                assert inner_product(f, g) == _dense_inner(H, a, b)
+            for K in subgroups:
+                if K is not H and H.contains(K):
+                    assert _dense(restrict(f, K)) == _dense_restrict(K, a)
+                if K is not H and K.contains(H):
+                    up = _dense_induce(H, K, a)
+                    induced = induce(f, K)
+                    assert _dense(induced) == up
+                    for g, b in zip(on[K], dense[K]):
+                        assert inner_product(induced, g) == _dense_inner(K, up, b)
 
 
 # --- the lattice from its shape --------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import random
@@ -434,6 +435,20 @@ def test_local_setting_admits_exactly_the_enumerated_pairs(p):
                     (ell, G_v.label, I_v.label)
 
 
+@pytest.mark.parametrize("G_v", [tag for tag, _ in THETA], ids=lambda tag: tag.label)
+@pytest.mark.parametrize("I_v", [tag for tag, _ in THETA], ids=lambda tag: tag.label)
+def test_each_ordered_pair_is_judged_as_pairs_says(G_v, I_v):
+    """Each of the 16 ordered pairs of D_2p tags is accepted exactly when it
+    is in _PAIRS, and a rejected one names both groups."""
+    if (G_v, I_v) in _PAIRS:
+        assert LocalSetting(p=5, ell=5, r=1, base=Good(), G_v=G_v, I_v=I_v).I_v is I_v
+        return
+    with pytest.raises(InadmissibleSettingError) as raised:
+        LocalSetting(p=5, ell=5, r=1, base=Good(), G_v=G_v, I_v=I_v)
+    assert str(raised.value) == (f"inertia {I_v.label} is impossible under decomposition "
+                                 f"{G_v.label} (quotient must be cyclic)")
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_identity_holds_on_enumeration(p):
     for s in enumerate_settings(p, n_max=3):
@@ -533,6 +548,76 @@ def test_c_parity_matches_theta_route(p):
     for s in enumerate_settings(p, n_max=2 * p + 1):
         assert c_parity(s)[0] == theta_route_sign(s), s
         assert verify_local(s).agree, s
+
+
+# --- criterion 1 for every p: the class key --------------------------------
+
+# one prime of each class mod 12 that p >= 5 can have
+CLASS_PRIMES = (13, 5, 7, 11)
+
+
+def _class_key(s: LocalSetting, kinds: dict) -> tuple:
+    """p mod 12; ell as 2, 3, p or other; r mod 2; G_v; I_v; the
+    descriptor's kind, n mod 2 and ord_p(n) mod 2, and delta; and the
+    flag.  kinds keeps the descriptor's part per descriptor object, which
+    a sweep shares among its settings."""
+    base, p, ell = s.base, s.p, s.ell
+    part = kinds.get(id(base))
+    if part is None:
+        n = getattr(base, "n", None)
+        part = kinds[id(base)] = (type(base).__name__,
+                                  None if n is None else (n % 2, valuation(n, p) % 2),
+                                  getattr(base, "delta", None))
+    place = ell if ell in (2, 3) else "p" if ell == p else "other"
+    return (p % 12, place, s.r % 2, s.G_v.label, s.I_v.label, part, s.eta_equals_chi)
+
+
+def _class_values(s: LocalSetting) -> tuple:
+    c, trace = c_parity(s)
+    return c, w_ratio(s)[0], tuple(trace.items())
+
+
+@functools.lru_cache(maxsize=1)
+def _dihedral_class_table() -> dict:
+    """Key -> (c sign, w sign, c trace) over every setting with G_v = D_2p
+    of `enumerate_settings(p, n_max=2p + 1)` for each prime 5 <= p <= 113.
+    At a cyclic G_v both closed forms return +1 and a fixed trace before
+    they read the setting, so only D_2p settings can split a key."""
+    table = {}
+    for p in primerange(5, 114):
+        kinds = {}
+        for s in enumerate_settings(p, n_max=2 * p + 1):
+            if s.G_v is DIHEDRAL:
+                key, values = _class_key(s, kinds), _class_values(s)
+                assert table.setdefault(key, values) == values, (s, table[key])
+    return table
+
+
+def test_the_class_key_fixes_both_signs_and_the_c_trace():
+    """(a): settings with one key get one pair of signs and one c trace, on
+    every prime up to 113, p | n included."""
+    table = _dihedral_class_table()
+    assert {key[0] for key in table} == {1, 5, 7, 11}
+    assert {key[5][1] for key in table} == {None, (0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_one_prime_of_each_class_sweeps_every_key():
+    """(b): one prime of each class mod 12, with n_max = 2p + 1, reaches
+    every key of (a), with its signs and trace, and both sides agree on
+    each of its settings.  By (a), that is criterion 1 for every p up to
+    113, and the key is what carries it past."""
+    table = _dihedral_class_table()
+    reached = set()
+    for p in CLASS_PRIMES:
+        kinds = {}
+        for s in enumerate_settings(p, n_max=2 * p + 1):
+            key, (c, w, trace) = _class_key(s, kinds), _class_values(s)
+            assert c == w, s
+            if s.G_v is DIHEDRAL:
+                assert table[key] == (c, w, trace), s
+            reached.add(key)
+    assert set(table) <= reached
+    assert {key[0] for key in reached} == {1, 5, 7, 11}
 
 
 # --- whole curves ----------------------------------------------------------
