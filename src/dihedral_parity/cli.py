@@ -185,14 +185,15 @@ def cmd_reduce(args) -> tuple[list, bool]:
 
 
 def cmd_chars(args) -> tuple[dict, bool]:
-    from .characters import (DihedralContext, check_odd_prime, irreducibles,
-                             verify_reduction_identity)
-    check_odd_prime(args.p)
-    # p >= 3, so 2 p^n > CHARS_MAX_ORDER once n reaches its bit length
-    if args.n >= 1 and (args.n >= CHARS_MAX_ORDER.bit_length()
-                        or 2 * args.p ** args.n > CHARS_MAX_ORDER):
-        raise UsageError(f"D_2p^n for p={args.p}, n={args.n} has order above "
+    from .characters import DihedralContext, irreducibles, verify_reduction_identity
+    from .lattice import brief, check_odd_prime
+    # checked before primality, whose cost grows with p's digits; at p >= 3,
+    # 2 p^n > CHARS_MAX_ORDER once n reaches its bit length
+    if args.p >= 3 and args.n >= 1 and (args.n >= CHARS_MAX_ORDER.bit_length()
+                                        or 2 * args.p ** args.n > CHARS_MAX_ORDER):
+        raise UsageError(f"D_2p^n for p={brief(args.p)}, n={args.n} has order above "
                          f"{CHARS_MAX_ORDER}, the largest chars accepts")
+    check_odd_prime(args.p)
     ctx = DihedralContext(args.p, args.n)
     if args.verify_reduction and ctx.n < 2:
         raise UsageError("reduction identity: needs n >= 2")
@@ -228,13 +229,13 @@ def cmd_chars(args) -> tuple[dict, bool]:
 
 
 def cmd_regulator(args) -> tuple[dict, bool]:
-    from .lattice import check_odd_prime
+    from .lattice import brief, check_odd_prime
     from .regulator import (SquareClass, direct_sum, faithful_rep, in_t_theta,
                             regulator_constant, sign_rep, trivial_rep)
     p = args.p
+    if p > REGULATOR_MAX_P:  # before primality, as for chars
+        raise UsageError(f"p={brief(p)} is above {REGULATOR_MAX_P}, the largest regulator accepts")
     check_odd_prime(p)
-    if p > REGULATOR_MAX_P:
-        raise UsageError(f"p={p} is above {REGULATOR_MAX_P}, the largest regulator accepts")
     reps = [("1", trivial_rep(p)), ("eta", sign_rep(p)), ("rho2", faithful_rep(p))]
     reps.append(("1+eta+rho2", direct_sum(*(r for _, r in reps))))
     payload = {"p": p, "seed": args.seed, "reps": {}}

@@ -22,10 +22,17 @@ class InvalidSubgroupError(ValueError):
     """Subgroup tag outside the lattice of D_{2p^n}."""
 
 
+def brief(n) -> str:
+    """n as it reads, or its digit count past 40 characters: no message
+    echoes a huge token."""
+    text = str(n)
+    return text if len(text) <= 40 else f"<{sum(map(str.isdigit, text))} digits>"
+
+
 def check_odd_prime(p) -> None:
     """Raise InvalidGroupError unless p is an odd prime."""
     if not (isinstance(p, int) and p % 2 == 1 and is_prime(p)):
-        raise InvalidGroupError(f"p must be an odd prime, got {p}")
+        raise InvalidGroupError(f"p must be an odd prime, got {brief(p)}")
 
 
 class SubgroupTag(Record):

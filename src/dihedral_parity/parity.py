@@ -16,22 +16,21 @@ Two independently derived closed forms are evaluated:
     fixed by 1 and C_p count,
   * w_ratio: the ratio of local root numbers picked up by twisting.
 
-The expected identity is that the two always agree; verify_local reports
-both signs, and its verdict reads either branch trace off the closed form
-when asked.
+The expected identity is that the two always agree; verify_local fills
+both signs into its verdict's slots in place, and the verdict derives its
+agreement and reads either branch trace off the closed form when asked.
 
 Conventions: chi denotes the quadratic character twisting a potentially
 multiplicative curve to split multiplicative (trivial for split,
 unramified for nonsplit, ramified for additive); eta_v is the quadratic
-character of G_v cut out by the rotation subgroup.  The flag
-eta_equals_chi records whether those coincide, and is both required and
-meaningful only when G_v = I_v = D_{2p} with additive potentially
-multiplicative reduction; everywhere else the answer is forced.
+character of G_v cut out by the rotation subgroup, of class `_ETA_CLASS`.
+The flag eta_equals_chi records whether those coincide (`_eta_agrees`), and
+is both required and meaningful only when G_v = I_v = D_{2p} with additive
+potentially multiplicative reduction; everywhere else the answer is forced.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
@@ -59,9 +58,18 @@ class MissingCompletionError(ValueError):
 _PAIRS = ((TRIVIAL, TRIVIAL), (ORDER2, TRIVIAL), (ORDER2, ORDER2),
           (CYCLIC, TRIVIAL), (CYCLIC, CYCLIC), (DIHEDRAL, CYCLIC),
           (DIHEDRAL, DIHEDRAL))
-# _PAIRS by kind: a tag of level <= 1 is fixed by its kind, and strings
-# hash and compare without a Python-level Record.__eq__
-_PAIR_KINDS = frozenset((G_v.kind, I_v.kind) for G_v, I_v in _PAIRS)
+# eta_v's class at each pair, keyed by kind, as LocalSetting checks a pair
+# (strings hash and compare without Record.__eq__): trivial unless G_v
+# reflects, else ramified exactly when inertia surjects onto the quotient
+_ETA_CLASS = {(G_v.kind, I_v.kind): QuadCharClass.TRIVIAL if not G_v.reflects
+              else QuadCharClass.RAMIFIED if I_v.reflects else QuadCharClass.UNRAMIFIED
+              for G_v, I_v in _PAIRS}
+
+
+def _eta_agrees(chi: QuadCharClass, eta: QuadCharClass, flag: bool | None) -> bool | None:
+    """Whether eta_v, of class eta, equals chi: not when their classes
+    differ, and for two ramified characters as eta_equals_chi says."""
+    return flag if chi is eta is QuadCharClass.RAMIFIED else eta is chi
 
 
 def check_p(p) -> None:
@@ -87,7 +95,7 @@ class LocalSetting(Record):
             if tag.level > 1:
                 raise InadmissibleSettingError(
                     f"{tag.label} does not live in the D_2p lattice")
-        if (G_v.kind, I_v.kind) not in _PAIR_KINDS:
+        if (G_v.kind, I_v.kind) not in _ETA_CLASS:
             raise InadmissibleSettingError(
                 f"inertia {I_v.label} is impossible under decomposition "
                 f"{G_v.label} (quotient must be cyclic)")
@@ -121,24 +129,16 @@ class LocalSetting(Record):
 
     def eta_class(self) -> QuadCharClass:
         """Class of eta_v, the quadratic character of G_v through the
-        rotation quotient."""
-        if not self.G_v.reflects:
-            return QuadCharClass.TRIVIAL
-        # eta_v is a genuine quadratic character, ramified exactly when
-        # inertia surjects onto the quotient
-        return QuadCharClass.RAMIFIED if self.I_v.reflects else QuadCharClass.UNRAMIFIED
+        rotation quotient, from `_ETA_CLASS`."""
+        return _ETA_CLASS[self.G_v.kind, self.I_v.kind]
 
     def eta_chi_agree(self) -> bool | None:
-        """Whether eta_v equals chi, when chi exists and G_v = D_2p: they
-        differ when their classes do, and two ramified characters agree
-        exactly when eta_equals_chi says so."""
+        """Whether eta_v equals chi (`_eta_agrees`), when chi exists and
+        G_v = D_2p."""
         chi = self.base.chi
         if chi is None or self.G_v.kind != "dihedral":
             return None
-        eta = self.eta_class()
-        if chi is QuadCharClass.RAMIFIED and eta is chi:
-            return self.eta_equals_chi
-        return eta is chi
+        return _eta_agrees(chi, _ETA_CLASS["dihedral", self.I_v.kind], self.eta_equals_chi)
 
 
 def ramification_degree_e(delta: int) -> int:
@@ -159,13 +159,18 @@ _ODD_LABELS = tuple(H.label for H in _ODD_THETA)
 _SMALL_DECOMPOSITION = "small-decomposition"
 
 
-@lru_cache(maxsize=64)
+_THETA_DEGREES: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
+
+
 def _theta_degrees(p: int, inertia: str) -> tuple[tuple[int, int], ...]:
     """At G_v = D_2p with inertia of the given kind, the degrees (e, f) of
     the place above v of the field fixed by each H of _ODD_THETA, from
-    `_degrees` once per (p, kind)."""
-    I_v = SubgroupTag(inertia, 1)
-    return tuple(_degrees(p, DIHEDRAL, I_v, H) for H in _ODD_THETA)
+    `_degrees` once per (p, kind) into _THETA_DEGREES (64 entries at most)."""
+    if len(_THETA_DEGREES) >= 64:
+        _THETA_DEGREES.clear()
+    degrees = _THETA_DEGREES[p, inertia] = tuple(
+        _degrees(p, DIHEDRAL, SubgroupTag(inertia, 1), H) for H in _ODD_THETA)
+    return degrees
 
 
 def _theta_parities(s: LocalSetting) -> list[int]:
@@ -174,13 +179,14 @@ def _theta_parities(s: LocalSetting) -> list[int]:
     count, each with one place above v.  The setting has checked p, the
     descriptor and (G_v, I_v), so the degrees of each place feed the
     descriptor's Tamagawa and period rules unchecked."""
-    base, p, ell, flag = s.base, s.p, s.ell, s.eta_equals_chi
+    base, p, ell, r, flag, kind = s.base, s.p, s.ell, s.r, s.eta_equals_chi, s.I_v.kind
+    tamagawa, period = base._tamagawa, base._period
     parities = []
-    for e, f in _theta_degrees(p, s.I_v.kind):
-        tam = base._tamagawa(e, f, ell, flag)
+    for e, f in _THETA_DEGREES.get((p, kind)) or _theta_degrees(p, kind):
+        tam = tamagawa(e, f, ell, flag)
         par = tam.ord_parity(p) if tam.__class__ is ConstrainedRange \
             else valuation(tam, p) % 2
-        parities.append(par ^ base._period(e, f, ell, p, s.r))
+        parities.append(par ^ period(e, f, ell, p, r))
     return parities
 
 
@@ -212,7 +218,8 @@ def _w_sign(s: LocalSetting) -> int:
     chi = base.chi
     if chi is not None:
         # potentially multiplicative: -1 exactly when chi is trivial or eta_v
-        return -1 if chi is QuadCharClass.TRIVIAL or s.eta_chi_agree() else 1
+        return -1 if chi is QuadCharClass.TRIVIAL or _eta_agrees(
+            chi, _ETA_CLASS["dihedral", s.I_v.kind], s.eta_equals_chi) else 1
     if isinstance(base, Good) or s.ell != s.p or s.I_v.kind != "dihedral" or s.r % 2 == 0:
         return 1
     # additive, potentially good, at ell = p with wild inertia and odd r
@@ -246,17 +253,21 @@ def w_ratio(setting: LocalSetting) -> tuple[int, dict]:
 
 
 class LocalVerdict(Record):
-    """Both sides of the local identity at a setting, and whether they
-    agree.  Each trace is read off `c_parity` or `w_ratio` when asked for;
-    the traces are shown but not compared."""
-    __slots__ = ("setting", "c_side", "w_side", "agree")
-    _uncompared = ("c_trace", "w_trace")
+    """Both sides of the local identity at a setting, which `verify_local`
+    fills in place, and whether they agree.  Agreement is derived from the
+    signs, and each trace read off `c_parity` or `w_ratio`, when asked for;
+    both are shown but not compared."""
+    __slots__ = ("setting", "c_side", "w_side")
+    _uncompared = ("agree", "c_trace", "w_trace")
 
     def __init__(self, setting: LocalSetting, c_side: int, w_side: int):
         self.setting = setting
         self.c_side = c_side
         self.w_side = w_side
-        self.agree = c_side == w_side
+
+    @property
+    def agree(self) -> bool:
+        return self.c_side == self.w_side
 
     @property
     def c_trace(self) -> dict:
@@ -269,10 +280,16 @@ class LocalVerdict(Record):
 
 def verify_local(setting: LocalSetting) -> LocalVerdict:
     """Both signs of the local identity at the setting: +1 on each side at
-    a cyclic G_v (`_SMALL_DECOMPOSITION`), else `_c_sign` and `_w_sign`."""
+    a cyclic G_v (`_SMALL_DECOMPOSITION`), else `_c_sign` and `_w_sign`,
+    filled in place as `SettingSweep` fills a setting: no `__init__` frame."""
+    v = LocalVerdict.__new__(LocalVerdict)
+    v.setting = setting
     if setting.G_v.kind != "dihedral":
-        return LocalVerdict(setting, 1, 1)
-    return LocalVerdict(setting, _c_sign(setting), _w_sign(setting))
+        v.c_side = v.w_side = 1
+    else:
+        v.c_side = _c_sign(setting)
+        v.w_side = _w_sign(setting)
+    return v
 
 
 # --- enumeration -----------------------------------------------------------

@@ -42,7 +42,11 @@ class NotApplicableError(ValueError):
 
 
 def _inv(a: int, ell: int) -> int:
-    return pow(a % ell, -1, ell)
+    """a^-1 mod ell; every caller passes a unit, so a non-unit is a fault."""
+    try:
+        return pow(a % ell, -1, ell)
+    except ValueError:
+        raise RuntimeError(f"{a} has no inverse mod {ell}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,48 @@ def test_regulator_past_the_prime_limit_is_a_usage_error(p, monkeypatch, capsys)
     assert err == f"error: p={p} is above 101, the largest regulator accepts\n"
 
 
+MERSENNE_4423 = str(2 ** 4423 - 1)  # a prime of 1332 digits
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached("past the bounds")
+
+
+@pytest.mark.parametrize("command", ["chars", "regulator"])
+def test_a_huge_prime_token_meets_its_bound_before_primality(command, capsys):
+    # is_prime costs about 2.6 s on this token, so the bound comes first,
+    # and the message names its digit count, not its digits
+    start = time.perf_counter()
+    assert main([command, "--p", MERSENNE_4423]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100
+    assert "p=<1332 digits>" in err
+
+
+@pytest.mark.parametrize("command, p, builder", [
+    ("chars", "499", "dihedral_parity.characters.DihedralContext"),
+    ("regulator", "101", "dihedral_parity.regulator.trivial_rep")])
+def test_the_largest_p_inside_a_bound_passes_every_check(command, p, builder, monkeypatch,
+                                                         capsys):
+    # the builder stands in for the work: reaching it means every check passed
+    monkeypatch.setattr(builder, _reached)
+    assert main([command, "--p", p]) == 3
+    assert capsys.readouterr().err == "internal error: past the bounds\n"
+
+
+def test_a_long_token_is_named_by_its_digit_count(capsys):
+    assert main(["chars", "--p", "-" + "9" * 40]) == 2
+    assert capsys.readouterr().err == "error: p must be an odd prime, got <40 digits>\n"
+    assert main(["regulator", "--p", "-" + "9" * 39]) == 2
+    assert capsys.readouterr().err == f"error: p must be an odd prime, got -{'9' * 39}\n"
+
+
 # --- verify-local ----------------------------------------------------------
 
 def test_verify_local_sweep(capsys):

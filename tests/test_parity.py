@@ -139,6 +139,17 @@ def test_eta_class():
                    p=5, ell=5).eta_class() is QuadCharClass.RAMIFIED
 
 
+def test_the_eta_table_is_the_reflects_rule():
+    """_ETA_CLASS holds the seven pairs of _PAIRS: eta_v is trivial when G_v
+    has no reflection, else ramified exactly when I_v has one."""
+    rule = {(False, False): QuadCharClass.TRIVIAL, (True, False): QuadCharClass.UNRAMIFIED,
+            (True, True): QuadCharClass.RAMIFIED}
+    assert sorted(parity._ETA_CLASS) == sorted((G.kind, I.kind) for G, I in _PAIRS)
+    assert len(parity._ETA_CLASS) == 7
+    for G_v, I_v in _PAIRS:
+        assert parity._ETA_CLASS[G_v.kind, I_v.kind] is rule[G_v.reflects, I_v.reflects]
+
+
 def test_eta_chi_agree():
     assert setting(SplitMult(2)).eta_chi_agree() is False
     assert setting(NonsplitMult(2)).eta_chi_agree() is True
@@ -220,10 +231,14 @@ def test_pot_good_branches():
 
 @pytest.mark.parametrize("I_v", [CYCLIC, DIHEDRAL])
 def test_theta_degree_table_is_degrees(I_v):
+    """Each (p, kind) entry of the degree cache equals `degrees`, and the
+    cache keeps at most 64 entries."""
     odd = [H for H, weight in THETA if weight % 2]
-    for p in primerange(5, 98):
+    for p in primerange(5, 400):
         want = tuple(degrees(p, DIHEDRAL, I_v, H) for H in odd)
         assert parity._theta_degrees(p, I_v.kind) == want, p
+        assert parity._THETA_DEGREES[p, I_v.kind] == want, p
+        assert len(parity._THETA_DEGREES) <= 64
 
 
 def test_sweeps_and_traces_match_their_frozen_digest():
@@ -384,12 +399,12 @@ def test_enumerated_settings_pass_the_checked_constructor(p):
         assert LocalSetting(**fields) == s
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 37])
 def test_verdicts_are_the_two_closed_forms(p):
     """verify_local computes the two signs alone; each verdict is the one
     built from the signs of c_parity and w_ratio, and its traces are
-    theirs."""
-    for s in enumerate_settings(p):
+    theirs.  n_max = 2p + 1 reaches every class key (37 = 1 mod 12 too)."""
+    for s in enumerate_settings(p, n_max=2 * p + 1):
         c, c_trace = c_parity(s)
         w, w_trace = w_ratio(s)
         v = verify_local(s)
@@ -404,6 +419,10 @@ def test_a_verdict_derives_its_agreement():
     assert LocalVerdict(s, 1, -1).agree is False
     assert LocalVerdict(s, -1, -1).agree is True
     assert LocalVerdict(s, 1, 1).agree is True
+    # the derived agreement is shown after the signs and before the traces
+    assert repr(LocalVerdict(s, 1, -1)) == (
+        f"LocalVerdict(setting={s!r}, c_side=1, w_side=-1, agree=False, "
+        f"c_trace={c_parity(s)[1]!r}, w_trace={w_ratio(s)[1]!r})")
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 25, 5.0, None])

@@ -76,7 +76,7 @@ def test_local_verdict_equality_ignores_the_traces():
     w = LocalVerdict(v.setting, v.c_side, v.w_side)
     assert v == w and hash(v) == hash(w)
     assert v != LocalVerdict(v.setting, -v.c_side, v.w_side)
-    assert LocalVerdict._compared == ("setting", "c_side", "w_side", "agree")
+    assert LocalVerdict._compared == ("setting", "c_side", "w_side")
 
 
 def test_global_verdicts_compare_by_value():

@@ -18,7 +18,7 @@ from corpus import CONDUCTORS, TATE_CORPUS
 from dihedral_parity.arith import jacobi
 from dihedral_parity.parity import (_PAIRS, InadmissibleSettingError, LocalSetting,
                                     base_descriptor, verify_local)
-from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root,
+from dihedral_parity.tate import (NotApplicableError, _cubic_multiple_root, _inv,
                                   _cubic_root_count, _quad_double_root, _quad_has_root, _reduce,
                                   _singular_point, conductor_exponent, j_pole_order,
                                   kodaira_symbol, local_reduction, potential_class, split_type,
@@ -244,6 +244,14 @@ def _multiplicity_by_division(A, B, C, ell, t):
         mult += 1
         q = list(reversed(out[:-1]))
     return mult
+
+
+def test_inverse_mod_ell_calls_a_non_unit_an_internal_fault():
+    # a RuntimeError, so the CLI exits 3, not 2 as for bad input
+    assert _inv(3, 5) == 2
+    assert _inv(-7, 11) == 3
+    with pytest.raises(RuntimeError, match="^10 has no inverse mod 5$"):
+        _inv(10, 5)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
