@@ -17,9 +17,10 @@ checked.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from math import gcd, lcm
 
-from .arith import is_prime, valuation
+from .arith import check_positive, check_prime, valuation
 from .lattice import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .records import Record
 
@@ -34,23 +35,8 @@ class InadmissibleSettingError(ValueError):
     """The local setting is internally inconsistent."""
 
 
-def check_ell(ell) -> None:
-    """Raise InadmissibleSettingError unless ell is a prime."""
-    if not isinstance(ell, int) or not is_prime(ell):
-        raise InadmissibleSettingError(f"ell must be prime, got {ell}")
-
-
-def check_r(r) -> None:
-    """Raise InadmissibleSettingError unless r is a positive integer."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise InadmissibleSettingError(f"r must be a positive integer, got {r}")
-
-
-def _check_valuation(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidDescriptorError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidDescriptorError(f"{name} must be >= 1, got {value}")
+check_ell = partial(check_prime, name="ell", error=InadmissibleSettingError)
+check_r = partial(check_positive, name="r", error=InadmissibleSettingError)
 
 
 class QuadCharClass(enum.Enum):
@@ -90,7 +76,7 @@ class _PositiveN(ReductionDescriptor):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        _check_valuation("n", n)
+        check_positive(n, "n", InvalidDescriptorError)
         self.n = n
 
 
@@ -138,7 +124,7 @@ class AdditivePotGood(ReductionDescriptor):
     branch = "additive-pot-good"
 
     def __init__(self, delta: int):
-        _check_valuation("delta", delta)
+        check_positive(delta, "delta", InvalidDescriptorError)
         self.delta = delta
 
     def _tamagawa(self, e, f, ell, becomes_split):
@@ -169,7 +155,7 @@ class ConstrainedRange(Record):
         if parity is None:
             parities = {valuation(m, q) % 2 for m in self.members}
             if len(parities) != 1:
-                raise ValueError(f"{q}-valuation parity is ambiguous over {self.members}")
+                raise RuntimeError(f"{q}-valuation parity is ambiguous over {self.members}")
             parity = self._parities[q] = parities.pop()
         return parity
 

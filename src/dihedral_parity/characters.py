@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .arith import check_positive
 from .lattice import (CYCLIC, DIHEDRAL, ORDER2, THETA, TRIVIAL,  # noqa: F401 (re-exported)
                       InvalidGroupError, InvalidSubgroupError, SubgroupTag,
                       check_odd_prime, cyclic_p_power, dihedral_p_power)
@@ -135,8 +136,7 @@ class DihedralContext:
 
     def __init__(self, p: int, n: int = 1):
         check_odd_prime(p)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidGroupError(f"n must be a positive integer, got {n}")
+        check_positive(n, "n", InvalidGroupError)
         self.p = p
         self.n = n
         self.m = p ** n

@@ -19,9 +19,9 @@ error (a failed internal consistency check, or any other fault).
 
 `reduce` without --ell and `verify-global` find bad primes by factoring
 the discriminant (for `verify-global`, only what is left after dividing
-out the completion's primes).  Factoring stops at a fixed Pollard rho step
-budget; past it the command exits 2 and names the digit count of the
-cofactor it could not split.
+out the completion's primes).  Factoring refuses a cofactor of more than
+arith.PRIME_MAX_DIGITS digits and stops at a fixed budget of rho work;
+past either, the command exits 2 and names the cofactor's digit count.
 
 Each subcommand imports the library modules it runs inside its own
 function, so a fresh process loads only those: `chars`, for one, loads
@@ -110,7 +110,7 @@ def parse_curve_file(path: str) -> list[WeierstrassCurve]:
 
 
 def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]]:
-    from .arith import is_prime
+    from .arith import brief, check_prime
     from .lattice import THETA
     tokens = {tag.label: tag for tag, _ in THETA}
     out: dict[int, tuple[SubgroupTag, SubgroupTag, bool | None]] = {}
@@ -118,14 +118,14 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
         if len(parts) not in (3, 4):
             raise InputFileError(
                 f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
-        prime, = _read_ints(path, lineno, parts[:1], "prime", f"bad prime {parts[0]!r}")
-        if not is_prime(prime):
-            raise InputFileError(f"{path}:{lineno}: {prime} is not a prime")
+        prime, = _read_ints(path, lineno, parts[:1], "prime",
+                            f"bad prime {brief(repr(parts[0]))}")
+        check_prime(prime, f"{path}:{lineno}: the first token", InputFileError)
         tags = []
         for tok in parts[1:3]:
             if tok not in tokens:
                 raise InputFileError(
-                    f"{path}:{lineno}: unknown subgroup token {tok!r} "
+                    f"{path}:{lineno}: unknown subgroup token {brief(repr(tok))} "
                     f"(use {', '.join(tokens)})")
             tags.append(tokens[tok])
         flag: bool | None = None
@@ -159,7 +159,7 @@ def _write_json(path: str | None, payload) -> None:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_reduce(args) -> tuple[list, bool]:
-    from .arith import FactoringBudgetError
+    from .arith import FactoringBudgetError, brief
     from .tate import bad_primes, local_reduction
     curves = parse_curve_file(args.curves)
     report = []
@@ -167,8 +167,8 @@ def cmd_reduce(args) -> tuple[list, bool]:
         try:
             ells = [args.ell] if args.ell is not None else bad_primes(curve)
         except FactoringBudgetError as exc:
-            exc.args = (f"{curve.coefficients()}: {exc}; pass --ell to reduce "
-                        f"at one prime",)
+            coeffs = ", ".join(map(brief, curve.coefficients()))
+            exc.args = (f"({coeffs}): {exc}; pass --ell to reduce at one prime",)
             raise
         for ell in ells:
             d = local_reduction(curve, ell)
@@ -186,7 +186,8 @@ def cmd_reduce(args) -> tuple[list, bool]:
 
 def cmd_chars(args) -> tuple[dict, bool]:
     from .characters import DihedralContext, irreducibles, verify_reduction_identity
-    from .lattice import brief, check_odd_prime
+    from .arith import brief
+    from .lattice import check_odd_prime
     # checked before primality, whose cost grows with p's digits; at p >= 3,
     # 2 p^n > CHARS_MAX_ORDER once n reaches its bit length
     if args.p >= 3 and args.n >= 1 and (args.n >= CHARS_MAX_ORDER.bit_length()
@@ -229,7 +230,8 @@ def cmd_chars(args) -> tuple[dict, bool]:
 
 
 def cmd_regulator(args) -> tuple[dict, bool]:
-    from .lattice import brief, check_odd_prime
+    from .arith import brief
+    from .lattice import check_odd_prime
     from .regulator import (SquareClass, direct_sum, faithful_rep, in_t_theta,
                             regulator_constant, sign_rep, trivial_rep)
     p = args.p

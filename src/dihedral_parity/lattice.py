@@ -10,7 +10,9 @@ only the lattice do not load `characters`.
 
 from __future__ import annotations
 
-from .arith import is_prime
+from functools import partial
+
+from .arith import check_prime
 from .records import Record
 
 
@@ -22,17 +24,7 @@ class InvalidSubgroupError(ValueError):
     """Subgroup tag outside the lattice of D_{2p^n}."""
 
 
-def brief(n) -> str:
-    """n as it reads, or its digit count past 40 characters: no message
-    echoes a huge token."""
-    text = str(n)
-    return text if len(text) <= 40 else f"<{sum(map(str.isdigit, text))} digits>"
-
-
-def check_odd_prime(p) -> None:
-    """Raise InvalidGroupError unless p is an odd prime."""
-    if not (isinstance(p, int) and p % 2 == 1 and is_prime(p)):
-        raise InvalidGroupError(f"p must be an odd prime, got {brief(p)}")
+check_odd_prime = partial(check_prime, name="p", error=InvalidGroupError, least=3)
 
 
 class SubgroupTag(Record):

@@ -31,10 +31,11 @@ potentially multiplicative reduction; everywhere else the answer is forced.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
-from .arith import FactoringBudgetError, is_prime, jacobi, valuation
+from .arith import FactoringBudgetError, check_positive, check_prime, jacobi, valuation
 from .base_change import (AdditivePotGood, AdditivePotMult, ConstrainedRange, Good,
                           InadmissibleSettingError, NonsplitMult, QuadCharClass,
                           ReductionDescriptor, SplitMult, _degrees, check_ell,
@@ -72,10 +73,7 @@ def _eta_agrees(chi: QuadCharClass, eta: QuadCharClass, flag: bool | None) -> bo
     return flag if chi is eta is QuadCharClass.RAMIFIED else eta is chi
 
 
-def check_p(p) -> None:
-    """Raise InadmissibleSettingError unless p is a prime >= 5."""
-    if not isinstance(p, int) or p < 5 or not is_prime(p):
-        raise InadmissibleSettingError(f"p must be a prime >= 5, got {p}")
+check_p = partial(check_prime, name="p", error=InadmissibleSettingError, least=5)
 
 
 class LocalSetting(Record):
@@ -339,9 +337,7 @@ def enumerate_settings(p: int, *, n_max: int = 10) -> SettingSweep:
     setting when it is read.  Only p and n_max are checked, once: each
     setting is admissible by construction."""
     check_p(p)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise InadmissibleSettingError(
-            f"n_max must be a positive integer, got {n_max!r}")
+    check_positive(n_max, "n_max", InadmissibleSettingError)
     ns = range(1, n_max + 1)
     # each descriptor is built once and shared by the settings that use it
     unflagged = [Good()] + [cls(n) for n in ns for cls in (SplitMult, NonsplitMult)]

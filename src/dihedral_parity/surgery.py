@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import is_prime
+from .arith import brief, check_positive, check_prime
 from .records import Record
 from .tate import local_reduction, valuation
 from .weierstrass import A6_QUADRATIC_COEFF, WeierstrassCurve, raw_invariants
@@ -152,12 +152,12 @@ def make_semistable(curve: WeierstrassCurve, p0: int, v: int,
     """Run the surgery.  n is the p0-adic agreement depth; by default it
     starts just above the discriminant valuation at p0 and doubles until
     the p0 data survives unchanged (capped)."""
-    if not is_prime(p0):
-        raise ValueError(f"p0 must be prime, got {p0}")
-    if not is_prime(v) or v == 2 or v == p0:
-        raise ValueError(f"v must be an odd prime different from p0, got {v}")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_prime(p0, "p0", ValueError)
+    check_prime(v, "v", ValueError, least=3)
+    if v == p0:
+        raise ValueError(f"v must differ from p0, got v = p0 = {brief(v)}")
+    if n is not None:
+        check_positive(n, "n", ValueError)
     if n is None:
         start = max(8, valuation(abs(curve.discriminant), p0) + 3)
         # start, 2 start, 4 start, ... up to N_CAP

@@ -33,7 +33,8 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .arith import BIG, factor, is_prime, jacobi, valuation  # noqa: F401 (re-exported)
+from .arith import (BIG, check_prime, factor, is_prime, jacobi,  # noqa: F401 (re-exported)
+                    valuation)
 from .weierstrass import WeierstrassCurve, transform
 
 
@@ -188,8 +189,7 @@ def _arrange_for_star(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
 def local_reduction(curve: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Full reduction data of curve at the prime ell, computed on the first
     call for this curve object and ell and kept in its `_reductions`."""
-    if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
+    check_prime(ell, "ell", ValueError)
     try:
         memo = curve._reductions
     except AttributeError:

@@ -2,15 +2,18 @@
 
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import factorint, isprime, nextprime, primerange
 
 from dihedral_parity import arith
-from dihedral_parity.arith import (FactoringBudgetError, factor, is_prime, jacobi,
-                                   trial_divide)
+from dihedral_parity.arith import (PRIME_MAX_DIGITS, RHO_STEP_BUDGET, RHO_UNIT_BITS,
+                                   FactoringBudgetError, brief, check_positive, check_prime,
+                                   digits, factor, is_prime, jacobi, trial_divide)
+from dihedral_parity.characters import DihedralContext, InvalidGroupError, check_odd_prime
 from dihedral_parity.base_change import ConstrainedRange
 from dihedral_parity.regulator import SquareClass
 from dihedral_parity.tate import j_pole_order
@@ -149,12 +152,134 @@ fractions = st.fractions(min_value=-(10 ** 12), max_value=10 ** 12,
                          max_denominator=10 ** 8).filter(bool)
 
 
+# arith's documented guarantee: rho splits every cofactor of at most
+# RHO_UNIT_BITS bits whose second-largest prime factor is below about this
+RHO_GUARANTEE = 10 ** 11
+
+
+def square_class_or_none(x: Fraction) -> SquareClass | None:
+    """SquareClass.of(x), or None where FactoringBudgetError is allowed: the
+    second-largest prime factor of x's numerator times its denominator is
+    past RHO_GUARANTEE."""
+    try:
+        return SquareClass.of(x)
+    except FactoringBudgetError:
+        primes = sorted(factorint(abs(x.numerator * x.denominator)))
+        assert len(primes) > 1 and primes[-2] >= RHO_GUARANTEE
+        return None
+
+
+# x * y leaves 9859 * 932670958619 * 12677093057441 after trial division:
+# its second-largest prime, 9.3 * 10^11, is past the guarantee
+@example(Fraction(12677093057441, 13), Fraction(9195202981024721, 9196))
 @settings(max_examples=200, deadline=None)
 @given(fractions, fractions)
 def test_square_class_agrees_with_sympy(x, y):
-    a, b = SquareClass.of(x), SquareClass.of(y)
-    assert a.representative == square_class_reference(x)
-    assert a * b == SquareClass.of(x * y)
+    a, b, ab = (square_class_or_none(z) for z in (x, y, x * y))
+    if a is not None:
+        assert a.representative == square_class_reference(x)
+    if None not in (a, b, ab):
+        assert a * b == ab
+
+
+def test_factor_charges_a_rho_step_by_the_square_of_its_size(monkeypatch):
+    granted = []
+    rho = arith._rho
+
+    def recording(n, steps):
+        granted.append((n.bit_length(), steps))
+        return rho(n, steps)
+
+    monkeypatch.setattr(arith, "_rho", recording)
+    q, r = nextprime(10 ** 6), nextprime(10 ** 7)
+    assert factor(q * r) == {q: 1, r: 1}
+    assert granted == [((q * r).bit_length(), RHO_STEP_BUDGET)]  # within the unit: uncharged
+    granted.clear()
+    assert factor(q * r * (10 ** 224 + 139)) == {q: 1, r: 1, 10 ** 224 + 139: 1}
+    bits, steps = granted[0]
+    assert bits > 2 * RHO_UNIT_BITS
+    assert steps == RHO_STEP_BUDGET // -(-bits ** 2 // RHO_UNIT_BITS ** 2)
+
+
+def test_factor_work_is_bounded_at_every_size():
+    # two primes of 225 and 250 digits: uncharged, the 2^20 steps would take
+    # about 13 s at this size; charged, about 0.5 s
+    n = (10 ** 224 + 139) * (10 ** 249 + 1291)
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetError, match="^a 474-digit cofactor did not factor"):
+        factor(n)
+    assert time.perf_counter() - start < 5
+
+
+def test_factor_refuses_a_long_cofactor_before_primality(monkeypatch):
+    def no_primality(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(arith, "is_prime", no_primality)
+    big = 10 ** (PRIME_MAX_DIGITS - 1) + 153  # prime, as is 10^224 + 139
+    for rest, n in ((big * (10 ** 224 + 139),) * 2, (big ** 9, 7 * big ** 9)):
+        with pytest.raises(FactoringBudgetError) as exc:
+            factor(n)
+        assert exc.value.digits == digits(rest)
+        assert str(exc.value) == (f"a {exc.value.digits}-digit cofactor has more than the "
+                                  f"{PRIME_MAX_DIGITS} digits that factor tries")
+
+
+def test_digits_counts_without_str():
+    for k in range(1, 200):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** k, 3 ** k):
+            assert digits(n) == digits(-n) == len(str(n))
+    assert digits(0) == 0 and digits(10 ** 5000) == 5001 and digits(10 ** 5000 - 1) == 5000
+
+
+def test_brief_names_a_long_value_by_its_size():
+    assert brief(-10 ** 39 + 1) == str(-10 ** 39 + 1)  # 40 characters
+    assert brief(-10 ** 39) == "<40 digits>"
+    assert brief(10 ** 40 - 1) == "9" * 40 and brief(10 ** 40) == "<41 digits>"
+    assert brief(-10 ** 5000) == "<5001 digits>"  # past Python's limit on str
+    assert brief(2.5) == "2.5" and brief("3") == "3" and brief(None) == "None"
+    assert brief("x" * 41) == "<41 characters>"
+
+
+@pytest.mark.parametrize("call", [lambda: check_odd_prime(-10 ** 5000),
+                                  lambda: check_odd_prime(2 * 10 ** 5000),
+                                  lambda: DihedralContext(-10 ** 5000, 1),
+                                  lambda: DihedralContext(5, -10 ** 5000)])
+def test_a_value_past_pythons_string_limit_is_rejected_by_its_rule(call):
+    with pytest.raises(InvalidGroupError, match=r"got <5001 digits>$|has 5001 digits"):
+        call()
+
+
+@pytest.mark.parametrize("least, words", [(2, "prime"), (3, "an odd prime"),
+                                          (5, "a prime >= 5")])
+def test_check_prime_wording(least, words):
+    check_prime(least, "q", KeyError, least=least)
+    for bad in (least - 1, 9, -7, True, 7.0, "7", None):
+        with pytest.raises(KeyError, match=f"^'q must be {words}, got {bad}'$"):
+            check_prime(bad, "q", KeyError, least=least)
+
+
+def test_check_prime_bounds_the_digits_before_primality(monkeypatch):
+    at_bound = 10 ** (PRIME_MAX_DIGITS - 1) + 153  # prime, as sympy agrees
+    check_prime(at_bound, "q", KeyError)
+
+    def no_primality(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(arith, "is_prime", no_primality)
+    for past in (10 ** PRIME_MAX_DIGITS + 1, 10 ** 4299 + 1):
+        with pytest.raises(KeyError) as exc:
+            check_prime(past, "q", KeyError)
+        assert exc.value.args == (f"q has {digits(past)} digits, more than the "
+                                  f"{PRIME_MAX_DIGITS} a prime argument may have",)
+
+
+def test_check_positive_wording():
+    check_positive(1, "k", KeyError)
+    check_positive(10 ** 5000, "k", KeyError)
+    for bad in (0, -1, True, False, 1.0, "1", None, -10 ** 5000):
+        with pytest.raises(KeyError, match=f"^'k must be a positive integer, got {brief(bad)}'$"):
+            check_positive(bad, "k", KeyError)
 
 
 @pytest.mark.parametrize("call", [

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import dihedral_parity
 from dihedral_parity import parity, surgery
+from dihedral_parity.arith import PRIME_MAX_DIGITS
 from dihedral_parity.cli import (CHARS_CELL_WIDTH, CHARS_MAX_ORDER, REGULATOR_MAX_P,
                                  InputFileError, UsageError, _check_json_path,
                                  build_parser, main, parse_completion_file,
@@ -265,6 +267,67 @@ def test_a_long_token_is_named_by_its_digit_count(capsys):
     assert capsys.readouterr().err == f"error: p must be an odd prime, got -{'9' * 39}\n"
 
 
+# --- the digit bound on prime arguments ------------------------------------
+
+AT_BOUND = 10 ** (PRIME_MAX_DIGITS - 1) + 153  # the least prime of that many digits
+PAST_BOUND = 10 ** PRIME_MAX_DIGITS + 1
+PRIME_FLAGS = ["verify-local --p", "verify-global --p", "reduce --ell", "surgery --p0",
+               "surgery --v", "completion prime"]
+
+
+def prime_flag_argv(tmp_path, flag, prime):
+    """(argv passing prime to the flag, the name its error gives it)."""
+    curves = put(tmp_path, "c.txt", "0 -1 1 -10 -20\n")
+    comp = put(tmp_path, "comp.txt", f"{prime} D2p Cp\n11 D2p Cp\n")
+    p = str(prime)
+    return {
+        "verify-local --p": (["verify-local", "--p", p, "--emit-table"], "p"),
+        "verify-global --p": (["verify-global", curves, "--p", p, "--completion", comp], "p"),
+        "reduce --ell": (["reduce", curves, "--ell", p], "ell"),
+        "surgery --p0": (["surgery", curves, "--p0", p, "--v", "3"], "p0"),
+        "surgery --v": (["surgery", curves, "--p0", "11", "--v", p], "v"),
+        "completion prime": (["verify-global", curves, "--p", "5", "--completion", comp],
+                             f"{comp}:1: the first token"),
+    }[flag]
+
+
+@pytest.mark.parametrize("flag", PRIME_FLAGS)
+def test_a_prime_flag_still_answers_at_the_digit_bound(tmp_path, capsys, flag):
+    argv, _ = prime_flag_argv(tmp_path, flag, AT_BOUND)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+@pytest.mark.parametrize("flag", PRIME_FLAGS)
+def test_a_prime_flag_past_the_digit_bound_exits_2_at_once(tmp_path, capsys, flag):
+    argv, name = prime_flag_argv(tmp_path, flag, PAST_BOUND)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {name} has {PRIME_MAX_DIGITS + 1} digits, more than "
+                                 f"the {PRIME_MAX_DIGITS} a prime argument may have\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify-global"])
+def test_a_curve_past_the_factoring_bound_exits_2_at_once(tmp_path, capsys, command):
+    rng = random.Random(4300)
+    a4, a6 = (rng.randrange(10 ** 4299, 10 ** 4300) for _ in range(2))
+    curves = put(tmp_path, "c.txt", f"0 0 0 {a4} {a6}\n")
+    comp = put(tmp_path, "comp.txt", "11 D2p Cp\n")
+    argv = {"reduce": ["reduce", curves],
+            "verify-global": ["verify-global", curves, "--p", "5", "--completion", comp]}
+    start = time.perf_counter()
+    assert main(argv[command]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: (0, 0, 0, <4300 digits>, <4300 digits>): a 1"
+                          if command == "reduce" else "error: cannot list the bad primes")
+    assert f"-digit cofactor has more than the {PRIME_MAX_DIGITS} digits" in err
+
+
 # --- verify-local ----------------------------------------------------------
 
 def test_verify_local_sweep(capsys):
@@ -410,8 +473,8 @@ def test_completion_entry_that_is_not_a_prime_is_rejected(tmp_path, capsys, entr
     comp = put(tmp_path, "comp.txt", f"{entry} D2p Cp\n11 D2p Cp\n")
     assert main(["verify-global", curves, "--p", "5", "--completion", comp]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {comp}:1: {entry} is not a prime\n"
-    with pytest.raises(InputFileError, match=f"{entry} is not a prime"):
+    assert out == "" and err == f"error: {comp}:1: the first token must be prime, got {entry}\n"
+    with pytest.raises(InputFileError, match=f"the first token must be prime, got {entry}"):
         parse_completion_file(comp)
 
 

@@ -387,7 +387,7 @@ def test_a_sweep_holds_one_setting_at_a_time():
 def test_enumeration_checks_n_max(n_max):
     with pytest.raises(InadmissibleSettingError) as got:
         enumerate_settings(5, n_max=n_max)
-    assert str(got.value) == f"n_max must be a positive integer, got {n_max!r}"
+    assert str(got.value) == f"n_max must be a positive integer, got {n_max}"
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

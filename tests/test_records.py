@@ -189,9 +189,9 @@ def test_validation_messages_are_kept():
         SubgroupTag("cyclic")
     with pytest.raises(InvalidSubgroupError, match="unknown subgroup kind 'x'"):
         SubgroupTag("x")
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
         SplitMult(0)
-    with pytest.raises(ValueError, match="delta must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="delta must be a positive integer, got 0"):
         AdditivePotGood(0)
     with pytest.raises(ValueError, match="members must be positive"):
         ConstrainedRange(())
