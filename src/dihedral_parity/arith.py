@@ -10,8 +10,9 @@ counterexample.
 
 check_prime and check_positive admit a caller's integer: an int, not a
 bool, that is a prime of at most PRIME_MAX_DIGITS digits (the bound checked
-first) or at least 1.  Each raises the caller's error class and names a
-rejected value through `brief`.
+first) or at least 1 (`is_positive_int`, which `ConstrainedRange` also
+applies to its members).  Each raises the caller's error class and names
+a rejected value through `brief`.
 
 factor strips the primes below TRIAL_BOUND by trial division and splits
 what is left with Pollard-Brent rho (Brent, BIT 20 (1980)).  Its work is
@@ -196,11 +197,15 @@ def digits(n: int) -> int:
 
 
 def brief(n) -> str:
-    """n as it reads, or its size past 40 characters: no message echoes a
-    huge token, and none formats an int past Python's limit."""
-    if isinstance(n, int) and not -10 ** 39 < n < 10 ** 40:
-        return f"<{digits(n)} digits>"
-    text = str(n)
+    """n as it reads, an int in digits and anything else by repr, so that
+    "5" does not read as 5, or its size past 40 characters: no message
+    echoes a huge token, and none formats an int past Python's limit."""
+    if isinstance(n, int):
+        if not -10 ** 39 < n < 10 ** 40:
+            return f"<{digits(n)} digits>"
+        text = str(n)
+    else:
+        text = repr(n)
     return text if len(text) <= 40 else f"<{len(text)} characters>"
 
 
@@ -217,9 +222,14 @@ def check_prime(n, name: str, error: type[Exception], least: int = 2) -> None:
     raise error(f"{name} must be {words}, got {brief(n)}")
 
 
+def is_positive_int(n) -> bool:
+    """Whether n is an int, not a bool, and at least 1."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 def check_positive(n, name: str, error: type[Exception]) -> None:
-    """Raise error unless n is an int, not a bool, and at least 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    """Raise error unless n is a positive integer (`is_positive_int`)."""
+    if not is_positive_int(n):
         raise error(f"{name} must be a positive integer, got {brief(n)}")
 
 

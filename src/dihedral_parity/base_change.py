@@ -20,7 +20,7 @@ import enum
 from functools import partial
 from math import gcd, lcm
 
-from .arith import check_positive, check_prime, valuation
+from .arith import brief, check_positive, check_prime, is_positive_int, valuation
 from .lattice import InvalidSubgroupError, SubgroupTag, check_odd_prime
 from .records import Record
 
@@ -51,14 +51,12 @@ class ReductionDescriptor(Record):
     multiplicative (None when no twist does), `branch`, its label in the
     c-side trace, `_tamagawa`, its Tamagawa number at a place of degrees
     (e, f) over the base, and `_period`, the parity of ord_p of its local
-    period ratio there."""
+    period ratio there, or None where that ratio is a p-adic unit at every
+    place, as it is for all but additive potentially good reduction."""
     __slots__ = ()
     chi: QuadCharClass | None = None
     branch: str
-
-    def _period(self, e, f, ell, p, r):
-        # a p-adic unit: away from p, at 2 and 3 too, a power of ell
-        return 0
+    _period = None
 
 
 class Good(ReductionDescriptor):
@@ -133,7 +131,8 @@ class AdditivePotGood(ReductionDescriptor):
         return _UNPINNED
 
     def _period(self, e, f, ell, p, r):
-        # at ell = p, the exponent r f floor(delta e / 12)
+        # at ell = p, the exponent r f floor(delta e / 12); away from p, at
+        # 2 and 3 too, the ratio is a power of ell, so a p-adic unit
         return r * f * ((self.delta * e) // 12) % 2 if ell == p else 0
 
 
@@ -143,8 +142,8 @@ class ConstrainedRange(Record):
     __slots__ = ("members", "_parities")
 
     def __init__(self, members: tuple[int, ...]):
-        if not members or any(m < 1 for m in members):
-            raise ValueError("members must be positive")
+        if not members or not all(map(is_positive_int, members)):
+            raise ValueError(f"members must be positive integers, got {brief(members)}")
         self.members = tuple(sorted(set(members)))
         self._parities = {}
 
@@ -233,4 +232,5 @@ def omega_ordp_parity(base: ReductionDescriptor, ell: int, p: int, r: int,
     if ell == p and p < 5:
         raise ValueError(f"the period ratio at ell = p = {p} is wild")
     e, f = degrees(p, G_v, I_v, H)
-    return -1 if base._period(e, f, ell, p, r) else 1
+    period = base._period
+    return -1 if period is not None and period(e, f, ell, p, r) else 1

@@ -14,9 +14,12 @@ The multiplicities are kept sparse, as a dict {t: m_t} of the nonzero
 ones in increasing t, built once and never changed: an irreducible or a
 cyclic character has one or two, however large c is.  One rule gives its
 values: at the rotation (j step, 0) the preimage sum m_t x^(t j step
-mod m) in Z[x]/(x^m - 1), m = p^n, and at the reflections v.  On first
-read of `values` each preimage is written out as a dense vector of
-length m and reduced by `Cyclotomic.make`, once per context.
+mod m) in Z[x]/(x^m - 1), m = p^n, and at the reflections v.
+`values` is a property over a private slot, filled on its first read:
+each preimage is written out as a dense vector of length m and reduced by
+`Cyclotomic.make`, once per context.  No class here defines an attribute
+hook (`__getattr__`), so every attribute read of a character takes
+CPython's fast path for slots.
 An inner product of two spectra is sum m1_t m2_t, taken over the smaller
 support with each t looked up in the other, or half of that plus v1 v2
 on a reflecting group.  Restriction folds the nonzero multiplicities
@@ -288,9 +291,11 @@ class VirtualCharacter(Record):
     semantics, built by the library as its _spectrum (module docstring):
     the pair of its nonzero multiplicities, a dict {t: m_t} in increasing
     t, and its reflection value, so that an inner product sums over the
-    smaller support.  Its `values` are built on first read, and its
-    restrictions (_restrictions) are kept."""
-    __slots__ = ("group", "values", "_restrictions", "_spectrum")
+    smaller support.  Its `values`, a compared field, are built on first
+    read into the slot _values, and its restrictions (_restrictions) are
+    kept; both slots stay unset until then."""
+    __slots__ = ("group", "_values", "_restrictions", "_spectrum")
+    _computed = ("values",)
 
     @classmethod
     def _of(cls, group: Subgroup, spectrum: tuple) -> "VirtualCharacter":
@@ -299,14 +304,15 @@ class VirtualCharacter(Record):
         chi.group, chi._spectrum = group, spectrum
         return chi
 
-    def __getattr__(self, name):
-        # only a read of an unset slot (or of a name that no slot has) gets
-        # here, and `values` is unset until its first read
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = self.group._values
-        self.values = out = tuple([values[pre] for pre in _preimages(self)])
-        return out
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        """chi at each class of its group, in class order."""
+        try:
+            return self._values
+        except AttributeError:
+            values = self.group._values
+            out = self._values = tuple([values[pre] for pre in _preimages(self)])
+            return out
 
     @property
     def degree(self) -> int:

@@ -119,13 +119,13 @@ def parse_completion_file(path: str) -> dict[int, tuple[SubgroupTag, SubgroupTag
             raise InputFileError(
                 f"{path}:{lineno}: expected 'prime G_v I_v [true|false]'")
         prime, = _read_ints(path, lineno, parts[:1], "prime",
-                            f"bad prime {brief(repr(parts[0]))}")
+                            f"bad prime {brief(parts[0])}")
         check_prime(prime, f"{path}:{lineno}: the first token", InputFileError)
         tags = []
         for tok in parts[1:3]:
             if tok not in tokens:
                 raise InputFileError(
-                    f"{path}:{lineno}: unknown subgroup token {brief(repr(tok))} "
+                    f"{path}:{lineno}: unknown subgroup token {brief(tok)} "
                     f"(use {', '.join(tokens)})")
             tags.append(tokens[tok])
         flag: bool | None = None

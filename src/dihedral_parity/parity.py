@@ -171,26 +171,33 @@ def _theta_degrees(p: int, inertia: str) -> tuple[tuple[int, int], ...]:
     return degrees
 
 
-def _theta_parities(s: LocalSetting) -> list[int]:
-    """At G_v = D_2p, the ord_p parity of the Tamagawa/period term of each
-    odd-weight H of Theta, in _ODD_THETA order.  Only H = 1 and H = C_p
-    count, each with one place above v.  The setting has checked p, the
-    descriptor and (G_v, I_v), so the degrees of each place feed the
-    descriptor's Tamagawa and period rules unchecked."""
-    base, p, ell, r, flag, kind = s.base, s.p, s.ell, s.r, s.eta_equals_chi, s.I_v.kind
-    tamagawa, period = base._tamagawa, base._period
-    parities = []
-    for e, f in _THETA_DEGREES.get((p, kind)) or _theta_degrees(p, kind):
-        tam = tamagawa(e, f, ell, flag)
-        par = tam.ord_parity(p) if tam.__class__ is ConstrainedRange \
-            else valuation(tam, p) % 2
-        parities.append(par ^ period(e, f, ell, p, r))
-    return parities
+def _theta_parities(s: LocalSetting) -> tuple[int, int]:
+    """At G_v = D_2p, the ord_p parities of the Tamagawa/period terms of
+    H = 1 and H = C_p, the odd-weight H of Theta, in _ODD_THETA order, each
+    with one place above v.  The setting has checked p, the descriptor and
+    (G_v, I_v), so the degrees of each place feed the descriptor's rules
+    unchecked, in straight-line code: an int Tamagawa number is tested
+    with tam % p before any valuation loop, and the period rule is called
+    only for a descriptor that has one (`ReductionDescriptor._period`)."""
+    base, p, ell, flag, kind = s.base, s.p, s.ell, s.eta_equals_chi, s.I_v.kind
+    (e1, f1), (e2, f2) = _THETA_DEGREES.get((p, kind)) or _theta_degrees(p, kind)
+    tamagawa = base._tamagawa
+    tam1 = tamagawa(e1, f1, ell, flag)
+    tam2 = tamagawa(e2, f2, ell, flag)
+    par1 = (tam1.ord_parity(p) if tam1.__class__ is ConstrainedRange
+            else valuation(tam1, p) % 2 if tam1 % p == 0 else 0)
+    par2 = (tam2.ord_parity(p) if tam2.__class__ is ConstrainedRange
+            else valuation(tam2, p) % 2 if tam2 % p == 0 else 0)
+    period = base._period
+    if period is None:
+        return par1, par2
+    return par1 ^ period(e1, f1, ell, p, s.r), par2 ^ period(e2, f2, ell, p, s.r)
 
 
 def _c_sign(s: LocalSetting) -> int:
     """`c_parity`'s sign at G_v = D_2p."""
-    return -1 if sum(_theta_parities(s)) % 2 else 1
+    par1, par2 = _theta_parities(s)
+    return -1 if par1 ^ par2 else 1
 
 
 def c_parity(setting: LocalSetting) -> tuple[int, dict]:
@@ -204,10 +211,10 @@ def c_parity(setting: LocalSetting) -> tuple[int, dict]:
     s = setting
     if s.G_v.kind != "dihedral":
         return 1, {"branch": _SMALL_DECOMPOSITION}
-    parities = _theta_parities(s)
+    par1, par2 = parities = _theta_parities(s)
     trace: dict = {"branch": s.base.branch}
     trace.update(zip(_ODD_LABELS, parities))
-    return (-1 if sum(parities) % 2 else 1), trace
+    return (-1 if par1 ^ par2 else 1), trace
 
 
 def _w_sign(s: LocalSetting) -> int:
@@ -376,22 +383,28 @@ def pot_good_table(side: str) -> dict[tuple[int, int], int]:
     """The 4x4 sign table for odd-multiplicity potential good reduction at
     ell = p, generated from one of the engine's two closed forms
     (side "c" or side "w").  Every delta with the same tame order must
-    agree, and the generator checks that."""
+    agree, and the generator checks that: one sweep over the seven deltas
+    per residue prime, its signs grouped by tame order."""
     if side not in ("c", "w"):
         raise ValueError(f"side must be 'c' or 'w', got {side!r}")
     sign_of = _c_sign if side == "c" else _w_sign
+    # p >= 5 is prime, delta is in POT_GOOD_DELTAS and ell = p: each
+    # setting is admissible by construction
+    cases = [(AdditivePotGood(delta), None) for delta in POT_GOOD_DELTAS]
+    orders = [ramification_degree_e(delta) for delta in POT_GOOD_DELTAS]
+    signs: dict[tuple[int, int], set[int]] = {}
+    for residue, p in _RESIDUE_REPS.items():
+        sweep = SettingSweep(p, [(p, 1, DIHEDRAL, DIHEDRAL, cases)])
+        for e, sign in zip(orders, map(sign_of, sweep)):
+            signs.setdefault((e, residue), set()).add(sign)
     table: dict[tuple[int, int], int] = {}
     for e_target in (6, 4, 3, 2):
-        deltas = [d for d in POT_GOOD_DELTAS if ramification_degree_e(d) == e_target]
         for residue, p in _RESIDUE_REPS.items():
-            # p >= 5 is prime, delta is in POT_GOOD_DELTAS and ell = p:
-            # each setting is admissible by construction
-            cases = [(AdditivePotGood(delta), None) for delta in deltas]
-            signs = set(map(sign_of, SettingSweep(p, [(p, 1, DIHEDRAL, DIHEDRAL, cases)])))
-            if len(signs) != 1:
+            found = signs[e_target, residue]
+            if len(found) != 1:
                 raise AssertionError(
-                    f"deltas of tame order {e_target} disagree at p = {p}: {signs}")
-            table[(e_target, residue)] = signs.pop()
+                    f"deltas of tame order {e_target} disagree at p = {p}: {found}")
+            table[(e_target, residue)] = found.pop()
     return table
 
 

@@ -11,9 +11,10 @@ rest from the slots, taken in declaration order from the base class down:
   fields through one `operator.attrgetter` per class.
 
 A slot whose name starts with "_" is a cache: it is neither shown nor
-compared.  Fields listed in a class's `_uncompared` are shown but not
-compared; such a name that is no slot, a property computed from the
-fields, is shown after the slots.
+compared.  A property listed in a class's `_computed` is a field after
+the slots, shown and compared like one.  Fields listed in `_uncompared`
+are shown but not compared; such a name that is no slot, a property
+computed from the fields, is shown after the slots.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
+    _computed: tuple[str, ...] = ()
     _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -32,7 +34,8 @@ class Record:
         slots = tuple(name for klass in reversed(cls.__mro__)
                       for name in klass.__dict__.get("__slots__", ())
                       if not name.startswith("_"))
-        cls._fields = slots + tuple(name for name in cls._uncompared if name not in slots)
+        cls._fields = slots + tuple(name for name in cls._computed + cls._uncompared
+                                    if name not in slots)
         compared = cls._compared = tuple(name for name in cls._fields
                                          if name not in cls._uncompared)
         # the tuple of compared fields, read by one attrgetter; for fewer

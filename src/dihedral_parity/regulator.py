@@ -282,31 +282,40 @@ def invariant_pairing(rep: RationalRep, seed: int = 0) -> Matrix:
 
 def regulator_constant(rep: RationalRep, seed: int = 0) -> Fraction:
     """C_Theta(rep) as an exact rational, well defined modulo squares, over
-    the pairing invariant_pairing(rep, seed)."""
+    the pairing invariant_pairing(rep, seed).  Each factor's numerator and
+    denominator, to the power |m_H|, multiply one integer numerator and
+    denominator, on the sides the sign of m_H picks, and one Fraction is
+    built from the two at the end."""
     pairing, det = _pairing_and_det(rep, seed)
     p = rep.p
     ident, t = rep._powers[0], rep.t
     rotations = _matsum(rep._powers)
-    result = Fraction(1)
+    num = den = 1
     for tag, weight in THETA:
         order = tag.order(p)
         if order == 1:
             # P = I, so the factor is det(I^T B I) / 1^(3d) = det(B)
-            result *= Fraction(det) ** weight
-            continue
-        # sum_{h in H} rho(h): its rotations sum to I or to R = sum_i s^i,
-        # and its reflections s^i t to R t = t R (t s^i t = s^-i)
-        proj = rotations if tag.level else ident
-        if tag.reflects:
-            proj = _matsum((proj, _matmul(t, proj)))
-        cols = _independent_columns(proj)  # none: the empty determinant is 1
-        basis = tuple(tuple(row[j] for j in cols) for row in proj)
-        d = _det(_gram(pairing, basis))
-        if d == 0:
-            raise DegeneratePairingError(
-                f"pairing is singular on the vectors fixed by {tag.label}")
-        result *= Fraction(d, order ** (3 * len(cols))) ** weight
-    return result
+            top, bottom = det, 1
+        else:
+            # sum_{h in H} rho(h): its rotations sum to I or to R = sum_i s^i,
+            # and its reflections s^i t to R t = t R (t s^i t = s^-i)
+            proj = rotations if tag.level else ident
+            if tag.reflects:
+                proj = _matsum((proj, _matmul(t, proj)))
+            cols = _independent_columns(proj)  # none: the empty determinant is 1
+            basis = tuple(tuple(row[j] for j in cols) for row in proj)
+            top = _det(_gram(pairing, basis))
+            if top == 0:
+                raise DegeneratePairingError(
+                    f"pairing is singular on the vectors fixed by {tag.label}")
+            bottom = order ** (3 * len(cols))
+        if weight > 0:
+            num *= top ** weight
+            den *= bottom ** weight
+        else:
+            num *= bottom ** -weight
+            den *= top ** -weight
+    return Fraction(num, den)
 
 
 class SquareClass(Record):

@@ -51,8 +51,7 @@ def crt(congruences) -> tuple[int, int]:
     (x, product of moduli) with 0 <= x < product."""
     x, modulus = 0, 1
     for m, r in congruences:
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
+        check_positive(m, "modulus", ValueError)
         g = gcd(modulus, m)
         if g != 1:
             raise NonCoprimeModuliError(f"moduli share the factor {g}")

@@ -237,8 +237,9 @@ def test_brief_names_a_long_value_by_its_size():
     assert brief(-10 ** 39) == "<40 digits>"
     assert brief(10 ** 40 - 1) == "9" * 40 and brief(10 ** 40) == "<41 digits>"
     assert brief(-10 ** 5000) == "<5001 digits>"  # past Python's limit on str
-    assert brief(2.5) == "2.5" and brief("3") == "3" and brief(None) == "None"
-    assert brief("x" * 41) == "<41 characters>"
+    # a non-int reads by repr, so "3" is not taken for 3
+    assert brief(2.5) == "2.5" and brief("3") == "'3'" and brief(None) == "None"
+    assert brief("x" * 38) == repr("x" * 38) and brief("x" * 39) == "<41 characters>"
 
 
 @pytest.mark.parametrize("call", [lambda: check_odd_prime(-10 ** 5000),
@@ -255,8 +256,9 @@ def test_a_value_past_pythons_string_limit_is_rejected_by_its_rule(call):
 def test_check_prime_wording(least, words):
     check_prime(least, "q", KeyError, least=least)
     for bad in (least - 1, 9, -7, True, 7.0, "7", None):
-        with pytest.raises(KeyError, match=f"^'q must be {words}, got {bad}'$"):
+        with pytest.raises(KeyError) as exc:
             check_prime(bad, "q", KeyError, least=least)
+        assert exc.value.args == (f"q must be {words}, got {bad!r}",)
 
 
 def test_check_prime_bounds_the_digits_before_primality(monkeypatch):
@@ -278,8 +280,9 @@ def test_check_positive_wording():
     check_positive(1, "k", KeyError)
     check_positive(10 ** 5000, "k", KeyError)
     for bad in (0, -1, True, False, 1.0, "1", None, -10 ** 5000):
-        with pytest.raises(KeyError, match=f"^'k must be a positive integer, got {brief(bad)}'$"):
+        with pytest.raises(KeyError) as exc:
             check_positive(bad, "k", KeyError)
+        assert exc.value.args == (f"k must be a positive integer, got {brief(bad)}",)
 
 
 @pytest.mark.parametrize("call", [

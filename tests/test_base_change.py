@@ -102,7 +102,7 @@ def test_descriptor_valuations_must_be_ints(cls, bad):
     # a float or a bool used to pass (2.5 >= 1, True >= 1) and yield a verdict
     # or fail later in the engine with a TypeError
     name = "delta" if cls is AdditivePotGood else "n"
-    with pytest.raises(InvalidDescriptorError, match=f"^{name} must be a positive integer, got {bad}$"):
+    with pytest.raises(InvalidDescriptorError, match=f"^{name} must be a positive integer, got {bad!r}$"):
         cls(bad)
 
 
@@ -244,7 +244,7 @@ def test_tamagawa_over_matches_the_ladder_on_every_place(p):
 
 @pytest.mark.parametrize("ell", [4, 1, 0, -5, True, 5.0, "5"])
 def test_tamagawa_over_checks_ell_as_a_setting_does(ell):
-    with pytest.raises(InadmissibleSettingError, match=f"^ell must be prime, got {ell}$"):
+    with pytest.raises(InadmissibleSettingError, match=f"^ell must be prime, got {ell!r}$"):
         tamagawa_over(AdditivePotMult(3), 5, D2P, D2P, TRIVIAL, ell=ell,
                       becomes_split=True)
 
@@ -270,7 +270,7 @@ def test_tamagawa_over_answers_each_becomes_split():
 @pytest.mark.parametrize("r", [0, -1, True, 1.5, "1"])
 def test_omega_checks_r_as_a_setting_does(r):
     with pytest.raises(InadmissibleSettingError,
-                       match=f"^r must be a positive integer, got {r}$"):
+                       match=f"^r must be a positive integer, got {r!r}$"):
         omega_ordp_parity(AdditivePotGood(2), 5, 5, r, D2P, D2P, TRIVIAL)
 
 

@@ -645,10 +645,10 @@ def test_induction_rejects_a_fusion_count_that_the_order_does_not_divide():
 # --- deferred values -------------------------------------------------------
 
 def _built(chi, name):
-    """Whether chi's slot name is set, read through the slot descriptor, so
-    that the read builds nothing."""
+    """Whether chi's private slot behind name is set, read through the slot
+    descriptor, so that the read builds nothing."""
     try:
-        VirtualCharacter.__dict__[name].__get__(chi, VirtualCharacter)
+        VirtualCharacter.__dict__["_" + name].__get__(chi, VirtualCharacter)
     except AttributeError:
         return False
     return True

@@ -261,6 +261,27 @@ def test_pot_good_table_both_sides_match_frozen():
         pot_good_table("x")
 
 
+def test_pot_good_table_keys_run_by_tame_order_then_residue():
+    want = [(e, residue) for e in (6, 4, 3, 2) for residue in (1, 5, 7, 11)]
+    for side in ("c", "w"):
+        assert list(pot_good_table(side)) == want
+
+
+@pytest.mark.parametrize("side, kernel", [("c", "_c_sign"), ("w", "_w_sign")])
+def test_pot_good_table_rejects_deltas_of_one_order_that_disagree(monkeypatch, side, kernel):
+    # delta 10 has tame order 6, as delta 2 has; flip its sign at p = 7 alone
+    sign = getattr(parity, kernel)
+
+    def flipped(s):
+        got = sign(s)
+        return -got if (s.p, s.base.delta) == (7, 10) else got
+
+    monkeypatch.setattr(parity, kernel, flipped)
+    with pytest.raises(AssertionError,
+                       match=r"^deltas of tame order 6 disagree at p = 7: \{(-1, 1|1, -1)\}$"):
+        pot_good_table(side)
+
+
 def test_w_referee_agrees_on_every_potentially_good_setting():
     """The w side from root numbers over the quadratic subfield
     (tests/w_referee.py) against w_ratio, on every potentially good
@@ -387,7 +408,7 @@ def test_a_sweep_holds_one_setting_at_a_time():
 def test_enumeration_checks_n_max(n_max):
     with pytest.raises(InadmissibleSettingError) as got:
         enumerate_settings(5, n_max=n_max)
-    assert str(got.value) == f"n_max must be a positive integer, got {n_max}"
+    assert str(got.value) == f"n_max must be a positive integer, got {n_max!r}"
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -3,6 +3,7 @@ agrees with it, and the dataclass-style repr that reports print."""
 
 import pytest
 
+from dihedral_parity import base_change, characters, lattice, parity, records, regulator
 from dihedral_parity.base_change import (AdditivePotGood, AdditivePotMult,
                                          ConstrainedRange, Good, NonsplitMult,
                                          SplitMult)
@@ -57,6 +58,27 @@ def test_virtual_characters_compare_by_group_and_values():
     assert a is not b and a.group is not b.group
     assert a == b and hash(a) == hash(b)
     assert a != irreducibles(ctx)[3]
+    # values is a property over a private slot, and still a compared field
+    assert type(a)._fields == type(a)._compared == ("group", "values")
+    assert repr(a).startswith("VirtualCharacter(group=Subgroup(") and "values=(" in repr(a)
+
+
+@pytest.mark.parametrize("module", [characters, parity, base_change, lattice, regulator,
+                                    records], ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def test_no_class_defines_an_attribute_hook(module):
+    """The classes of these modules are read in every inner loop.  A class
+    that defines __getattr__ or __getattribute__ sends every attribute read
+    of its instances, set slots too, off CPython's fast path for slots: a
+    read of a VirtualCharacter's group or _spectrum took 41-46 ns with the
+    hook against 16 ns on a plain slotted class in one timeit measurement,
+    33 against 10 ns in another, and a getattr of its unset _restrictions
+    with a default 894 against 270 ns (2-core Xeon, Python 3.11)."""
+    classes = [cls for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__]
+    assert classes
+    for cls in classes:
+        hooks = {"__getattr__", "__getattribute__"} & set(vars(cls))
+        assert not hooks, f"{cls.__qualname__} defines {sorted(hooks)}"
 
 
 def test_descriptors_of_different_types_are_unequal():
@@ -195,3 +217,11 @@ def test_validation_messages_are_kept():
         AdditivePotGood(0)
     with pytest.raises(ValueError, match="members must be positive"):
         ConstrainedRange(())
+
+
+@pytest.mark.parametrize("members", [(True,), (1, False), (1, 2.0), (0, 1), (-1,), ("2",)],
+                         ids=repr)
+def test_constrained_range_admits_only_positive_ints(members):
+    # a bool is an int, and True >= 1, so (True,) was accepted as it stood
+    with pytest.raises(ValueError, match="^members must be positive"):
+        ConstrainedRange(members)

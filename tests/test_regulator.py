@@ -430,3 +430,40 @@ def test_constant_matches_the_elementwise_projectors(p):
     for rep in reps:
         for seed in (0, 3, 23):
             assert regulator_constant(rep, seed=seed) == reference_regulator_constant(rep, seed)
+
+
+# --- the integer combination against the Fraction product -----------------
+
+def fraction_product_constant(rep, seed):
+    """C_Theta as the product of one Fraction factor per H of Theta, each
+    det(P_J^T B P_J) / |H|^(3k) to its weight, over the library's own
+    projectors, bases and determinants: only the combination differs from
+    `regulator_constant`, which multiplies integers and builds one
+    Fraction at the end."""
+    pairing, det = regulator._pairing_and_det(rep, seed)
+    ident, t = rep._powers[0], rep.t
+    rotations = regulator._matsum(rep._powers)
+    result = Fraction(1)
+    for tag, weight in THETA:
+        order = tag.order(rep.p)
+        proj = rotations if tag.level else ident
+        if tag.reflects:
+            proj = regulator._matsum((proj, _matmul(t, proj)))
+        cols = regulator._independent_columns(proj)
+        basis = tuple(tuple(row[j] for j in cols) for row in proj)
+        factor = Fraction(det) if order == 1 else Fraction(
+            _det(_gram(pairing, basis)), order ** (3 * len(cols)))
+        result *= factor ** weight
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_integer_constant_matches_the_fraction_product(p):
+    one, sign, faithful = trivial_rep(p), sign_rep(p), faithful_rep(p)
+    reps = [one, sign, faithful, direct_sum(one, sign), direct_sum(sign, faithful),
+            direct_sum(one, sign, faithful)]
+    for rep in reps:
+        for seed in (0, 3, 99):
+            got = regulator_constant(rep, seed=seed)
+            assert type(got) is Fraction
+            assert got == fraction_product_constant(rep, seed), (p, rep.dimension, seed)

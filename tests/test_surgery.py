@@ -28,6 +28,13 @@ def test_crt_errors():
         crt([(0, 0)])
 
 
+@pytest.mark.parametrize("modulus", [True, False, 0, -3, 3.0, "3"], ids=repr)
+def test_crt_admits_only_positive_int_moduli(modulus):
+    # True is an int >= 1, and used to pass as the modulus 1
+    with pytest.raises(ValueError, match="^modulus must be a positive integer, got "):
+        crt([(5, 1), (modulus, 0)])
+
+
 # --- raw invariant helpers -------------------------------------------------
 
 def test_raw_formulas_match_curve_properties():
@@ -176,5 +183,5 @@ def test_parameter_validation():
 @pytest.mark.parametrize("n", [0, -2, 2.5, "8", True, False])
 def test_depth_must_be_a_positive_integer(n):
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+    with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
         make_semistable(E, 11, 3, n=n)
